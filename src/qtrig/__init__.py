@@ -14,12 +14,8 @@ from .errors import (
     SingularDenominatorError,
 )
 from .qcalc import (
-    QBinomialTable,
     q_binomial,
     q_binomial_row,
-    q_binomial_table,
-    q_factorial,
-    q_integer,
     q_powers,
     validate_q,
 )
@@ -27,9 +23,9 @@ from .kernel import (
     Interval,
     ValidityCertificate,
     certify_interval,
-    circular_barycentric,
     trig_kernel,
     kernel_tables,
+    kernel_tables_array,
     require_valid_interval,
 )
 from .basis import (
@@ -37,7 +33,7 @@ from .basis import (
     basis_all_direct,
     basis_all_recurrence1,
     basis_all_recurrence2,
-    basis_value_direct,
+    basis_matrix,
     classical_trig_basis,
 )
 from .curve import (
@@ -58,17 +54,16 @@ from .rational import (
     denominator_certificate,
     point_segment_distance,
     rational_basis_all,
+    rational_basis_matrix,
     rational_evaluate,
     rational_sample,
 )
 from .shape import (
     CollocationMatrix,
-    SignSequence,
     TPReport,
     collocation,
     convex_hull,
     minor_count,
-    monomial_tp_reference,
     point_in_hull,
     sign_changes_function,
     sign_changes_seq,
@@ -84,23 +79,19 @@ __all__ = [
     "MinorCapExceededError",
     "IllConditionedFitError",
     "validate_q",
-    "q_integer",
-    "q_factorial",
     "q_binomial",
     "q_binomial_row",
-    "q_binomial_table",
     "q_powers",
-    "QBinomialTable",
     "trig_kernel",
     "Interval",
     "ValidityCertificate",
     "certify_interval",
     "require_valid_interval",
     "kernel_tables",
-    "circular_barycentric",
+    "kernel_tables_array",
     "BasisVector",
-    "basis_value_direct",
     "basis_all_direct",
+    "basis_matrix",
     "basis_all_recurrence1",
     "basis_all_recurrence2",
     "classical_trig_basis",
@@ -117,17 +108,16 @@ __all__ = [
     "WeightVector",
     "rational_basis_all",
     "rational_evaluate",
+    "rational_basis_matrix",
     "rational_sample",
     "denominator_certificate",
     "chord_distance_profile",
     "point_segment_distance",
     "CollocationMatrix",
     "TPReport",
-    "SignSequence",
     "collocation",
     "minor_count",
     "total_positivity_check",
-    "monomial_tp_reference",
     "sign_changes_seq",
     "sign_changes_function",
     "convex_hull",

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, trig_kernel, kernel_tables, require_valid_interval
+from .kernel import Interval, kernel_tables, kernel_tables_array, require_valid_interval
 from .errors import InvalidIntervalError
 from .qcalc import q_binomial_row, q_powers
 
 __all__ = [
     "BasisVector",
-    "basis_value_direct",
     "basis_all_direct",
+    "basis_matrix",
     "basis_all_recurrence1",
     "basis_all_recurrence2",
     "classical_trig_basis",
@@ -49,39 +49,32 @@ class BasisVector:
             )
 
 
-def _value_from_tables(n, k, qbinom_row, d_ax, d_xb, den):
-    num = qbinom_row[k]
-    for i in range(k):
-        num *= d_ax[i]
-    for i in range(n - k):
-        num *= d_xb[i]
-    return num / den
-
-
-def _denominator(d_ab):
-    den = 1.0
-    for v in d_ab:
-        den *= v
-    return den
-
-
-def basis_value_direct(n: int, k: int, x: float, q: float, interval: Interval) -> float:
-    """One basis value via the product formula."""
-    if k < 0 or k > n:
-        raise IndexError(f"basis index k={k} outside 0..{n}")
-    require_valid_interval(interval, q, n)
-    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
-    return _value_from_tables(n, k, q_binomial_row(n, q), d_ax, d_xb, _denominator(d_ab))
-
-
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
     require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
     row = q_binomial_row(n, q)
-    den = _denominator(d_ab)
-    values = [_value_from_tables(n, k, row, d_ax, d_xb, den) for k in range(n + 1)]
+    den = math.prod(d_ab)
+    # one left-to-right chain per k: [n choose k]_q, the d_ax, then the d_xb
+    values = [math.prod(d_ax[:k] + d_xb[: n - k], start=row[k]) / den for k in range(n + 1)]
     return BasisVector(degree=n, q=q, interval=interval, x=x, values=np.array(values))
+
+
+def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
+    """Basis vectors at every point of xs, shape (m, n+1).
+
+    Row j is bit-identical to basis_all_direct(n, xs[j], q, interval).values:
+    each entry takes the same multiplications in the same order.  The
+    interval is certified and the q-binomial row built once per call.
+    """
+    require_valid_interval(interval, q, n)
+    d_ax, d_xb, d_ab = kernel_tables_array(interval, xs, q, n)
+    values = np.tile(q_binomial_row(n, q), (d_ax.shape[0], 1))
+    for i in range(n):  # entry k takes d_ax[:k] in order, then d_xb[:n-k]
+        values[:, i + 1:] *= d_ax[:, i, None]
+    for i in range(n):
+        values[:, : n - i] *= d_xb[:, i, None]
+    return values / math.prod(d_ab)
 
 
 def _recurrence(n, x, q, interval, second_form):

@@ -14,12 +14,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .basis import basis_all_direct
+from .basis import basis_matrix
 from .curve import ControlPolygon, sample_curve
 from .errors import (
     InvalidIntervalError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .export import Polyline, render_csv, render_json_records, render_svg, read_polygon_json
 from .kernel import Interval
-from .rational import rational_basis_all, rational_sample
+from .rational import rational_basis_matrix, rational_sample
 from .shape import (
     collocation,
     convex_hull,
@@ -47,6 +46,11 @@ EXIT_VIOLATION = 4
 
 PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#ff7f0e", "#9467bd", "#8c564b")
 VDP_SEED = 20240811
+# --samples and --grid defaults; check vdp and check signs sample more densely
+SAMPLES = 129
+TP_GRID = 6
+VDP_SAMPLES, VDP_LINES = 2048, 50
+SIGNS_SAMPLES = 512
 
 
 class _UsageError(Exception):
@@ -93,20 +97,18 @@ def _parse_weights(text: str) -> np.ndarray:
     return np.array([float(p) for p in text.split(",")], dtype=float)
 
 
-@dataclass
-class RunConfig:
-    qs: list[float]
-    interval: Interval
-    degree: Optional[int] = None
-    samples: int = 129
-    method: str = "direct"
-    fmt: str = "csv"
-    out: str = "-"
-    digits: int = 17
-    weights: Optional[np.ndarray] = None
-    grid: int = 6
-    tolerance: float = 1e-9
-    basis_mode: bool = False
+def _count(value: Optional[int], default: int) -> int:
+    """An explicit --samples or --grid, else the subcommand's own default."""
+    return default if value is None else value
+
+
+def _weights(cfg: argparse.Namespace, file_weights, n: int) -> np.ndarray:
+    """--weights, else the polygon file's weights, else all ones."""
+    if cfg.weights is not None:
+        return cfg.weights
+    if file_weights is not None:
+        return file_weights
+    return np.ones(n + 1)
 
 
 def _emit(out: str, text: str) -> None:
@@ -117,31 +119,25 @@ def _emit(out: str, text: str) -> None:
             fh.write(text)
 
 
-def _require_single_q(cfg: RunConfig) -> float:
+def _require_single_q(cfg: argparse.Namespace) -> float:
     if len(cfg.qs) != 1:
         raise _UsageError(f"{cfg.fmt} output supports exactly one --q, got {len(cfg.qs)}")
     return cfg.qs[0]
 
 
-def _basis_series(cfg: RunConfig, ratio_weights=None):
+def _basis_series(cfg: argparse.Namespace, ratio_weights=None):
     """[(q, xs, values (samples, n+1))], via the rational family if weighted."""
-    n = cfg.degree
-    xs = np.linspace(cfg.interval.a, cfg.interval.b, cfg.samples)
-    series = []
-    for q in cfg.qs:
-        rows = []
-        for x in xs:
-            if ratio_weights is None:
-                rows.append(basis_all_direct(n, float(x), q, cfg.interval).values)
-            else:
-                rows.append(
-                    rational_basis_all(n, float(x), q, cfg.interval, ratio_weights).values
-                )
-        series.append((q, xs, np.vstack(rows)))
-    return series
+    n, interval = cfg.degree, cfg.interval
+    samples = _count(cfg.samples, SAMPLES)
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
+    xs = np.linspace(interval.a, interval.b, samples)
+    if ratio_weights is None:
+        return [(q, xs, basis_matrix(n, xs, q, interval)) for q in cfg.qs]
+    return [(q, xs, rational_basis_matrix(n, xs, q, interval, ratio_weights)) for q in cfg.qs]
 
 
-def _write_basis_output(cfg: RunConfig, series) -> int:
+def _write_basis_output(cfg: argparse.Namespace, series) -> int:
     n = cfg.degree
     if cfg.fmt == "svg":
         polylines = []
@@ -164,7 +160,7 @@ def _write_basis_output(cfg: RunConfig, series) -> int:
     return EXIT_OK
 
 
-def cmd_basis(cfg: RunConfig) -> int:
+def cmd_basis(cfg: argparse.Namespace) -> int:
     if cfg.degree is None:
         raise _UsageError("basis needs --degree")
     return _write_basis_output(cfg, _basis_series(cfg))
@@ -175,7 +171,7 @@ def _polygon_polyline(polygon: ControlPolygon) -> Polyline:
     return Polyline(points=pts, stroke="#555555", dash="4 3", width_scale=0.7)
 
 
-def _write_curve_output(cfg: RunConfig, per_q_samples, polygon: Optional[ControlPolygon]) -> int:
+def _write_curve_output(cfg: argparse.Namespace, per_q_samples, polygon: Optional[ControlPolygon]) -> int:
     if cfg.fmt == "svg":
         if polygon is not None and polygon.dim != 2:
             raise _UsageError("svg output needs 2-d control points")
@@ -204,33 +200,29 @@ def _write_curve_output(cfg: RunConfig, per_q_samples, polygon: Optional[Control
     return EXIT_OK
 
 
-def cmd_curve(cfg: RunConfig, polygon_path: str) -> int:
+def cmd_curve(cfg: argparse.Namespace, polygon_path: str) -> int:
     points, _ = read_polygon_json(polygon_path)
     polygon = ControlPolygon(points)
     per_q = [
-        (q, sample_curve(polygon, q, cfg.interval, cfg.samples, cfg.method))
+        (q, sample_curve(polygon, q, cfg.interval, _count(cfg.samples, SAMPLES), cfg.method))
         for q in cfg.qs
     ]
     return _write_curve_output(cfg, per_q, polygon)
 
 
-def cmd_rational(cfg: RunConfig, polygon_path: Optional[str]) -> int:
+def cmd_rational(cfg: argparse.Namespace, polygon_path: Optional[str]) -> int:
     if cfg.basis_mode:
         if cfg.degree is None:
             raise _UsageError("rational --basis needs --degree")
-        weights = cfg.weights
-        if weights is None:
-            weights = np.ones(cfg.degree + 1)
+        weights = _weights(cfg, None, cfg.degree)
         return _write_basis_output(cfg, _basis_series(cfg, ratio_weights=weights))
     if polygon_path is None:
         raise _UsageError("rational needs --polygon (or --basis with --degree)")
     points, file_weights = read_polygon_json(polygon_path)
     polygon = ControlPolygon(points)
-    weights = cfg.weights if cfg.weights is not None else file_weights
-    if weights is None:
-        weights = np.ones(polygon.degree + 1)
+    weights = _weights(cfg, file_weights, polygon.degree)
     per_q = [
-        (q, rational_sample(polygon, weights, q, cfg.interval, cfg.samples))
+        (q, rational_sample(polygon, weights, q, cfg.interval, _count(cfg.samples, SAMPLES)))
         for q in cfg.qs
     ]
     return _write_curve_output(cfg, per_q, polygon)
@@ -243,12 +235,13 @@ def _report(payload: dict, passed: bool) -> int:
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
-def _check_tp(cfg: RunConfig) -> int:
+def _check_tp(cfg: argparse.Namespace) -> int:
     if cfg.degree is None:
         raise _UsageError("check tp needs --degree")
     q = cfg.qs[0]
     a, b = cfg.interval.a, cfg.interval.b
-    pts = [a + (b - a) * (j + 1) / (cfg.grid + 1) for j in range(cfg.grid)]
+    grid = _count(cfg.grid, TP_GRID)
+    pts = [a + (b - a) * (j + 1) / (grid + 1) for j in range(grid)]
     family = "quantum" if cfg.weights is None else "rational"
     mat = collocation(family, cfg.degree, q, cfg.interval, pts, weights=cfg.weights)
     rep = total_positivity_check(mat, cfg.tolerance)
@@ -258,7 +251,7 @@ def _check_tp(cfg: RunConfig) -> int:
         "degree": cfg.degree,
         "q": q,
         "interval": [a, b],
-        "grid": cfg.grid,
+        "grid": grid,
         "minors_checked": rep.minors_checked,
         "worst_minor": rep.worst_minor,
         "worst_scaled": rep.worst_scaled,
@@ -269,16 +262,15 @@ def _check_tp(cfg: RunConfig) -> int:
     return _report(payload, rep.is_tp)
 
 
-def _check_hull(cfg: RunConfig, polygon_path: str) -> int:
+def _check_hull(cfg: argparse.Namespace, polygon_path: str) -> int:
     points, file_weights = read_polygon_json(polygon_path)
     polygon = ControlPolygon(points)
     if polygon.dim != 2:
         raise _UsageError("check hull needs 2-d control points")
-    weights = cfg.weights if cfg.weights is not None else file_weights
-    if weights is None:
-        weights = np.ones(polygon.degree + 1)
+    weights = _weights(cfg, file_weights, polygon.degree)
     q = cfg.qs[0]
-    samples = rational_sample(polygon, weights, q, cfg.interval, cfg.samples)
+    n_samples = _count(cfg.samples, SAMPLES)
+    samples = rational_sample(polygon, weights, q, cfg.interval, n_samples)
     hull = convex_hull(polygon.points)
     violations = sum(
         0 if point_in_hull(s.point, hull, slack=1e-12) else 1 for s in samples
@@ -286,30 +278,28 @@ def _check_hull(cfg: RunConfig, polygon_path: str) -> int:
     payload = {
         "check": "hull",
         "q": q,
-        "samples": cfg.samples,
+        "samples": n_samples,
         "violations": violations,
         "pass": violations == 0,
     }
     return _report(payload, violations == 0)
 
 
-def _check_vdp(cfg: RunConfig, polygon_path: str) -> int:
+def _check_vdp(cfg: argparse.Namespace, polygon_path: str) -> int:
     points, file_weights = read_polygon_json(polygon_path)
     polygon = ControlPolygon(points)
     if polygon.dim != 2:
         raise _UsageError("check vdp needs 2-d control points")
-    weights = cfg.weights if cfg.weights is not None else file_weights
-    if weights is None:
-        weights = np.ones(polygon.degree + 1)
+    weights = _weights(cfg, file_weights, polygon.degree)
     q = cfg.qs[0]
-    n_samples = cfg.samples if cfg.samples != 129 else 2048
+    n_samples = _count(cfg.samples, VDP_SAMPLES)
     samples = rational_sample(polygon, weights, q, cfg.interval, n_samples)
     pts = np.vstack([s.point for s in samples])
     ctrl = polygon.points
     lo = ctrl.min(axis=0)
     hi = ctrl.max(axis=0)
     rng = np.random.default_rng(VDP_SEED)
-    lines = cfg.grid if cfg.grid != 6 else 50
+    lines = _count(cfg.grid, VDP_LINES)
     violations = 0
     worst = (0, 0)
     for _ in range(lines):
@@ -335,13 +325,13 @@ def _check_vdp(cfg: RunConfig, polygon_path: str) -> int:
     return _report(payload, violations == 0)
 
 
-def _check_signs(cfg: RunConfig, polygon_path: str) -> int:
+def _check_signs(cfg: argparse.Namespace, polygon_path: str) -> int:
     points, _ = read_polygon_json(polygon_path)
     polygon = ControlPolygon(points)
     if polygon.dim != 1:
         raise _UsageError("check signs needs scalar control points")
     q = cfg.qs[0]
-    n_samples = cfg.samples if cfg.samples != 129 else 512
+    n_samples = _count(cfg.samples, SIGNS_SAMPLES)
     samples = sample_curve(polygon, q, cfg.interval, n_samples)
     curve_changes = sign_changes_function([float(s.point[0]) for s in samples])
     ctrl_changes = sign_changes_seq(polygon.points[:, 0])
@@ -361,11 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_method=False):
-        p.add_argument("--q", action="append", type=float, required=True,
-                       help="deformation parameter, repeatable for overlays")
+        p.add_argument("--q", dest="qs", metavar="Q", action="append", type=float,
+                       required=True, help="deformation parameter, repeatable for overlays")
         p.add_argument("--interval", required=True,
                        help='parameter interval "a,b"; accepts pi fractions like pi/2')
-        p.add_argument("--samples", type=int, default=129)
+        p.add_argument("--samples", type=int,
+                       help=f"sample count (default {SAMPLES}; check vdp {VDP_SAMPLES}, "
+                            f"check signs {SIGNS_SAMPLES})")
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"),
                        default="csv")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -397,56 +389,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--polygon")
     p_check.add_argument("--degree", type=int)
     p_check.add_argument("--weights", type=_parse_weights)
-    p_check.add_argument("--grid", type=int, default=6,
-                         help="collocation points (tp) or random lines (vdp)")
+    p_check.add_argument("--grid", type=int,
+                         help=f"collocation points (tp, default {TP_GRID}) "
+                              f"or random lines (vdp, default {VDP_LINES})")
     p_check.add_argument("--tolerance", type=float, default=1e-9)
     common(p_check)
     return parser
 
 
-def _config_from(ns) -> RunConfig:
-    try:
-        interval = parse_interval(ns.interval)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    return RunConfig(
-        qs=list(ns.q),
-        interval=interval,
-        degree=getattr(ns, "degree", None),
-        samples=ns.samples,
-        method=getattr(ns, "method", "direct"),
-        fmt=ns.fmt,
-        out=ns.out,
-        digits=ns.digits,
-        weights=getattr(ns, "weights", None),
-        grid=getattr(ns, "grid", 6),
-        tolerance=getattr(ns, "tolerance", 1e-9),
-        basis_mode=getattr(ns, "basis_mode", False),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = _config_from(ns)
-        if ns.command == "basis":
+        cfg = parser.parse_args(argv)
+        cfg.interval = parse_interval(cfg.interval)
+        if cfg.command == "basis":
             return cmd_basis(cfg)
-        if ns.command == "curve":
-            return cmd_curve(cfg, ns.polygon)
-        if ns.command == "rational":
-            return cmd_rational(cfg, ns.polygon)
+        if cfg.command == "curve":
+            return cmd_curve(cfg, cfg.polygon)
+        if cfg.command == "rational":
+            return cmd_rational(cfg, cfg.polygon)
         if len(cfg.qs) != 1:
             raise _UsageError("check takes exactly one --q")
-        if ns.property == "tp":
+        if cfg.property == "tp":
             return _check_tp(cfg)
-        if ns.property in ("vdp", "hull", "signs") and not ns.polygon:
-            raise _UsageError(f"check {ns.property} needs --polygon")
-        if ns.property == "vdp":
-            return _check_vdp(cfg, ns.polygon)
-        if ns.property == "hull":
-            return _check_hull(cfg, ns.polygon)
-        return _check_signs(cfg, ns.polygon)
+        if cfg.property in ("vdp", "hull", "signs") and not cfg.polygon:
+            raise _UsageError(f"check {cfg.property} needs --polygon")
+        if cfg.property == "vdp":
+            return _check_vdp(cfg, cfg.polygon)
+        if cfg.property == "hull":
+            return _check_hull(cfg, cfg.polygon)
+        return _check_signs(cfg, cfg.polygon)
     except _UsageError as exc:
         print(f"qtrig: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,14 +14,13 @@ Sampled curves can be tested for membership in the trigonometric space
 by a least-squares fit; the curve coordinates always live in T_n.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_all_direct
+from .basis import basis_all_direct, basis_matrix
 from .errors import IllConditionedFitError
-from .kernel import Interval, kernel_tables, require_valid_interval
+from .kernel import Interval, kernel_tables, kernel_tables_array, require_valid_interval
 from .qcalc import q_binomial_row, q_powers, validate_q
 
 __all__ = [
@@ -191,11 +190,36 @@ def intermediate_explicit(
     return acc
 
 
-_METHODS = {
-    "direct": lambda poly, x, q, iv: evaluate_direct(poly, x, q, iv),
-    "alg1": lambda poly, x, q, iv: evaluate_alg1(poly, x, q, iv).apex,
-    "alg2": lambda poly, x, q, iv: evaluate_alg2(poly, x, q, iv).apex,
-}
+def _tableau_apexes(polygon, xs, q, interval, variant):
+    """Apexes of the alg1/alg2 scheme at every point of xs, shape (m, dim).
+
+    Steps all points through _tableau's stages at once; each entry takes
+    _tableau's operations in the same order, so apex j is bit-identical to
+    the scalar apex at xs[j].  One working array is updated in place.
+    """
+    n = polygon.degree
+    q = validate_q(q)
+    require_valid_interval(interval, q, n)
+    d_ax, d_xb, d_ab = kernel_tables_array(interval, xs, q, n)
+    powers = np.array(q_powers(q, n + 1))
+    work = np.repeat(polygon.points[None], len(xs), axis=0)  # (m, n+1, dim)
+    upper_term = np.empty((len(xs), n, polygon.dim))
+    for r in range(n):
+        den = d_ab[n - r - 1]
+        lower = d_xb[:, n - r - 1::-1] / den  # lower[:, k] = d_xb[:, n-r-k-1] / den
+        upper = d_ax[:, : n - r] / den
+        if variant == "alg1":
+            lower = powers[: n - r] * lower
+        else:
+            upper = powers[n - r - 1::-1] * upper
+        kept, advanced = work[:, : n - r], upper_term[:, : n - r]
+        np.multiply(upper[..., None], work[:, 1 : n - r + 1], out=advanced)
+        np.multiply(lower[..., None], kept, out=kept)
+        kept += advanced
+    return work[:, 0].copy()
+
+
+_METHODS = ("direct", "alg1", "alg2")
 
 
 def sample_curve(
@@ -205,14 +229,24 @@ def sample_curve(
     count: int,
     method: str = "direct",
 ) -> list[CurveSample]:
-    """Uniform samples of P over [a, b], endpoints included."""
+    """Uniform samples of P over [a, b], endpoints included.
+
+    Sample j is bit-identical to evaluate_direct, or to the evaluate_alg1 or
+    evaluate_alg2 apex, at the same x.
+    """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {sorted(_METHODS)}")
-    evaluate = _METHODS[method]
     xs = np.linspace(interval.a, interval.b, count)
-    return [CurveSample(float(x), evaluate(polygon, float(x), q, interval), method) for x in xs]
+    if method == "direct":
+        basis = basis_matrix(polygon.degree, xs, q, interval)
+        # one vector-matrix product per row, as evaluate_direct takes it;
+        # a plain basis @ points may round differently
+        points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
+    else:
+        points = _tableau_apexes(polygon, xs, q, interval, method)
+    return [CurveSample(float(x), p, method) for x, p in zip(xs, points)]
 
 
 def tn_design_matrix(xs: np.ndarray, n: int) -> np.ndarray:

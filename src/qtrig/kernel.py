@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidIntervalError
 from .qcalc import q_powers, validate_q
 
@@ -26,7 +28,7 @@ __all__ = [
     "certify_interval",
     "require_valid_interval",
     "kernel_tables",
-    "circular_barycentric",
+    "kernel_tables_array",
 ]
 
 # Denominators with |d(a,b;q^i)| at or below this are treated as singular.
@@ -138,16 +140,22 @@ def kernel_tables(
     return d_ax, d_xb, d_ab
 
 
-def circular_barycentric(interval: Interval, x: float) -> tuple[float, float]:
-    """Circular barycentric coordinates (u, v) of x on an arc shorter than pi.
+def kernel_tables_array(
+    interval: Interval, xs, q: float, n: int
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """kernel_tables for every point of xs at once.
 
-    u = sin(x - a) / sin(b - a) and v = sin(b - x) / sin(b - a), so that
-    u(a) = 0, v(a) = 1 and u(b) = 1, v(b) = 0.  Arcs of length >= pi are
-    rejected: the coordinates degenerate there.
+    Returns (d_ax, d_xb, d_ab) with d_ax[j, i] = d(a, xs[j]; q^i), d_xb of
+    the same (m, n) shape, and the x-free d_ab list of kernel_tables.  The
+    tables are outer products in trig_kernel's own form, so every entry is
+    bit-identical to the scalar table entry.
     """
-    if interval.length >= math.pi:
-        raise InvalidIntervalError(interval.a, interval.b, 1.0, 0, 0.0)
-    s = math.sin(interval.b - interval.a)
-    if abs(s) <= SINGULARITY_TOL:
-        raise InvalidIntervalError(interval.a, interval.b, 1.0, 0, s)
-    return math.sin(x - interval.a) / s, math.sin(interval.b - x) / s
+    a, b = interval.a, interval.b
+    xs = np.asarray(xs, dtype=float)[:, None]
+    powers = q_powers(q, n)
+    p = np.array(powers)
+    plus, minus = 0.5 * (p + 1.0), 0.5 * (p - 1.0)
+    d_ax = plus * np.sin(xs - a) + minus * np.sin(xs + a)
+    d_xb = plus * np.sin(b - xs) + minus * np.sin(b + xs)
+    d_ab = [trig_kernel(a, b, qi) for qi in powers]
+    return d_ax, d_xb, d_ab

@@ -1,22 +1,17 @@
-"""q-integers, q-factorials and Gaussian (q-binomial) coefficients.
+"""Gaussian (q-binomial) coefficients and powers of q.
 
 The deformation parameter q is any finite nonzero real.  Everything here is
-continuous in q, including at q = 1 where the classical integers, factorials
-and binomial coefficients are recovered.
+continuous in q, including at q = 1 where the classical binomial
+coefficients are recovered.  The q-integer [k]_q is q_binomial_row(k, q)[1].
 """
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "validate_q",
-    "q_integer",
-    "q_factorial",
     "q_binomial",
     "q_binomial_row",
-    "q_binomial_table",
     "q_powers",
-    "QBinomialTable",
 ]
 
 
@@ -26,33 +21,6 @@ def validate_q(q: float) -> float:
     if not math.isfinite(q) or q == 0.0:
         raise ValueError(f"q must be finite and nonzero, got {q!r}")
     return q
-
-
-def q_integer(k: int, q: float) -> float:
-    """[k]_q = 1 + q + ... + q^(k-1), the q-analogue of the integer k.
-
-    Evaluated as the plain power sum: exact for integer q, free of the
-    1/(1-q) cancellation near q = 1, and [k]_1 = k.
-    """
-    q = validate_q(q)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    total, power = 0.0, 1.0
-    for _ in range(k):
-        total += power
-        power *= q
-    return total
-
-
-def q_factorial(k: int, q: float) -> float:
-    """[k]_q! = [k]_q [k-1]_q ... [1]_q, with [0]_q! = 1."""
-    q = validate_q(q)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    result = 1.0
-    for j in range(2, k + 1):
-        result *= q_integer(j, q)
-    return result
 
 
 def q_binomial_row(n: int, q: float) -> list[float]:
@@ -82,38 +50,6 @@ def q_binomial(n: int, k: int, q: float) -> float:
     if k < 0 or k > n:
         return 0.0
     return q_binomial_row(n, q)[k]
-
-
-@dataclass(frozen=True)
-class QBinomialTable:
-    """Rows 0..n of the Gaussian binomial triangle at a fixed q."""
-
-    n: int
-    q: float
-    rows: tuple[tuple[float, ...], ...]
-
-    def value(self, m: int, k: int) -> float:
-        if m < 0 or m > self.n:
-            raise IndexError(f"row {m} outside 0..{self.n}")
-        if k < 0 or k > m:
-            return 0.0
-        return self.rows[m][k]
-
-
-def q_binomial_table(n: int, q: float) -> QBinomialTable:
-    """All Gaussian binomial rows up to degree n (one Pascal sweep)."""
-    q = validate_q(q)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rows = [(1.0,)]
-    row = [1.0]
-    for m in range(1, n + 1):
-        prev = row
-        row = [1.0] * (m + 1)
-        for k in range(1, m):
-            row[k] = prev[k] + q ** (m - k) * prev[k - 1]
-        rows.append(tuple(row))
-    return QBinomialTable(n=n, q=q, rows=tuple(rows))
 
 
 def q_powers(q: float, count: int) -> list[float]:

@@ -12,12 +12,11 @@ plain evaluation only, after a grid certificate that the denominator never
 vanishes; no shape property is claimed for them.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisVector, basis_all_direct
+from .basis import BasisVector, basis_all_direct, basis_matrix
 from .curve import ControlPolygon, CurveSample
 from .errors import SingularDenominatorError
 from .kernel import Interval
@@ -26,6 +25,7 @@ __all__ = [
     "WeightVector",
     "rational_basis_all",
     "rational_evaluate",
+    "rational_basis_matrix",
     "rational_sample",
     "denominator_certificate",
     "chord_distance_profile",
@@ -105,32 +105,60 @@ def denominator_certificate(
     w = _coerce_weights(weights, n)
 
     def den_at(x):
-        terms = w * basis_all_direct(n, x, q, interval).values
-        return float(terms.sum()), float(np.abs(terms).max())
+        return float((w * basis_all_direct(n, x, q, interval).values).sum())
 
     xs = np.linspace(interval.a, interval.b, grid)
-    dens = []
-    for x in xs:
-        den, scale = den_at(float(x))
-        if scale > 0.0 and abs(den) <= DENOMINATOR_REL_TOL * scale:
-            raise SingularDenominatorError(float(x), den)
-        dens.append(den)
-    for i in range(grid - 1):
-        if dens[i] * dens[i + 1] < 0.0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = dens[i]
-            for _ in range(80):  # bisect the sign change down to roundoff
-                mid = 0.5 * (lo + hi)
-                fmid, _ = den_at(mid)
-                if fmid == 0.0:
-                    break
-                if (flo < 0.0) == (fmid < 0.0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
+    terms = w * basis_matrix(n, xs, q, interval)
+    dens = terms.sum(axis=1)
+    scales = np.abs(terms).max(axis=1)
+    singular = (scales > 0.0) & (np.abs(dens) <= DENOMINATOR_REL_TOL * scales)
+    if singular.any():
+        i = int(singular.argmax())
+        raise SingularDenominatorError(float(xs[i]), float(dens[i]))
+    crossings = np.flatnonzero(dens[:-1] * dens[1:] < 0.0)
+    if crossings.size:
+        i = int(crossings[0])
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        flo = float(dens[i])
+        for _ in range(80):  # bisect the sign change down to roundoff
             mid = 0.5 * (lo + hi)
-            raise SingularDenominatorError(mid, den_at(mid)[0])
-    return float(min(abs(v) for v in dens))
+            fmid = den_at(mid)
+            if fmid == 0.0:
+                break
+            if (flo < 0.0) == (fmid < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        mid = 0.5 * (lo + hi)
+        raise SingularDenominatorError(mid, den_at(mid))
+    return float(np.abs(dens).min())
+
+
+def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> np.ndarray:
+    """Rational basis vectors at every point of xs, shape (m, n+1).
+
+    Mixed-sign weights must first pass denominator_certificate over the
+    whole interval.  Row j is then bit-identical to
+    rational_basis_all(n, xs[j], q, interval, weights).values, and the first
+    x_j whose denominator vanishes raises SingularDenominatorError as that
+    route does.
+    """
+    w = _coerce_weights(weights, n)
+    if not np.all(w > 0.0):
+        denominator_certificate(n, q, interval, w)
+    return _rational_rows(n, xs, q, interval, w)
+
+
+def _rational_rows(n, xs, q, interval, weights):
+    """rational_basis_all at every x, with its per-point singularity rule only."""
+    terms = _coerce_weights(weights, n) * basis_matrix(n, xs, q, interval)
+    dens = terms.sum(axis=1)
+    scales = np.abs(terms).max(axis=1)
+    singular = (scales == 0.0) | (np.abs(dens) <= DENOMINATOR_REL_TOL * scales)
+    if singular.any():
+        i = int(singular.argmax())
+        raise SingularDenominatorError(float(xs[i]), float(dens[i]))
+    return terms / dens[:, None]
 
 
 def rational_sample(
@@ -139,20 +167,17 @@ def rational_sample(
     """Uniform samples of the rational curve, endpoints included.
 
     Mixed-sign weights trigger the grid certificate first and the samples
-    are tagged as carrying no shape guarantee.
+    are tagged as carrying no shape guarantee.  Sample j is bit-identical to
+    rational_evaluate at the same x.
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     w = _coerce_weights(weights, polygon.degree)
-    tag = "rational"
-    if not np.all(w > 0.0):
-        denominator_certificate(polygon.degree, q, interval, w)
-        tag = "rational-no-shape-guarantee"
+    tag = "rational" if np.all(w > 0.0) else "rational-no-shape-guarantee"
     xs = np.linspace(interval.a, interval.b, count)
-    return [
-        CurveSample(float(x), rational_evaluate(polygon, w, float(x), q, interval), tag)
-        for x in xs
-    ]
+    basis = rational_basis_matrix(polygon.degree, xs, q, interval, w)
+    points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
+    return [CurveSample(float(x), p, tag) for x, p in zip(xs, points)]
 
 
 def point_segment_distance(p, s0, s1) -> float:

@@ -16,20 +16,18 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import basis_all_direct, classical_trig_basis
+from .basis import basis_matrix
 from .errors import MinorCapExceededError
 from .kernel import Interval
-from .rational import rational_basis_all
+from .rational import _rational_rows
 
 __all__ = [
     "MINOR_CAP",
     "CollocationMatrix",
     "TPReport",
-    "SignSequence",
     "collocation",
     "minor_count",
     "total_positivity_check",
-    "monomial_tp_reference",
     "sign_changes_seq",
     "sign_changes_function",
     "convex_hull",
@@ -71,15 +69,6 @@ class TPReport:
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class SignSequence:
-    values: np.ndarray
-    zero_tolerance: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
 def collocation(
     family: str,
     n: int,
@@ -101,18 +90,11 @@ def collocation(
     if family == "rational" and weights is None:
         raise ValueError("rational collocation needs weights")
 
-    cols = []
-    for x in pts:
-        if family == "quantum":
-            col = basis_all_direct(n, float(x), q, interval).values
-        elif family == "classical":
-            col = np.array(
-                [classical_trig_basis(n, k, float(x), interval) for k in range(n + 1)]
-            )
-        else:
-            col = rational_basis_all(n, float(x), q, interval, weights).values
-        cols.append(col)
-    return CollocationMatrix(entries=np.column_stack(cols), points=pts, family=family)
+    if family == "rational":  # rational_basis_all's pointwise rule, no interval certificate
+        rows = _rational_rows(n, pts, q, interval, weights)
+    else:
+        rows = basis_matrix(n, pts, 1.0 if family == "classical" else q, interval)
+    return CollocationMatrix(entries=rows.T, points=pts, family=family)
 
 
 def minor_count(rows: int, cols: int) -> int:
@@ -169,24 +151,6 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     )
 
 
-def monomial_tp_reference(n: int, points, tolerance: float = DEFAULT_TP_TOL) -> TPReport:
-    """Total positivity of the monomial system 1, x, ..., x^n at points >= 0.
-
-    Sanity reference for the checker itself; kept intentionally tiny.
-    """
-    if n < 0 or n > 4:
-        raise ValueError(f"reference supports 0 <= n <= 4, got {n}")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1 or pts.size > 6:
-        raise ValueError("need between 1 and 6 points")
-    if np.any(pts < 0.0):
-        raise ValueError("points must be nonnegative")
-    if np.any(np.diff(pts) <= 0.0):
-        raise ValueError("points must be strictly increasing")
-    entries = np.vstack([pts ** i for i in range(n + 1)])
-    return total_positivity_check(entries, tolerance)
-
-
 def _strip_zeros(values: np.ndarray, zero_tolerance: Optional[float]) -> np.ndarray:
     if values.size == 0:
         return values
@@ -197,13 +161,7 @@ def _strip_zeros(values: np.ndarray, zero_tolerance: Optional[float]) -> np.ndar
 
 def sign_changes_seq(seq, zero_tolerance: Optional[float] = None) -> int:
     """Strict sign changes S^- of a sequence, after discarding near-zeros."""
-    if isinstance(seq, SignSequence):
-        values, tol = seq.values, seq.zero_tolerance
-        if zero_tolerance is not None:
-            tol = zero_tolerance
-    else:
-        values, tol = np.asarray(seq, dtype=float), zero_tolerance
-    stripped = _strip_zeros(values, tol)
+    stripped = _strip_zeros(np.asarray(seq, dtype=float), zero_tolerance)
     if stripped.size < 2:
         return 0
     signs = np.sign(stripped)

@@ -4,12 +4,16 @@ Exact rational arithmetic for the q-combinatorics and 30-digit mpmath for
 kernel, basis and curve values.  Everything here is deliberately separate
 from the production code paths: different arithmetic, and where possible a
 different formula (e.g. the quarter-period closed form instead of kernel
-products).
+products).  monomial_tp_reference runs the production minor checker on a
+matrix known to be totally positive, as a sanity reference for the checker.
 """
 
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
+
+from qtrig import TPReport, total_positivity_check
 
 DPS = 30
 
@@ -79,3 +83,21 @@ def curve_direct_mp(controls, x, q, a, b):
     vals = [basis_direct_mp(n, k, x, q, a, b) for k in range(n + 1)]
     dim = len(controls[0])
     return [sum(mp.mpf(controls[k][j]) * vals[k] for k in range(n + 1)) for j in range(dim)]
+
+
+def monomial_tp_reference(n: int, points, tolerance: float = 1e-9) -> TPReport:
+    """Total positivity of the monomial system 1, x, ..., x^n at points >= 0.
+
+    Sanity reference for the checker itself; kept intentionally tiny.
+    """
+    if n < 0 or n > 4:
+        raise ValueError(f"reference supports 0 <= n <= 4, got {n}")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size < 1 or pts.size > 6:
+        raise ValueError("need between 1 and 6 points")
+    if np.any(pts < 0.0):
+        raise ValueError("points must be nonnegative")
+    if np.any(np.diff(pts) <= 0.0):
+        raise ValueError("points must be strictly increasing")
+    entries = np.vstack([pts ** i for i in range(n + 1)])
+    return total_positivity_check(entries, tolerance)

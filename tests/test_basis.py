@@ -11,7 +11,7 @@ from qtrig import (
     basis_all_direct,
     basis_all_recurrence1,
     basis_all_recurrence2,
-    basis_value_direct,
+    basis_matrix,
     classical_trig_basis,
 )
 from oracles import basis_direct_mp, quarter_basis_mp
@@ -31,8 +31,7 @@ def test_frozen_cubic_row_at_quarter_midpoint(quarter):
     want = np.array([ROOT2 / 4, 7 * ROOT2 / 16, 7 * ROOT2 / 16, ROOT2 / 4])
     got = basis_all_direct(3, math.pi / 4, 2.0, quarter).values
     assert np.max(np.abs(got - want)) <= 1e-15
-    one = basis_value_direct(3, 1, math.pi / 4, 2.0, quarter)
-    assert abs(one - 0.6187184335382291) <= 1e-15
+    assert abs(got[1] - 0.6187184335382291) <= 1e-15
 
 
 def test_row_sum_departs_from_one_for_q_not_one(quarter):
@@ -47,8 +46,8 @@ def test_end_functions_are_q_free_on_quarter(quarter, q):
     # on [0, pi/2] the first and last basis functions are cos^n and sin^n
     for n in (1, 2, 3, 5):
         for x in np.linspace(0.05, 1.5, 9):
-            b0 = basis_value_direct(n, 0, x, q, quarter)
-            bn = basis_value_direct(n, n, x, q, quarter)
+            values = basis_all_direct(n, x, q, quarter).values
+            b0, bn = values[0], values[n]
             assert abs(b0 - math.cos(x) ** n) <= 1e-13
             assert abs(bn - math.sin(x) ** n) <= 1e-13
 
@@ -137,10 +136,6 @@ def test_classical_frozen_value(quarter):
 
 def test_index_out_of_range_raises(quarter):
     with pytest.raises(IndexError):
-        basis_value_direct(3, 4, 0.5, 2.0, quarter)
-    with pytest.raises(IndexError):
-        basis_value_direct(3, -1, 0.5, 2.0, quarter)
-    with pytest.raises(IndexError):
         classical_trig_basis(2, 3, 0.5, quarter)
 
 
@@ -150,7 +145,7 @@ def test_invalid_interval_raises_everywhere():
         with pytest.raises(InvalidIntervalError):
             method(2, 0.5, 1.5, bad)
     with pytest.raises(InvalidIntervalError):
-        basis_value_direct(2, 1, 0.5, 1.5, bad)
+        basis_matrix(2, [0.5], 1.5, bad)
 
 
 def test_basis_vector_shape_validation(quarter):

@@ -184,6 +184,16 @@ def test_exit_code_singular_denominator(tmp_path):
     assert code == 3
 
 
+def test_rational_basis_certifies_mixed_weights(tmp_path):
+    # the denominator of these weights crosses zero inside [0, pi/2]; the
+    # basis route runs the same certificate as the --polygon route
+    out = tmp_path / "x.csv"
+    code = main(["rational", "--basis", "--degree", "3", "--weights", "1,-3,-3,1",
+                 "--q", "1.5", "--interval", "0,pi/2", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert main(["curve", "--polygon", str(tmp_path / "missing.json"),
                  "--q", "1", "--interval", "0,pi/2"]) == 1
@@ -244,6 +254,16 @@ def test_check_hull_vdp_signs(tmp_path, capsys):
                  "--interval", "0,pi/2"]) == 0
     payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert payload["curve_sign_changes"] <= payload["control_sign_changes"]
+
+
+def test_check_vdp_honours_explicit_defaults(tmp_path, capsys):
+    # 129 samples and 6 lines are the sampling and tp defaults, not "unset"
+    poly = write_polygon(tmp_path)
+    assert main(["check", "vdp", "--polygon", poly, "--q", "2", "--interval", "0,pi/2",
+                 "--samples", "129", "--grid", "6"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert payload["curve_samples"] == 129
+    assert payload["lines"] == 6
 
 
 def test_polygon_file_errors(tmp_path, capsys):

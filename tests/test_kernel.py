@@ -8,7 +8,7 @@ from qtrig import (
     Interval,
     InvalidIntervalError,
     certify_interval,
-    circular_barycentric,
+    classical_trig_basis,
     trig_kernel,
     kernel_tables,
     require_valid_interval,
@@ -140,22 +140,17 @@ def test_kernel_tables_match_direct_calls():
 
 
 def test_circular_barycentric_frozen_examples():
+    # the circular barycentric coordinates u = sin(x-a)/sin(b-a) and
+    # v = sin(b-x)/sin(b-a) are the degree-1 classical basis (B_1, B_0)
+    def coords(interval, x):
+        return classical_trig_basis(1, 1, x, interval), classical_trig_basis(1, 0, x, interval)
+
     quarter = Interval(0.0, math.pi / 2)
-    u, v = circular_barycentric(quarter, 0.0)
+    u, v = coords(quarter, 0.0)
     assert (u, v) == (0.0, 1.0)
-    u, v = circular_barycentric(quarter, math.pi / 4)
+    u, v = coords(quarter, math.pi / 4)
     assert abs(u - ROOT2 / 2) <= 1e-15
     assert abs(v - ROOT2 / 2) <= 1e-15
-    u, v = circular_barycentric(Interval(math.pi / 8, math.pi / 4), math.pi / 4)
+    u, v = coords(Interval(math.pi / 8, math.pi / 4), math.pi / 4)
     assert abs(u - 1.0) <= 1e-15
     assert abs(v) <= 1e-16
-
-
-def test_circular_barycentric_rejects_wide_arcs():
-    with pytest.raises(InvalidIntervalError):
-        circular_barycentric(Interval(0.0, math.pi), 0.5)
-    with pytest.raises(InvalidIntervalError):
-        circular_barycentric(Interval(0.0, 3.5), 0.5)
-    # just under pi still works
-    u, v = circular_barycentric(Interval(0.0, math.pi - 1e-6), 0.5)
-    assert math.isfinite(u) and math.isfinite(v)

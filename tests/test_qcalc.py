@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtrig import (
-    QBinomialTable,
     q_binomial,
     q_binomial_row,
-    q_binomial_table,
-    q_factorial,
-    q_integer,
     q_powers,
     validate_q,
 )
@@ -19,7 +15,18 @@ from oracles import qbinom_exact, qfact_exact, qint_exact
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
 
 
+def q_integer(k, q):
+    """[k]_q read off the Gaussian triangle: [k choose 1]_q, and [0]_q = 0."""
+    return q_binomial(k, 1, q)
+
+
+def q_factorial(k, q):
+    """[k]_q! = [k]_q [k-1]_q ... [1]_q from the same triangle entries."""
+    return math.prod((q_integer(j, q) for j in range(1, k + 1)), start=1.0)
+
+
 def test_q_integer_frozen_values():
+    assert q_binomial_row(3, 2.0)[1] == 7.0
     assert q_integer(3, 2.0) == 7.0
     assert q_integer(0, 1.7) == 0.0
     assert q_integer(1, 1.7) == 1.0
@@ -115,18 +122,19 @@ def test_validate_q_rejections():
 
 def test_q_integer_rejects_negative_order():
     with pytest.raises(ValueError):
+        q_binomial_row(-1, 2.0)
+    with pytest.raises(ValueError):
         q_integer(-1, 2.0)
 
 
 def test_binomial_table_lookup():
-    table = q_binomial_table(4, 2.0)
-    assert isinstance(table, QBinomialTable)
-    assert table.value(4, 2) == 35.0
-    assert table.value(3, 1) == 7.0
-    assert table.value(2, -1) == 0.0
-    assert table.value(2, 3) == 0.0
-    with pytest.raises(IndexError):
-        table.value(5, 0)
+    # the rows of the Gaussian triangle up to degree 4, one row per degree
+    rows = [q_binomial_row(m, 2.0) for m in range(5)]
+    assert rows[4][2] == 35.0
+    assert rows[3][1] == 7.0
+    assert [len(r) for r in rows] == [1, 2, 3, 4, 5]
+    assert q_binomial(2, -1, 2.0) == 0.0
+    assert q_binomial(2, 3, 2.0) == 0.0
 
 
 def test_q_powers_running_product():
