@@ -39,6 +39,7 @@ from .basis import (
 from .curve import (
     ControlPolygon,
     CurveSample,
+    CurveSamples,
     DeCasteljauTableau,
     evaluate_alg1,
     evaluate_alg2,
@@ -97,6 +98,7 @@ __all__ = [
     "classical_trig_basis",
     "ControlPolygon",
     "CurveSample",
+    "CurveSamples",
     "DeCasteljauTableau",
     "evaluate_direct",
     "evaluate_alg1",

@@ -79,7 +79,7 @@ def parse_angle(text: str) -> float:
             pre = pre[:-1]
         coef = float(pre) if pre else 1.0
         if post:
-            if not post.startswith("/"):
+            if not post.startswith("/") or float(post[1:]) == 0.0:
                 raise ValueError(f"cannot parse angle {text!r}")
             coef /= float(post[1:])
         return sign * coef * math.pi
@@ -102,13 +102,21 @@ def _count(value: Optional[int], default: int) -> int:
     return default if value is None else value
 
 
-def _weights(cfg: argparse.Namespace, file_weights, n: int) -> np.ndarray:
-    """--weights, else the polygon file's weights, else all ones."""
-    if cfg.weights is not None:
-        return cfg.weights
-    if file_weights is not None:
-        return file_weights
-    return np.ones(n + 1)
+def _polygon(cfg: argparse.Namespace, dim: Optional[int] = None):
+    """(ControlPolygon, weights) from --polygon.
+
+    Weights are --weights, else the file's, else all ones.  A check passes
+    the point dimension it needs as dim.
+    """
+    points, file_weights = read_polygon_json(cfg.polygon)
+    polygon = ControlPolygon(points)
+    if dim is not None and polygon.dim != dim:
+        kind = "2-d" if dim == 2 else "scalar"
+        raise _UsageError(f"check {cfg.property} needs {kind} control points")
+    weights = getattr(cfg, "weights", None)  # curve has no --weights
+    if weights is None:
+        weights = np.ones(polygon.degree + 1) if file_weights is None else file_weights
+    return polygon, weights
 
 
 def _emit(out: str, text: str) -> None:
@@ -119,123 +127,78 @@ def _emit(out: str, text: str) -> None:
             fh.write(text)
 
 
-def _require_single_q(cfg: argparse.Namespace) -> float:
+def _write_table(cfg: argparse.Namespace, xs, values, labels, key: str) -> int:
+    """CSV rows (x, *labels) or JSON records {"x": x, key: row}; one --q only."""
     if len(cfg.qs) != 1:
         raise _UsageError(f"{cfg.fmt} output supports exactly one --q, got {len(cfg.qs)}")
-    return cfg.qs[0]
+    pairs = zip(xs.tolist(), values.tolist())
+    if cfg.fmt == "csv":
+        rows = [[x, *row] for x, row in pairs]
+        _emit(cfg.out, render_csv(["x", *labels], rows, cfg.digits))
+    else:
+        _emit(cfg.out, render_json_records([{"x": x, key: row} for x, row in pairs], cfg.digits))
+    return EXIT_OK
 
 
-def _basis_series(cfg: argparse.Namespace, ratio_weights=None):
-    """[(q, xs, values (samples, n+1))], via the rational family if weighted."""
+def _polyline(xs, ys, stroke: str, **style) -> Polyline:
+    return Polyline(points=tuple(zip(xs.tolist(), ys.tolist())), stroke=stroke, **style)
+
+
+def cmd_basis(cfg: argparse.Namespace, weights=None) -> int:
+    """One basis table per --q; the rational family if weights are given."""
     n, interval = cfg.degree, cfg.interval
     samples = _count(cfg.samples, SAMPLES)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     xs = np.linspace(interval.a, interval.b, samples)
-    if ratio_weights is None:
-        return [(q, xs, basis_matrix(n, xs, q, interval)) for q in cfg.qs]
-    return [(q, xs, rational_basis_matrix(n, xs, q, interval, ratio_weights)) for q in cfg.qs]
-
-
-def _write_basis_output(cfg: argparse.Namespace, series) -> int:
-    n = cfg.degree
+    if weights is None:
+        tables = [basis_matrix(n, xs, q, interval) for q in cfg.qs]
+    else:
+        tables = [rational_basis_matrix(n, xs, q, interval, weights) for q in cfg.qs]
     if cfg.fmt == "svg":
-        polylines = []
-        for qi, (q, xs, vals) in enumerate(series):
-            color = PALETTE[qi % len(PALETTE)]
-            for k in range(n + 1):
-                pts = tuple(zip(xs.tolist(), vals[:, k].tolist()))
-                polylines.append(Polyline(points=pts, stroke=color))
+        polylines = [_polyline(xs, column, PALETTE[qi % len(PALETTE)])
+                     for qi, table in enumerate(tables) for column in table.T]
         _emit(cfg.out, render_svg(polylines))
         return EXIT_OK
-    _require_single_q(cfg)
-    q, xs, vals = series[0]
-    if cfg.fmt == "csv":
-        header = ["x"] + [f"B{k}" for k in range(n + 1)]
-        rows = [[xs[i], *vals[i]] for i in range(len(xs))]
-        _emit(cfg.out, render_csv(header, rows, cfg.digits))
-    else:
-        records = [{"x": xs[i], "values": list(vals[i])} for i in range(len(xs))]
-        _emit(cfg.out, render_json_records(records, cfg.digits))
-    return EXIT_OK
+    return _write_table(cfg, xs, tables[0], [f"B{k}" for k in range(n + 1)], "values")
 
 
-def cmd_basis(cfg: argparse.Namespace) -> int:
-    if cfg.degree is None:
-        raise _UsageError("basis needs --degree")
-    return _write_basis_output(cfg, _basis_series(cfg))
-
-
-def _polygon_polyline(polygon: ControlPolygon) -> Polyline:
-    pts = tuple((float(p[0]), float(p[1])) for p in polygon.points)
-    return Polyline(points=pts, stroke="#555555", dash="4 3", width_scale=0.7)
-
-
-def _write_curve_output(cfg: argparse.Namespace, per_q_samples, polygon: Optional[ControlPolygon]) -> int:
+def _write_curve_output(cfg: argparse.Namespace, sweeps, polygon: ControlPolygon) -> int:
+    """One sampled curve per --q; SVG adds the dashed control polygon."""
     if cfg.fmt == "svg":
-        if polygon is not None and polygon.dim != 2:
+        if polygon.dim != 2:
             raise _UsageError("svg output needs 2-d control points")
-        polylines = []
-        markers = ()
-        for qi, (q, samples) in enumerate(per_q_samples):
-            pts = tuple((s.x, float(s.point[0])) if s.point.size == 1
-                        else (float(s.point[0]), float(s.point[1]))
-                        for s in samples)
-            polylines.append(Polyline(points=pts, stroke=PALETTE[qi % len(PALETTE)]))
-        if polygon is not None and polygon.dim == 2:
-            polylines.append(_polygon_polyline(polygon))
-            markers = tuple((float(p[0]), float(p[1])) for p in polygon.points)
-        _emit(cfg.out, render_svg(polylines, markers))
+        polylines = [_polyline(*s.points.T, PALETTE[qi % len(PALETTE)])
+                     for qi, s in enumerate(sweeps)]
+        outline = _polyline(*polygon.points.T, "#555555", dash="4 3", width_scale=0.7)
+        _emit(cfg.out, render_svg(polylines + [outline], outline.points))
         return EXIT_OK
-    _require_single_q(cfg)
-    q, samples = per_q_samples[0]
-    dim = samples[0].point.size
-    if cfg.fmt == "csv":
-        header = ["x"] + [f"p_{j + 1}" for j in range(dim)]
-        rows = [[s.x, *np.atleast_1d(s.point)] for s in samples]
-        _emit(cfg.out, render_csv(header, rows, cfg.digits))
-    else:
-        records = [{"x": s.x, "point": list(np.atleast_1d(s.point))} for s in samples]
-        _emit(cfg.out, render_json_records(records, cfg.digits))
-    return EXIT_OK
+    labels = [f"p_{j + 1}" for j in range(polygon.dim)]
+    return _write_table(cfg, sweeps[0].x, sweeps[0].points, labels, "point")
 
 
-def cmd_curve(cfg: argparse.Namespace, polygon_path: str) -> int:
-    points, _ = read_polygon_json(polygon_path)
-    polygon = ControlPolygon(points)
-    per_q = [
-        (q, sample_curve(polygon, q, cfg.interval, _count(cfg.samples, SAMPLES), cfg.method))
-        for q in cfg.qs
-    ]
-    return _write_curve_output(cfg, per_q, polygon)
+def cmd_curve(cfg: argparse.Namespace) -> int:
+    polygon, _ = _polygon(cfg)
+    count = _count(cfg.samples, SAMPLES)
+    sweeps = [sample_curve(polygon, q, cfg.interval, count, cfg.method) for q in cfg.qs]
+    return _write_curve_output(cfg, sweeps, polygon)
 
 
-def cmd_rational(cfg: argparse.Namespace, polygon_path: Optional[str]) -> int:
+def cmd_rational(cfg: argparse.Namespace) -> int:
     if cfg.basis_mode:
         if cfg.degree is None:
             raise _UsageError("rational --basis needs --degree")
-        weights = _weights(cfg, None, cfg.degree)
-        return _write_basis_output(cfg, _basis_series(cfg, ratio_weights=weights))
-    if polygon_path is None:
+        weights = np.ones(cfg.degree + 1) if cfg.weights is None else cfg.weights
+        return cmd_basis(cfg, weights)
+    if cfg.polygon is None:
         raise _UsageError("rational needs --polygon (or --basis with --degree)")
-    points, file_weights = read_polygon_json(polygon_path)
-    polygon = ControlPolygon(points)
-    weights = _weights(cfg, file_weights, polygon.degree)
-    per_q = [
-        (q, rational_sample(polygon, weights, q, cfg.interval, _count(cfg.samples, SAMPLES)))
-        for q in cfg.qs
-    ]
-    return _write_curve_output(cfg, per_q, polygon)
+    polygon, weights = _polygon(cfg)
+    count = _count(cfg.samples, SAMPLES)
+    sweeps = [rational_sample(polygon, weights, q, cfg.interval, count) for q in cfg.qs]
+    return _write_curve_output(cfg, sweeps, polygon)
 
 
-def _report(payload: dict, passed: bool) -> int:
-    status = "PASS" if passed else "FAIL"
-    print(f"{payload['check']}: {status}")
-    print(json.dumps(payload, sort_keys=True))
-    return EXIT_OK if passed else EXIT_VIOLATION
-
-
-def _check_tp(cfg: argparse.Namespace) -> int:
+def _check_tp(cfg: argparse.Namespace) -> dict:
     if cfg.degree is None:
         raise _UsageError("check tp needs --degree")
     q = cfg.qs[0]
@@ -245,7 +208,7 @@ def _check_tp(cfg: argparse.Namespace) -> int:
     family = "quantum" if cfg.weights is None else "rational"
     mat = collocation(family, cfg.degree, q, cfg.interval, pts, weights=cfg.weights)
     rep = total_positivity_check(mat, cfg.tolerance)
-    payload = {
+    return {
         "check": "tp",
         "family": family,
         "degree": cfg.degree,
@@ -259,49 +222,34 @@ def _check_tp(cfg: argparse.Namespace) -> int:
         "is_tp": rep.is_tp,
         "pass": rep.is_tp,
     }
-    return _report(payload, rep.is_tp)
 
 
-def _check_hull(cfg: argparse.Namespace, polygon_path: str) -> int:
-    points, file_weights = read_polygon_json(polygon_path)
-    polygon = ControlPolygon(points)
-    if polygon.dim != 2:
-        raise _UsageError("check hull needs 2-d control points")
-    weights = _weights(cfg, file_weights, polygon.degree)
+def _check_hull(cfg: argparse.Namespace) -> dict:
+    polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
     n_samples = _count(cfg.samples, SAMPLES)
-    samples = rational_sample(polygon, weights, q, cfg.interval, n_samples)
+    pts = rational_sample(polygon, weights, q, cfg.interval, n_samples).points
     hull = convex_hull(polygon.points)
-    violations = sum(
-        0 if point_in_hull(s.point, hull, slack=1e-12) else 1 for s in samples
-    )
-    payload = {
+    violations = sum(not point_in_hull(p, hull, slack=1e-12) for p in pts)
+    return {
         "check": "hull",
         "q": q,
         "samples": n_samples,
         "violations": violations,
         "pass": violations == 0,
     }
-    return _report(payload, violations == 0)
 
 
-def _check_vdp(cfg: argparse.Namespace, polygon_path: str) -> int:
-    points, file_weights = read_polygon_json(polygon_path)
-    polygon = ControlPolygon(points)
-    if polygon.dim != 2:
-        raise _UsageError("check vdp needs 2-d control points")
-    weights = _weights(cfg, file_weights, polygon.degree)
+def _check_vdp(cfg: argparse.Namespace) -> dict:
+    polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
     n_samples = _count(cfg.samples, VDP_SAMPLES)
-    samples = rational_sample(polygon, weights, q, cfg.interval, n_samples)
-    pts = np.vstack([s.point for s in samples])
+    pts = rational_sample(polygon, weights, q, cfg.interval, n_samples).points
     ctrl = polygon.points
-    lo = ctrl.min(axis=0)
-    hi = ctrl.max(axis=0)
+    lo, hi = ctrl.min(axis=0), ctrl.max(axis=0)
     rng = np.random.default_rng(VDP_SEED)
     lines = _count(cfg.grid, VDP_LINES)
-    violations = 0
-    worst = (0, 0)
+    violations = max_crossings = 0
     for _ in range(lines):
         center = lo + rng.random(2) * np.maximum(hi - lo, 1e-9)
         theta = rng.random() * math.pi
@@ -309,41 +257,47 @@ def _check_vdp(cfg: argparse.Namespace, polygon_path: str) -> int:
         offset = float(normal @ center)
         curve_changes = sign_changes_function(pts @ normal - offset)
         ctrl_changes = sign_changes_seq(ctrl @ normal - offset)
-        if curve_changes > ctrl_changes:
-            violations += 1
-        if curve_changes > worst[0]:
-            worst = (curve_changes, ctrl_changes)
-    payload = {
+        violations += curve_changes > ctrl_changes
+        max_crossings = max(max_crossings, curve_changes)
+    return {
         "check": "vdp",
         "q": q,
         "lines": lines,
         "curve_samples": n_samples,
         "violations": violations,
-        "max_curve_crossings": worst[0],
+        "max_curve_crossings": max_crossings,
         "pass": violations == 0,
     }
-    return _report(payload, violations == 0)
 
 
-def _check_signs(cfg: argparse.Namespace, polygon_path: str) -> int:
-    points, _ = read_polygon_json(polygon_path)
-    polygon = ControlPolygon(points)
-    if polygon.dim != 1:
-        raise _UsageError("check signs needs scalar control points")
+def _check_signs(cfg: argparse.Namespace) -> dict:
+    polygon, _ = _polygon(cfg, dim=1)
     q = cfg.qs[0]
     n_samples = _count(cfg.samples, SIGNS_SAMPLES)
-    samples = sample_curve(polygon, q, cfg.interval, n_samples)
-    curve_changes = sign_changes_function([float(s.point[0]) for s in samples])
+    sweep = sample_curve(polygon, q, cfg.interval, n_samples)
+    curve_changes = sign_changes_function(sweep.points[:, 0])
     ctrl_changes = sign_changes_seq(polygon.points[:, 0])
-    passed = curve_changes <= ctrl_changes
-    payload = {
+    return {
         "check": "signs",
         "q": q,
         "curve_sign_changes": curve_changes,
         "control_sign_changes": ctrl_changes,
-        "pass": passed,
+        "pass": curve_changes <= ctrl_changes,
     }
-    return _report(payload, passed)
+
+
+CHECKS = {"tp": _check_tp, "vdp": _check_vdp, "hull": _check_hull, "signs": _check_signs}
+
+
+def cmd_check(cfg: argparse.Namespace) -> int:
+    if len(cfg.qs) != 1:
+        raise _UsageError("check takes exactly one --q")
+    if cfg.property != "tp" and not cfg.polygon:
+        raise _UsageError(f"check {cfg.property} needs --polygon")
+    payload = CHECKS[cfg.property](cfg)
+    print(f"{payload['check']}: {'PASS' if payload['pass'] else 'FAIL'}")
+    print(json.dumps(payload, sort_keys=True))
+    return EXIT_OK if payload["pass"] else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,10 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_basis = sub.add_parser("basis", help="sample the quantum basis functions")
     p_basis.add_argument("--degree", type=int, required=True)
+    p_basis.set_defaults(run=cmd_basis)
     common(p_basis)
 
     p_curve = sub.add_parser("curve", help="sample a quantum curve")
     p_curve.add_argument("--polygon", required=True, help="control polygon JSON file")
+    p_curve.set_defaults(run=cmd_curve)
     common(p_curve, with_method=True)
 
     p_rat = sub.add_parser("rational", help="sample a rational basis or curve")
@@ -382,10 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help='comma-separated weights, e.g. "1,1,1,1"')
     p_rat.add_argument("--basis", action="store_true", dest="basis_mode",
                        help="emit the rational basis functions instead of a curve")
+    p_rat.set_defaults(run=cmd_rational)
     common(p_rat)
 
     p_check = sub.add_parser("check", help="run a brute-force shape check")
-    p_check.add_argument("property", choices=("tp", "vdp", "hull", "signs"))
+    p_check.add_argument("property", choices=tuple(CHECKS))
     p_check.add_argument("--polygon")
     p_check.add_argument("--degree", type=int)
     p_check.add_argument("--weights", type=_parse_weights)
@@ -393,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"collocation points (tp, default {TP_GRID}) "
                               f"or random lines (vdp, default {VDP_LINES})")
     p_check.add_argument("--tolerance", type=float, default=1e-9)
+    p_check.set_defaults(run=cmd_check)
     common(p_check)
     return parser
 
@@ -402,23 +360,7 @@ def main(argv=None) -> int:
     try:
         cfg = parser.parse_args(argv)
         cfg.interval = parse_interval(cfg.interval)
-        if cfg.command == "basis":
-            return cmd_basis(cfg)
-        if cfg.command == "curve":
-            return cmd_curve(cfg, cfg.polygon)
-        if cfg.command == "rational":
-            return cmd_rational(cfg, cfg.polygon)
-        if len(cfg.qs) != 1:
-            raise _UsageError("check takes exactly one --q")
-        if cfg.property == "tp":
-            return _check_tp(cfg)
-        if cfg.property in ("vdp", "hull", "signs") and not cfg.polygon:
-            raise _UsageError(f"check {cfg.property} needs --polygon")
-        if cfg.property == "vdp":
-            return _check_vdp(cfg, cfg.polygon)
-        if cfg.property == "hull":
-            return _check_hull(cfg, cfg.polygon)
-        return _check_signs(cfg, cfg.polygon)
+        return cfg.run(cfg)
     except _UsageError as exc:
         print(f"qtrig: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from .qcalc import q_binomial_row, q_powers, validate_q
 __all__ = [
     "ControlPolygon",
     "CurveSample",
+    "CurveSamples",
     "DeCasteljauTableau",
     "evaluate_direct",
     "evaluate_alg1",
@@ -74,6 +75,25 @@ class CurveSample:
     x: float
     point: np.ndarray
     method: str
+
+
+@dataclass(frozen=True)
+class CurveSamples:
+    """A sampled curve as columns: x has shape (m,), points (m, dim).
+
+    Indexing gives the CurveSample at one x, so the block also reads as a
+    sequence of samples.
+    """
+
+    x: np.ndarray
+    points: np.ndarray
+    method: str
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, j: int) -> CurveSample:
+        return CurveSample(float(self.x[j]), self.points[j], self.method)
 
 
 @dataclass(frozen=True)
@@ -228,7 +248,7 @@ def sample_curve(
     interval: Interval,
     count: int,
     method: str = "direct",
-) -> list[CurveSample]:
+) -> CurveSamples:
     """Uniform samples of P over [a, b], endpoints included.
 
     Sample j is bit-identical to evaluate_direct, or to the evaluate_alg1 or
@@ -246,7 +266,7 @@ def sample_curve(
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
         points = _tableau_apexes(polygon, xs, q, interval, method)
-    return [CurveSample(float(x), p, method) for x, p in zip(xs, points)]
+    return CurveSamples(xs, points, method)
 
 
 def tn_design_matrix(xs: np.ndarray, n: int) -> np.ndarray:
@@ -264,7 +284,7 @@ def tn_design_matrix(xs: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def tn_membership_residual(samples: list[CurveSample], n: int) -> float:
+def tn_membership_residual(samples: CurveSamples, n: int) -> float:
     """Worst per-coordinate RMS residual of a least-squares fit in T_n.
 
     A residual near zero certifies that the sampled coordinates lie in the
@@ -278,9 +298,8 @@ def tn_membership_residual(samples: list[CurveSample], n: int) -> float:
         raise ValueError(
             f"need at least {2 * (n + 1)} samples for degree {n}, got {len(samples)}"
         )
-    xs = np.array([s.x for s in samples])
-    ys = np.vstack([np.atleast_1d(s.point) for s in samples])
-    design = tn_design_matrix(xs, n)
+    ys = samples.points
+    design = tn_design_matrix(samples.x, n)
     gram = design.T @ design
     condition = float(np.linalg.cond(gram))
     if condition > FIT_CONDITION_LIMIT:

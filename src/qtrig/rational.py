@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisVector, basis_all_direct, basis_matrix
-from .curve import ControlPolygon, CurveSample
+from .curve import ControlPolygon, CurveSamples
 from .errors import SingularDenominatorError
 from .kernel import Interval
 
@@ -108,13 +108,7 @@ def denominator_certificate(
         return float((w * basis_all_direct(n, x, q, interval).values).sum())
 
     xs = np.linspace(interval.a, interval.b, grid)
-    terms = w * basis_matrix(n, xs, q, interval)
-    dens = terms.sum(axis=1)
-    scales = np.abs(terms).max(axis=1)
-    singular = (scales > 0.0) & (np.abs(dens) <= DENOMINATOR_REL_TOL * scales)
-    if singular.any():
-        i = int(singular.argmax())
-        raise SingularDenominatorError(float(xs[i]), float(dens[i]))
+    _, dens = _weighted_rows(n, xs, q, interval, w)
     crossings = np.flatnonzero(dens[:-1] * dens[1:] < 0.0)
     if crossings.size:
         i = int(crossings[0])
@@ -149,21 +143,32 @@ def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> 
     return _rational_rows(n, xs, q, interval, w)
 
 
-def _rational_rows(n, xs, q, interval, weights):
-    """rational_basis_all at every x, with its per-point singularity rule only."""
-    terms = _coerce_weights(weights, n) * basis_matrix(n, xs, q, interval)
+def _weighted_rows(n, xs, q, interval, w):
+    """Weighted basis terms (m, n+1) and their sums (m,) at every x.
+
+    Raises SingularDenominatorError at the first x whose row is singular by
+    _weighted_terms' rule: every term zero, or the sum within
+    DENOMINATOR_REL_TOL of the largest term magnitude.
+    """
+    terms = w * basis_matrix(n, xs, q, interval)
     dens = terms.sum(axis=1)
     scales = np.abs(terms).max(axis=1)
     singular = (scales == 0.0) | (np.abs(dens) <= DENOMINATOR_REL_TOL * scales)
     if singular.any():
         i = int(singular.argmax())
         raise SingularDenominatorError(float(xs[i]), float(dens[i]))
+    return terms, dens
+
+
+def _rational_rows(n, xs, q, interval, weights):
+    """rational_basis_all at every x, with its per-point singularity rule only."""
+    terms, dens = _weighted_rows(n, xs, q, interval, _coerce_weights(weights, n))
     return terms / dens[:, None]
 
 
 def rational_sample(
     polygon: ControlPolygon, weights, q: float, interval: Interval, count: int
-) -> list[CurveSample]:
+) -> CurveSamples:
     """Uniform samples of the rational curve, endpoints included.
 
     Mixed-sign weights trigger the grid certificate first and the samples
@@ -177,7 +182,7 @@ def rational_sample(
     xs = np.linspace(interval.a, interval.b, count)
     basis = rational_basis_matrix(polygon.degree, xs, q, interval, w)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
-    return [CurveSample(float(x), p, tag) for x, p in zip(xs, points)]
+    return CurveSamples(xs, points, tag)
 
 
 def point_segment_distance(p, s0, s1) -> float:
@@ -194,7 +199,7 @@ def point_segment_distance(p, s0, s1) -> float:
     return float(np.linalg.norm(p - (s0 + t * seg)))
 
 
-def chord_distance_profile(samples: list[CurveSample], b_first, b_last) -> float:
+def chord_distance_profile(samples: CurveSamples, b_first, b_last) -> float:
     """Largest distance from the sampled curve to the chord [b_first, b_last].
 
     Planar curves only.
@@ -203,10 +208,9 @@ def chord_distance_profile(samples: list[CurveSample], b_first, b_last) -> float
     b_last = np.asarray(b_last, dtype=float)
     if b_first.shape != (2,) or b_last.shape != (2,):
         raise ValueError("chord endpoints must be 2-d points")
+    if samples.points.shape[1:] != (2,):
+        raise ValueError(f"chord profile needs 2-d samples, got shape {samples.points.shape}")
     worst = 0.0
-    for s in samples:
-        pt = np.atleast_1d(s.point)
-        if pt.shape != (2,):
-            raise ValueError(f"chord profile needs 2-d samples, got shape {pt.shape}")
+    for pt in samples.points:
         worst = max(worst, point_segment_distance(pt, b_first, b_last))
     return worst

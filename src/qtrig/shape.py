@@ -19,7 +19,7 @@ import numpy as np
 from .basis import basis_matrix
 from .errors import MinorCapExceededError
 from .kernel import Interval
-from .rational import _rational_rows
+from .rational import _rational_rows, point_segment_distance
 
 __all__ = [
     "MINOR_CAP",
@@ -216,8 +216,6 @@ def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12) -> bool:
     if hull.shape[0] == 1:
         return float(np.linalg.norm(p - hull[0])) <= tol
     if hull.shape[0] == 2:
-        from .rational import point_segment_distance
-
         return point_segment_distance(p, hull[0], hull[1]) <= tol
     for i in range(hull.shape[0]):
         v0 = hull[i]

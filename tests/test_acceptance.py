@@ -15,7 +15,7 @@ import numpy as np
 
 from qtrig import (
     ControlPolygon,
-    CurveSample,
+    CurveSamples,
     Interval,
     basis_all_direct,
     basis_all_recurrence1,
@@ -315,9 +315,7 @@ def test_criterion_11_trig_space_membership():
     arch = ControlPolygon(np.array(ARCH_POINTS, dtype=float))
     curve_resid = tn_membership_residual(sample_curve(arch, 2.0, QUARTER, 24), 3)
     xs = np.linspace(0.0, 2 * math.pi, 64)
-    control = [
-        CurveSample(float(x), np.array([math.sin(2 * x)]), "direct") for x in xs
-    ]
+    control = CurveSamples(xs, np.array([[math.sin(2 * x)] for x in xs]), "direct")
     control_resid = tn_membership_residual(control, 3)
     passed = curve_resid <= 1e-8 and control_resid > 1e-3
     _report(

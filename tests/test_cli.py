@@ -286,3 +286,19 @@ def test_svg_requires_planar_polygon(tmp_path, capsys):
     assert main(["curve", "--polygon", scalar, "--q", "1", "--interval", "0,pi/2",
                  "--format", "svg"]) == 1
     capsys.readouterr()
+
+
+def test_checks_require_polygon_dimension(tmp_path, capsys):
+    spatial = write_polygon(tmp_path, {"points": [[0, 0, 0], [1, 2, 1], [3, 0, 2]]}, "p3.json")
+    for prop, poly, need in (("hull", spatial, "2-d"), ("vdp", spatial, "2-d"),
+                             ("signs", write_polygon(tmp_path), "scalar")):
+        assert main(["check", prop, "--polygon", poly, "--q", "2", "--interval", "0,pi/2"]) == 1
+        assert capsys.readouterr().err == f"qtrig: error: check {prop} needs {need} control points\n"
+
+
+def test_zero_divisor_angle_is_a_usage_error(capsys):
+    with pytest.raises(ValueError):
+        parse_angle("pi/0")
+    assert main(["basis", "--degree", "3", "--q", "1", "--interval", "0,pi/0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qtrig: error: cannot parse angle") and "Traceback" not in err

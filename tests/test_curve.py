@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtrig import (
     ControlPolygon,
-    CurveSample,
+    CurveSamples,
     IllConditionedFitError,
     Interval,
     evaluate_alg1,
@@ -110,6 +110,8 @@ def test_endpoint_interpolation_is_exact(name, evaluate):
 def test_sample_curve_contract(quarter, arch_polygon):
     samples = sample_curve(arch_polygon, 2.0, quarter, 9, method="alg2")
     assert len(samples) == 9
+    assert samples.points.shape == (9, 2)
+    assert np.array_equal(samples.x, np.linspace(quarter.a, quarter.b, 9))
     assert samples[0].x == 0.0
     assert samples[-1].x == quarter.b
     assert all(s.method == "alg2" for s in samples)
@@ -170,23 +172,23 @@ def test_curve_coordinates_live_in_tn(quarter, arch_polygon):
 
 def test_constant_samples_fit_even_space():
     xs = np.linspace(0.1, 2.9, 10)
-    samples = [CurveSample(float(x), np.array([4.2]), "direct") for x in xs]
+    samples = CurveSamples(xs, np.full((len(xs), 1), 4.2), "direct")
     assert tn_membership_residual(samples, 2) <= 1e-12
 
 
 def test_pure_double_frequency_fits_even_but_not_odd_space():
     xs = np.linspace(0.0, 2 * math.pi, 64)
-    samples = [CurveSample(float(x), np.array([math.sin(2 * x)]), "direct") for x in xs]
+    samples = CurveSamples(xs, np.array([[math.sin(2 * x)] for x in xs]), "direct")
     assert tn_membership_residual(samples, 2) <= 1e-12
     assert tn_membership_residual(samples, 3) > 1e-3
 
 
 def test_membership_fit_guards():
     xs = np.linspace(0.0, 1.0, 5)
-    samples = [CurveSample(float(x), np.array([1.0]), "direct") for x in xs]
+    samples = CurveSamples(xs, np.ones((len(xs), 1)), "direct")
     with pytest.raises(ValueError):
         tn_membership_residual(samples, 2)  # needs 6 samples
-    stacked = [CurveSample(0.3, np.array([1.0]), "direct") for _ in range(12)]
+    stacked = CurveSamples(np.full(12, 0.3), np.ones((12, 1)), "direct")
     with pytest.raises(IllConditionedFitError):
         tn_membership_residual(stacked, 2)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtrig import (
     ControlPolygon,
+    CurveSamples,
     Interval,
     SingularDenominatorError,
     WeightVector,
@@ -107,10 +108,8 @@ def test_variation_diminishing_against_random_lines(quarter):
 
 
 def test_chord_distance_frozen_single_point():
-    class Sample:
-        point = np.array([1.0, 2.0])
-
-    assert chord_distance_profile([Sample()], [0.0, 0.0], [3.0, 0.0]) == 2.0
+    single = CurveSamples(np.array([0.5]), np.array([[1.0, 2.0]]), "rational")
+    assert chord_distance_profile(single, [0.0, 0.0], [3.0, 0.0]) == 2.0
 
 
 def test_chord_profile_decreases_with_q(quarter, arch_polygon):
@@ -140,6 +139,16 @@ def test_singular_denominator_raises(quarter):
         denominator_certificate(1, 1.0, quarter, np.array([1.0, -1.0]))
     except SingularDenominatorError as err:
         assert abs(err.x - math.pi / 4) <= 1e-6
+
+
+def test_certificate_rejects_rows_with_no_weighted_terms(quarter):
+    # weight 0 on B_0, the only basis function alive at x = a
+    w = np.array([0.0, 1.0, 1.0, 1.0])
+    for check in (lambda: denominator_certificate(3, 1.5, quarter, w),
+                  lambda: rational_basis_all(3, quarter.a, 1.5, quarter, w)):
+        with pytest.raises(SingularDenominatorError) as err:
+            check()
+        assert err.value.x == quarter.a
 
 
 def test_mixed_weights_without_zero_crossing(quarter):
