@@ -26,7 +26,6 @@ from .kernel import (
     trig_kernel,
     kernel_tables,
     kernel_tables_array,
-    require_valid_interval,
 )
 from .basis import (
     BasisVector,
@@ -50,7 +49,6 @@ from .curve import (
     tn_membership_residual,
 )
 from .rational import (
-    WeightVector,
     chord_distance_profile,
     denominator_certificate,
     point_segment_distance,
@@ -87,7 +85,6 @@ __all__ = [
     "Interval",
     "ValidityCertificate",
     "certify_interval",
-    "require_valid_interval",
     "kernel_tables",
     "kernel_tables_array",
     "BasisVector",
@@ -107,7 +104,6 @@ __all__ = [
     "sample_curve",
     "tn_design_matrix",
     "tn_membership_residual",
-    "WeightVector",
     "rational_basis_all",
     "rational_evaluate",
     "rational_basis_matrix",

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, kernel_tables, kernel_tables_array, require_valid_interval
-from .errors import InvalidIntervalError
+from .kernel import Interval, kernel_tables, kernel_tables_array
 from .qcalc import q_binomial_row, q_powers
 
 __all__ = [
@@ -51,7 +50,6 @@ class BasisVector:
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
     row = q_binomial_row(n, q)
     den = math.prod(d_ab)
@@ -67,7 +65,6 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     each entry takes the same multiplications in the same order.  The
     interval is certified and the q-binomial row built once per call.
     """
-    require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables_array(interval, xs, q, n)
     values = np.tile(q_binomial_row(n, q), (d_ax.shape[0], 1))
     for i in range(n):  # entry k takes d_ax[:k] in order, then d_xb[:n-k]
@@ -78,7 +75,6 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
 
 
 def _recurrence(n, x, q, interval, second_form):
-    require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
     powers = q_powers(q, n + 1)
     row = [1.0]
@@ -124,9 +120,8 @@ def classical_trig_basis(n: int, k: int, x: float, interval: Interval) -> float:
     """
     if k < 0 or k > n:
         raise IndexError(f"basis index k={k} outside 0..{n}")
-    s = math.sin(interval.b - interval.a)
-    if abs(s) <= 1e-12:
-        raise InvalidIntervalError(interval.a, interval.b, 1.0, 0, s)
-    u = math.sin(x - interval.a) / s
-    v = math.sin(interval.b - x) / s
+    # at q = 1 the tables hold exactly sin(x-a), sin(b-x) and sin(b-a)
+    (sin_xa,), (sin_bx,), (s,) = kernel_tables(interval, x, 1.0, 1)
+    u = sin_xa / s
+    v = sin_bx / s
     return math.comb(n, k) * u ** k * v ** (n - k)

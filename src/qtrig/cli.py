@@ -230,7 +230,7 @@ def _check_hull(cfg: argparse.Namespace) -> dict:
     n_samples = _count(cfg.samples, SAMPLES)
     pts = rational_sample(polygon, weights, q, cfg.interval, n_samples).points
     hull = convex_hull(polygon.points)
-    violations = sum(not point_in_hull(p, hull, slack=1e-12) for p in pts)
+    violations = int(np.count_nonzero(~point_in_hull(pts, hull, slack=1e-12)))
     return {
         "check": "hull",
         "q": q,

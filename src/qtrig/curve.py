@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import basis_all_direct, basis_matrix
 from .errors import IllConditionedFitError
-from .kernel import Interval, kernel_tables, kernel_tables_array, require_valid_interval
+from .kernel import Interval, kernel_tables, kernel_tables_array
 from .qcalc import q_binomial_row, q_powers, validate_q
 
 __all__ = [
@@ -127,7 +127,6 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
 def _tableau(polygon, x, q, interval, variant):
     n = polygon.degree
     q = validate_q(q)
-    require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
     powers = q_powers(q, n + 1)
     rows = [polygon.points.copy()]
@@ -192,7 +191,6 @@ def intermediate_explicit(
     if r < 0 or r > n or k < 0 or k > n - r:
         raise IndexError(f"tableau entry (r={r}, k={k}) outside degree-{n} scheme")
     q = validate_q(q)
-    require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
     den = 1.0
     for i in range(r):
@@ -219,7 +217,6 @@ def _tableau_apexes(polygon, xs, q, interval, variant):
     """
     n = polygon.degree
     q = validate_q(q)
-    require_valid_interval(interval, q, n)
     d_ax, d_xb, d_ab = kernel_tables_array(interval, xs, q, n)
     powers = np.array(q_powers(q, n + 1))
     work = np.repeat(polygon.points[None], len(xs), axis=0)  # (m, n+1, dim)

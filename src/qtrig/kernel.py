@@ -6,8 +6,9 @@ The kernel
 
 drives every basis and curve evaluation in this package.  It is affine in q
 and collapses to sin(y - x) at q = 1.  A degree-n evaluation on [a, b]
-divides by d(a, b; q^i) for a range of i, so intervals are certified before
-use: every such denominator must stay clear of zero in float64.
+divides by d(a, b; q^i) for a range of i, so the kernel tables certify the
+interval before use: every such denominator must stay clear of zero in
+float64.
 """
 
 import math
@@ -26,7 +27,6 @@ __all__ = [
     "Interval",
     "ValidityCertificate",
     "certify_interval",
-    "require_valid_interval",
     "kernel_tables",
     "kernel_tables_array",
 ]
@@ -87,23 +87,39 @@ class ValidityCertificate:
     failing_index: Optional[int]
 
 
-def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificate:
-    """Certify [a, b] for degree-n work at parameter q.
+def _scan_interval(interval: Interval, q: float, n: int):
+    """The one certification loop over i = 0..n.
 
-    Checks |d(a, b; q^i)| > SINGULARITY_TOL for i = 0..n inclusive; the
-    extra index n covers the denominators of degree-raising recurrences.
+    Returns the powers q^0..q^n, the denominators d(a, b; q^i), the smallest
+    |d| and the first i with |d| <= SINGULARITY_TOL (None if there is none).
+    The extra index n covers the denominators of degree-raising recurrences.
     """
-    q = validate_q(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    a, b = interval.a, interval.b
+    powers = q_powers(q, n + 1)
+    d_ab = []
     min_abs = math.inf
     failing = None
-    for i, qi in enumerate(q_powers(q, n + 1)):
-        v = abs(trig_kernel(interval.a, interval.b, qi))
+    for i, qi in enumerate(powers):
+        d = trig_kernel(a, b, qi)
+        d_ab.append(d)
+        v = abs(d)
         if v < min_abs:
             min_abs = v
         if failing is None and v <= SINGULARITY_TOL:
             failing = i
+    return powers, d_ab, min_abs, failing
+
+
+def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificate:
+    """Certify [a, b] for degree-n work at parameter q.
+
+    Reports whether |d(a, b; q^i)| > SINGULARITY_TOL for i = 0..n inclusive;
+    kernel_tables applies the same rule and raises where this reports.
+    """
+    q = validate_q(q)
+    _, _, min_abs, failing = _scan_interval(interval, q, n)
     return ValidityCertificate(
         interval=interval,
         q=q,
@@ -114,13 +130,15 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     )
 
 
-def require_valid_interval(interval: Interval, q: float, n: int) -> None:
-    """Raise InvalidIntervalError unless certify_interval passes."""
-    cert = certify_interval(interval, q, n)
-    if not cert.valid:
-        i = cert.failing_index
-        value = trig_kernel(interval.a, interval.b, q ** i)
-        raise InvalidIntervalError(interval.a, interval.b, q, i, value)
+def _certified(interval: Interval, q: float, n: int) -> tuple[list[float], list[float]]:
+    """q^0..q^(n-1) and d(a, b; q^i) for i < n, once i = 0..n are certified.
+
+    Raises InvalidIntervalError at the first failing index.
+    """
+    powers, d_ab, _, failing = _scan_interval(interval, validate_q(q), n)
+    if failing is not None:
+        raise InvalidIntervalError(interval.a, interval.b, q, failing, d_ab[failing])
+    return powers[:n], d_ab[:n]
 
 
 def kernel_tables(
@@ -129,14 +147,15 @@ def kernel_tables(
     """Kernel values at the geometric powers q^0..q^(n-1).
 
     Returns (d_ax, d_xb, d_ab) with d_ax[i] = d(a, x; q^i) and so on.
-    Every evaluator in the package shares these tables so that identical
-    subexpressions are bit-identical across methods.
+    The interval is certified first, as certify_interval(interval, q, n)
+    would, and InvalidIntervalError raised if it fails.  Every evaluator in
+    the package shares these tables so that identical subexpressions are
+    bit-identical across methods.
     """
     a, b = interval.a, interval.b
-    powers = q_powers(q, n)
+    powers, d_ab = _certified(interval, q, n)
     d_ax = [trig_kernel(a, x, qi) for qi in powers]
     d_xb = [trig_kernel(x, b, qi) for qi in powers]
-    d_ab = [trig_kernel(a, b, qi) for qi in powers]
     return d_ax, d_xb, d_ab
 
 
@@ -146,16 +165,15 @@ def kernel_tables_array(
     """kernel_tables for every point of xs at once.
 
     Returns (d_ax, d_xb, d_ab) with d_ax[j, i] = d(a, xs[j]; q^i), d_xb of
-    the same (m, n) shape, and the x-free d_ab list of kernel_tables.  The
-    tables are outer products in trig_kernel's own form, so every entry is
-    bit-identical to the scalar table entry.
+    the same (m, n) shape, and the x-free d_ab list of kernel_tables, after
+    the same certification.  The tables are outer products in trig_kernel's
+    own form, so every entry is bit-identical to the scalar table entry.
     """
     a, b = interval.a, interval.b
     xs = np.asarray(xs, dtype=float)[:, None]
-    powers = q_powers(q, n)
+    powers, d_ab = _certified(interval, q, n)
     p = np.array(powers)
     plus, minus = 0.5 * (p + 1.0), 0.5 * (p - 1.0)
     d_ax = plus * np.sin(xs - a) + minus * np.sin(xs + a)
     d_xb = plus * np.sin(b - xs) + minus * np.sin(b + xs)
-    d_ab = [trig_kernel(a, b, qi) for qi in powers]
     return d_ax, d_xb, d_ab

@@ -12,8 +12,6 @@ plain evaluation only, after a grid certificate that the denominator never
 vanishes; no shape property is claimed for them.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import BasisVector, basis_all_direct, basis_matrix
@@ -22,7 +20,6 @@ from .errors import SingularDenominatorError
 from .kernel import Interval
 
 __all__ = [
-    "WeightVector",
     "rational_basis_all",
     "rational_evaluate",
     "rational_basis_matrix",
@@ -37,30 +34,9 @@ DENOMINATOR_REL_TOL = 1e-12
 CERTIFICATE_GRID = 1024
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Weights w_0..w_n; shape guarantees require every entry positive."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"weights must be a 1-d vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def all_positive(self) -> bool:
-        return bool(np.all(self.weights > 0.0))
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
 def _coerce_weights(weights, n: int) -> np.ndarray:
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
+    """Weights w_0..w_n as a finite float vector; shape guarantees need w > 0."""
+    w = np.asarray(weights, dtype=float)
     if w.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -68,19 +44,25 @@ def _coerce_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _weighted_terms(n, x, q, interval, w):
-    terms = w * basis_all_direct(n, x, q, interval).values
-    den = float(terms.sum())
-    scale = float(np.abs(terms).max())
-    if scale == 0.0 or abs(den) <= DENOMINATOR_REL_TOL * scale:
-        raise SingularDenominatorError(x, den)
-    return terms, den
+def _denominators(terms: np.ndarray, xs) -> np.ndarray:
+    """Row sums of the weighted basis terms (m, n+1), the rational denominators.
+
+    Raises SingularDenominatorError at the first x whose sum is not clear of
+    DENOMINATOR_REL_TOL times the row's largest term magnitude.  Rows of
+    zeros, NaN or inf fail that comparison too.
+    """
+    dens = terms.sum(axis=1)
+    clear = np.abs(dens) > DENOMINATOR_REL_TOL * np.abs(terms).max(axis=1)
+    if not clear.all():
+        i = int(clear.argmin())
+        raise SingularDenominatorError(float(xs[i]), float(dens[i]))
+    return dens
 
 
 def rational_basis_all(n: int, x: float, q: float, interval: Interval, weights) -> BasisVector:
     """All rational basis values R_k(x; q); they sum to one exactly up to roundoff."""
-    w = _coerce_weights(weights, n)
-    terms, den = _weighted_terms(n, x, q, interval, w)
+    terms = _coerce_weights(weights, n) * basis_all_direct(n, x, q, interval).values
+    den = _denominators(terms[None], [x])[0]
     return BasisVector(degree=n, q=q, interval=interval, x=x, values=terms / den)
 
 
@@ -92,23 +74,22 @@ def rational_evaluate(
     return rv.values @ polygon.points
 
 
-def denominator_certificate(
-    n: int, q: float, interval: Interval, weights, grid: int = CERTIFICATE_GRID
-) -> float:
+def denominator_certificate(n: int, q: float, interval: Interval, weights) -> float:
     """Certify sum_k w_k B_k > 0 in magnitude across the interval.
 
-    Scans a uniform grid; any sign change between neighbours is refined by
-    bisection to locate the crossing, which is reported as a singularity.
-    Returns the smallest |denominator| seen.  Needed only for mixed-sign
-    weights: positive weights on a quarter period cannot produce a zero.
+    Scans a uniform grid of CERTIFICATE_GRID points; any sign change between
+    neighbours is refined by bisection to locate the crossing, which is
+    reported as a singularity.  Returns the smallest |denominator| seen.
+    Needed only for mixed-sign weights: positive weights on a quarter period
+    cannot produce a zero.
     """
     w = _coerce_weights(weights, n)
 
     def den_at(x):
         return float((w * basis_all_direct(n, x, q, interval).values).sum())
 
-    xs = np.linspace(interval.a, interval.b, grid)
-    _, dens = _weighted_rows(n, xs, q, interval, w)
+    xs = np.linspace(interval.a, interval.b, CERTIFICATE_GRID)
+    dens = _denominators(w * basis_matrix(n, xs, q, interval), xs)
     crossings = np.flatnonzero(dens[:-1] * dens[1:] < 0.0)
     if crossings.size:
         i = int(crossings[0])
@@ -128,6 +109,12 @@ def denominator_certificate(
     return float(np.abs(dens).min())
 
 
+def _rational_rows(n, xs, q, interval, w) -> np.ndarray:
+    """rational_basis_all at every x for checked weights w, with its per-point rule only."""
+    terms = w * basis_matrix(n, xs, q, interval)
+    return terms / _denominators(terms, xs)[:, None]
+
+
 def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> np.ndarray:
     """Rational basis vectors at every point of xs, shape (m, n+1).
 
@@ -143,29 +130,6 @@ def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> 
     return _rational_rows(n, xs, q, interval, w)
 
 
-def _weighted_rows(n, xs, q, interval, w):
-    """Weighted basis terms (m, n+1) and their sums (m,) at every x.
-
-    Raises SingularDenominatorError at the first x whose row is singular by
-    _weighted_terms' rule: every term zero, or the sum within
-    DENOMINATOR_REL_TOL of the largest term magnitude.
-    """
-    terms = w * basis_matrix(n, xs, q, interval)
-    dens = terms.sum(axis=1)
-    scales = np.abs(terms).max(axis=1)
-    singular = (scales == 0.0) | (np.abs(dens) <= DENOMINATOR_REL_TOL * scales)
-    if singular.any():
-        i = int(singular.argmax())
-        raise SingularDenominatorError(float(xs[i]), float(dens[i]))
-    return terms, dens
-
-
-def _rational_rows(n, xs, q, interval, weights):
-    """rational_basis_all at every x, with its per-point singularity rule only."""
-    terms, dens = _weighted_rows(n, xs, q, interval, _coerce_weights(weights, n))
-    return terms / dens[:, None]
-
-
 def rational_sample(
     polygon: ControlPolygon, weights, q: float, interval: Interval, count: int
 ) -> CurveSamples:
@@ -178,25 +142,29 @@ def rational_sample(
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     w = _coerce_weights(weights, polygon.degree)
-    tag = "rational" if np.all(w > 0.0) else "rational-no-shape-guarantee"
+    positive = bool(np.all(w > 0.0))
+    if not positive:
+        denominator_certificate(polygon.degree, q, interval, w)
     xs = np.linspace(interval.a, interval.b, count)
-    basis = rational_basis_matrix(polygon.degree, xs, q, interval, w)
+    basis = _rational_rows(polygon.degree, xs, q, interval, w)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
-    return CurveSamples(xs, points, tag)
+    return CurveSamples(xs, points, "rational" if positive else "rational-no-shape-guarantee")
 
 
-def point_segment_distance(p, s0, s1) -> float:
-    """Euclidean distance from p to the segment [s0, s1]."""
+def point_segment_distance(p, s0, s1):
+    """Euclidean distance from p to the segment [s0, s1].
+
+    p is one point, giving a float, or an (m, dim) array of points, giving
+    one distance per row.
+    """
     p = np.asarray(p, dtype=float)
     s0 = np.asarray(s0, dtype=float)
     s1 = np.asarray(s1, dtype=float)
     seg = s1 - s0
     denom = float(seg @ seg)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - s0))
-    t = float((p - s0) @ seg) / denom
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (s0 + t * seg)))
+    t = 0.0 if denom == 0.0 else np.clip((p - s0) @ seg / denom, 0.0, 1.0)[..., None]
+    dist = np.linalg.norm(p - (s0 + t * seg), axis=-1)
+    return float(dist) if p.ndim == 1 else dist
 
 
 def chord_distance_profile(samples: CurveSamples, b_first, b_last) -> float:
@@ -210,7 +178,4 @@ def chord_distance_profile(samples: CurveSamples, b_first, b_last) -> float:
         raise ValueError("chord endpoints must be 2-d points")
     if samples.points.shape[1:] != (2,):
         raise ValueError(f"chord profile needs 2-d samples, got shape {samples.points.shape}")
-    worst = 0.0
-    for pt in samples.points:
-        worst = max(worst, point_segment_distance(pt, b_first, b_last))
-    return worst
+    return float(point_segment_distance(samples.points, b_first, b_last).max(initial=0.0))

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import basis_matrix
 from .errors import MinorCapExceededError
 from .kernel import Interval
-from .rational import _rational_rows, point_segment_distance
+from .rational import _coerce_weights, _rational_rows, point_segment_distance
 
 __all__ = [
     "MINOR_CAP",
@@ -91,7 +91,7 @@ def collocation(
         raise ValueError("rational collocation needs weights")
 
     if family == "rational":  # rational_basis_all's pointwise rule, no interval certificate
-        rows = _rational_rows(n, pts, q, interval, weights)
+        rows = _rational_rows(n, pts, q, interval, _coerce_weights(weights, n))
     else:
         rows = basis_matrix(n, pts, 1.0 if family == "classical" else q, interval)
     return CollocationMatrix(entries=rows.T, points=pts, family=family)
@@ -204,8 +204,12 @@ def convex_hull(points) -> np.ndarray:
     return np.array(hull, dtype=float)
 
 
-def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12) -> bool:
-    """Is the point inside (or within slack * diameter of) the hull?"""
+def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12):
+    """Is the point inside (or within slack * diameter of) the hull?
+
+    point is one 2-d point, giving a bool, or an (m, 2) array of points,
+    giving one verdict per row.
+    """
     p = np.asarray(point, dtype=float)
     hull = np.asarray(hull, dtype=float)
     if hull.ndim != 2 or hull.shape[1] != 2:
@@ -214,15 +218,16 @@ def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12) -> bool:
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
     tol = slack * diameter if diameter > 0.0 else slack
     if hull.shape[0] == 1:
-        return float(np.linalg.norm(p - hull[0])) <= tol
-    if hull.shape[0] == 2:
-        return point_segment_distance(p, hull[0], hull[1]) <= tol
-    for i in range(hull.shape[0]):
-        v0 = hull[i]
-        v1 = hull[(i + 1) % hull.shape[0]]
-        edge = v1 - v0
-        norm = float(np.linalg.norm(edge))
-        signed = (edge[0] * (p[1] - v0[1]) - edge[1] * (p[0] - v0[0])) / norm
-        if signed < -tol:
-            return False
-    return True
+        inside = np.linalg.norm(p - hull[0], axis=-1) <= tol
+    elif hull.shape[0] == 2:
+        inside = point_segment_distance(p, hull[0], hull[1]) <= tol
+    else:
+        inside = np.ones(p.shape[:-1], dtype=bool)
+        for i in range(hull.shape[0]):
+            v0 = hull[i]
+            v1 = hull[(i + 1) % hull.shape[0]]
+            edge = v1 - v0
+            norm = float(np.linalg.norm(edge))
+            signed = (edge[0] * (p[..., 1] - v0[1]) - edge[1] * (p[..., 0] - v0[0])) / norm
+            inside &= ~(signed < -tol)
+    return bool(inside) if p.ndim == 1 else inside

@@ -194,6 +194,20 @@ def test_rational_basis_certifies_mixed_weights(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rational_basis_rejects_nan_rows(tmp_path, capsys):
+    # at degree 200 the basis product overflows to inf/inf, so every row of
+    # weighted terms is NaN; the denominator rule must reject it
+    out = tmp_path / "x.csv"
+    code = main(["rational", "--basis", "--degree", "200", "--q", "3",
+                 "--interval", "0,pi/2", "--samples", "3", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("qtrig: singular denominator:")
+    assert "Traceback" not in err
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert main(["curve", "--polygon", str(tmp_path / "missing.json"),
                  "--q", "1", "--interval", "0,pi/2"]) == 1

@@ -11,7 +11,7 @@ from qtrig import (
     classical_trig_basis,
     trig_kernel,
     kernel_tables,
-    require_valid_interval,
+    kernel_tables_array,
 )
 from oracles import d_mp
 
@@ -94,13 +94,18 @@ def test_quarter_period_detection():
     assert Interval(1e-13, math.pi / 2).quarter_period
 
 
+# the kernel tables certify the interval themselves, for one x or for many
+_TABLES = (kernel_tables, lambda iv, x, q, n: kernel_tables_array(iv, [x], q, n))
+
+
 def test_certificate_quarter_interval_valid():
     cert = certify_interval(Interval(0.0, math.pi / 2), 2.0, 3)
     assert cert.valid
     assert cert.failing_index is None
     # denominators are d(0, pi/2; 2^i) = 2^i, so the minimum is 1
     assert abs(cert.min_abs_denominator - 1.0) <= 1e-15
-    require_valid_interval(Interval(0.0, math.pi / 2), 2.0, 3)
+    for tables in _TABLES:
+        tables(Interval(0.0, math.pi / 2), 0.3, 2.0, 3)
 
 
 def test_certificate_full_half_period_invalid():
@@ -108,9 +113,10 @@ def test_certificate_full_half_period_invalid():
     assert not cert.valid
     assert cert.failing_index == 0
     assert cert.min_abs_denominator <= 1e-12
-    with pytest.raises(InvalidIntervalError) as err:
-        require_valid_interval(Interval(0.0, math.pi), 1.5, 2)
-    assert err.value.failing_index == 0
+    for tables in _TABLES:
+        with pytest.raises(InvalidIntervalError) as err:
+            tables(Interval(0.0, math.pi), 0.5, 1.5, 2)
+        assert err.value.failing_index == 0
 
 
 def test_certificate_failure_at_positive_index():
@@ -121,9 +127,10 @@ def test_certificate_failure_at_positive_index():
     cert = certify_interval(Interval(a, b), q, 2)
     assert not cert.valid
     assert cert.failing_index == 1
-    with pytest.raises(InvalidIntervalError) as err:
-        require_valid_interval(Interval(a, b), q, 2)
-    assert err.value.failing_index == 1
+    for tables in _TABLES:
+        with pytest.raises(InvalidIntervalError) as err:
+            tables(Interval(a, b), 1.0, q, 2)
+        assert err.value.failing_index == 1
 
 
 def test_kernel_tables_match_direct_calls():

@@ -9,13 +9,13 @@ from qtrig import (
     CurveSamples,
     Interval,
     SingularDenominatorError,
-    WeightVector,
     chord_distance_profile,
     convex_hull,
     denominator_certificate,
     point_in_hull,
     point_segment_distance,
     rational_basis_all,
+    rational_basis_matrix,
     rational_evaluate,
     rational_sample,
     sign_changes_function,
@@ -129,6 +129,14 @@ def test_point_segment_distance_cases():
     assert point_segment_distance([2.0, 2.0], [1.0, 1.0], [1.0, 1.0]) == math.sqrt(2.0)
 
 
+def test_point_segment_distance_rows():
+    pts = np.array([[0.0, 1.0], [5.0, 0.0], [-3.0, -4.0]])
+    rows = point_segment_distance(pts, [-1.0, 0.0], [1.0, 0.0])
+    assert rows.shape == (3,)
+    assert rows.tolist() == [1.0, 4.0, math.sqrt(20.0)]
+    assert point_segment_distance(pts, [2.0, 2.0], [2.0, 2.0]).shape == (3,)
+
+
 def test_singular_denominator_raises(quarter):
     # w = (1, -1) at q = 1 on the quarter period: cos x - sin x vanishes at pi/4
     with pytest.raises(SingularDenominatorError):
@@ -151,6 +159,17 @@ def test_certificate_rejects_rows_with_no_weighted_terms(quarter):
         assert err.value.x == quarter.a
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_rows_are_singular(quarter):
+    # the degree-200 basis overflows to inf/inf = NaN on [0, pi/2] at q = 3
+    w = np.ones(201)
+    with pytest.raises(SingularDenominatorError) as err:
+        rational_basis_matrix(200, [0.1, 0.7], 3.0, quarter, w)
+    assert err.value.x == 0.1
+    with pytest.raises(SingularDenominatorError):
+        rational_basis_all(200, 0.1, 3.0, quarter, w)
+
+
 def test_mixed_weights_without_zero_crossing(quarter):
     # den = 1 - 0.05 sin(2x) at q = 1 stays well away from zero
     w = np.array([1.0, -0.05, 1.0])
@@ -168,16 +187,13 @@ def test_positive_weight_samples_keep_plain_tag(quarter, arch_polygon):
 
 
 def test_weight_vector_validation():
-    wv = WeightVector(np.array([1.0, 2.0, 3.0]))
-    assert wv.all_positive
-    assert len(wv) == 3
-    assert not WeightVector(np.array([1.0, -2.0])).all_positive
+    quarter = Interval(0.0, math.pi / 2)
     with pytest.raises(ValueError):
-        WeightVector(np.array([[1.0, 2.0]]))
+        rational_basis_all(1, 0.3, 2.0, quarter, np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
-        WeightVector(np.array([1.0, float("inf")]))
+        rational_basis_all(1, 0.3, 2.0, quarter, np.array([1.0, float("inf")]))
     with pytest.raises(ValueError):
-        rational_basis_all(3, 0.3, 2.0, Interval(0.0, math.pi / 2), np.ones(3))
+        rational_basis_all(3, 0.3, 2.0, quarter, np.ones(3))
 
 
 @settings(max_examples=60)

@@ -200,6 +200,19 @@ def test_point_in_hull_predicate():
     assert not point_in_hull([1.1, 1.0], single)
 
 
+def test_point_in_hull_array_matches_per_point():
+    rng = np.random.default_rng(5001)
+    for size in range(1, 9):
+        for _ in range(10):
+            hull = convex_hull(rng.uniform(-2.0, 2.0, size=(size, 2)))
+            edges = 0.5 * (hull + np.roll(hull, 1, axis=0))
+            pts = np.concatenate([rng.uniform(-3.0, 3.0, size=(60, 2)), hull, edges])
+            for slack in (1e-12, 1e-9):
+                verdicts = point_in_hull(pts, hull, slack=slack)
+                assert verdicts.shape == (len(pts),)
+                assert verdicts.tolist() == [point_in_hull(p, hull, slack=slack) for p in pts]
+
+
 @settings(max_examples=60)
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 16),
