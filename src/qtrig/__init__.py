@@ -7,6 +7,7 @@ Everything is plain float64 with pure functions and immutable containers.
 """
 
 from .errors import (
+    FloatRangeError,
     IllConditionedFitError,
     InvalidIntervalError,
     MinorCapExceededError,
@@ -77,6 +78,7 @@ __all__ = [
     "SingularDenominatorError",
     "MinorCapExceededError",
     "IllConditionedFitError",
+    "FloatRangeError",
     "validate_q",
     "q_binomial",
     "q_binomial_row",

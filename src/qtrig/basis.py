@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FloatRangeError
 from .kernel import Interval, kernel_tables, kernel_tables_array
 from .qcalc import q_binomial_row, q_powers
 
@@ -48,11 +49,22 @@ class BasisVector:
             )
 
 
+def _product_factors(n, x, q, interval, tables):
+    """The q-binomial row, tables(interval, x, q, n) and prod_{i<n} d(a, b; q^i).
+
+    Raises FloatRangeError when the product is 0 or not finite.
+    """
+    row = q_binomial_row(n, q)  # first: it overflows before any q-power of the tables
+    d_ax, d_xb, d_ab = tables(interval, x, q, n)
+    den = math.prod(d_ab)
+    if den == 0.0 or not math.isfinite(den):
+        raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
+    return row, d_ax, d_xb, den
+
+
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
-    row = q_binomial_row(n, q)
-    den = math.prod(d_ab)
+    row, d_ax, d_xb, den = _product_factors(n, x, q, interval, kernel_tables)
     # one left-to-right chain per k: [n choose k]_q, the d_ax, then the d_xb
     values = [math.prod(d_ax[:k] + d_xb[: n - k], start=row[k]) / den for k in range(n + 1)]
     return BasisVector(degree=n, q=q, interval=interval, x=x, values=np.array(values))
@@ -65,13 +77,13 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     each entry takes the same multiplications in the same order.  The
     interval is certified and the q-binomial row built once per call.
     """
-    d_ax, d_xb, d_ab = kernel_tables_array(interval, xs, q, n)
-    values = np.tile(q_binomial_row(n, q), (d_ax.shape[0], 1))
+    row, d_ax, d_xb, den = _product_factors(n, xs, q, interval, kernel_tables_array)
+    values = np.tile(row, (d_ax.shape[0], 1))
     for i in range(n):  # entry k takes d_ax[:k] in order, then d_xb[:n-k]
         values[:, i + 1:] *= d_ax[:, i, None]
     for i in range(n):
         values[:, : n - i] *= d_xb[:, i, None]
-    return values / math.prod(d_ab)
+    return values / den
 
 
 def _recurrence(n, x, q, interval, second_form):

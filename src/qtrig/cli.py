@@ -249,6 +249,8 @@ def _check_vdp(cfg: argparse.Namespace) -> dict:
     lo, hi = ctrl.min(axis=0), ctrl.max(axis=0)
     rng = np.random.default_rng(VDP_SEED)
     lines = _count(cfg.grid, VDP_LINES)
+    if lines < 1:
+        raise _UsageError(f"check vdp needs at least 1 line, got --grid {lines}")
     violations = max_crossings = 0
     for _ in range(lines):
         center = lo + rng.random(2) * np.maximum(hi - lo, 1e-9)
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qtrig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=False):
+    def common(p, writes=True, with_method=False):
         p.add_argument("--q", dest="qs", metavar="Q", action="append", type=float,
                        required=True, help="deformation parameter, repeatable for overlays")
         p.add_argument("--interval", required=True,
@@ -312,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int,
                        help=f"sample count (default {SAMPLES}; check vdp {VDP_SAMPLES}, "
                             f"check signs {SIGNS_SAMPLES})")
+        if not writes:  # check prints a verdict, no table
+            return
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"),
                        default="csv")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"or random lines (vdp, default {VDP_LINES})")
     p_check.add_argument("--tolerance", type=float, default=1e-9)
     p_check.set_defaults(run=cmd_check)
-    common(p_check)
+    common(p_check, writes=False)
     return parser
 
 

@@ -14,6 +14,7 @@ Sampled curves can be tested for membership in the trigonometric space
 by a least-squares fit; the curve coordinates always live in T_n.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,27 +125,33 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
     return bv.values @ polygon.points
 
 
-def _tableau(polygon, x, q, interval, variant):
-    n = polygon.degree
-    q = validate_q(q)
-    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
-    powers = q_powers(q, n + 1)
-    rows = [polygon.points.copy()]
+def _stages(work, d_ax, d_xb, d_ab, q, variant):
+    """Yield stages 0..n of the alg1/alg2 scheme, stage 0 being work itself.
+
+    work is (n+1, dim) with (n,) tables for one x, or (m, n+1, dim) with
+    (m, n) tables for m points; stage r then has n+1-r entries on the
+    second-to-last axis.  evaluate_alg1 and evaluate_alg2 state the step.
+    """
+    n = len(d_ab)
+    powers = np.array(q_powers(float(q), n))
+    yield work
     for r in range(n):
         den = d_ab[n - r - 1]
-        prev = rows[-1]
-        cur = np.empty((n - r, polygon.dim))
-        for k in range(n - r):
-            lower = d_xb[n - r - k - 1] / den  # multiplies the kept point
-            upper = d_ax[k] / den              # multiplies the next point
-            if variant == "alg1":
-                cur[k] = powers[k] * lower * prev[k] + upper * prev[k + 1]
-            else:
-                cur[k] = lower * prev[k] + powers[n - r - k - 1] * upper * prev[k + 1]
-        rows.append(cur)
-    return DeCasteljauTableau(
-        variant=variant, x=x, q=q, interval=interval, rows=tuple(rows)
-    )
+        lower = d_xb[..., n - r - 1::-1] / den
+        upper = d_ax[..., : n - r] / den
+        if variant == "alg1":
+            lower = powers[: n - r] * lower
+        else:
+            upper = powers[n - r - 1::-1] * upper
+        work = lower[..., None] * work[..., :-1, :] + upper[..., None] * work[..., 1:, :]
+        yield work
+
+
+def _tableau(polygon, x, q, interval, variant):
+    q = validate_q(q)
+    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, polygon.degree)
+    rows = _stages(polygon.points.copy(), np.array(d_ax), np.array(d_xb), d_ab, q, variant)
+    return DeCasteljauTableau(variant=variant, x=x, q=q, interval=interval, rows=tuple(rows))
 
 
 def evaluate_alg1(polygon: ControlPolygon, x: float, q: float, interval: Interval) -> DeCasteljauTableau:
@@ -192,48 +199,15 @@ def intermediate_explicit(
         raise IndexError(f"tableau entry (r={r}, k={k}) outside degree-{n} scheme")
     q = validate_q(q)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
-    den = 1.0
-    for i in range(r):
-        den *= d_ab[i + n - r]
+    den = math.prod(d_ab[n - r:])
     qb = q_binomial_row(r, q)
     acc = np.zeros(polygon.dim)
     for j in range(r + 1):
         exponent = k * (r - j) if variant == "alg1" else j * (n - r - k)
-        term = q ** exponent * qb[j]
-        for i in range(j):
-            term *= d_ax[i + k]
-        for i in range(r - j):
-            term *= d_xb[i + n - r - k]
+        # one left-to-right chain: the prefactor, d_ax[k:k+j], then d_xb[n-r-k:n-k-j]
+        term = math.prod(d_ax[k:k + j] + d_xb[n - r - k:n - k - j], start=q ** exponent * qb[j])
         acc += (term / den) * polygon.points[k + j]
     return acc
-
-
-def _tableau_apexes(polygon, xs, q, interval, variant):
-    """Apexes of the alg1/alg2 scheme at every point of xs, shape (m, dim).
-
-    Steps all points through _tableau's stages at once; each entry takes
-    _tableau's operations in the same order, so apex j is bit-identical to
-    the scalar apex at xs[j].  One working array is updated in place.
-    """
-    n = polygon.degree
-    q = validate_q(q)
-    d_ax, d_xb, d_ab = kernel_tables_array(interval, xs, q, n)
-    powers = np.array(q_powers(q, n + 1))
-    work = np.repeat(polygon.points[None], len(xs), axis=0)  # (m, n+1, dim)
-    upper_term = np.empty((len(xs), n, polygon.dim))
-    for r in range(n):
-        den = d_ab[n - r - 1]
-        lower = d_xb[:, n - r - 1::-1] / den  # lower[:, k] = d_xb[:, n-r-k-1] / den
-        upper = d_ax[:, : n - r] / den
-        if variant == "alg1":
-            lower = powers[: n - r] * lower
-        else:
-            upper = powers[n - r - 1::-1] * upper
-        kept, advanced = work[:, : n - r], upper_term[:, : n - r]
-        np.multiply(upper[..., None], work[:, 1 : n - r + 1], out=advanced)
-        np.multiply(lower[..., None], kept, out=kept)
-        kept += advanced
-    return work[:, 0].copy()
 
 
 _METHODS = ("direct", "alg1", "alg2")
@@ -262,7 +236,11 @@ def sample_curve(
         # a plain basis @ points may round differently
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
-        points = _tableau_apexes(polygon, xs, q, interval, method)
+        tables = kernel_tables_array(interval, xs, q, polygon.degree)  # validates q
+        work = np.broadcast_to(polygon.points, (len(xs),) + polygon.points.shape)
+        for work in _stages(work, *tables, q, method):
+            pass  # only the last stage is kept; its one entry per x is the apex
+        points = work[:, 0].copy()
     return CurveSamples(xs, points, method)
 
 

@@ -31,6 +31,10 @@ class SingularDenominatorError(QTrigError):
         )
 
 
+class FloatRangeError(QTrigError):
+    """A product or power the evaluation needs left the float64 range (0 or inf)."""
+
+
 class MinorCapExceededError(QTrigError):
     """Exhaustive minor enumeration would exceed the hard cap."""
 

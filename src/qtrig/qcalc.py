@@ -7,6 +7,8 @@ coefficients are recovered.  The q-integer [k]_q is q_binomial_row(k, q)[1].
 
 import math
 
+from .errors import FloatRangeError
+
 __all__ = [
     "validate_q",
     "q_binomial",
@@ -28,18 +30,23 @@ def q_binomial_row(n: int, q: float) -> list[float]:
 
     Built by the Pascal-type recurrence
         C(m, k) = C(m-1, k) + q^(m-k) C(m-1, k-1),
-    which stays finite and continuous through q = 1, unlike the quotient of
-    q-factorials.
+    which stays continuous through q = 1, unlike the quotient of
+    q-factorials.  Raises FloatRangeError past the float64 range.
     """
     q = validate_q(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     row = [1.0]
-    for m in range(1, n + 1):
-        prev = row
-        row = [1.0] * (m + 1)
-        for k in range(1, m):
-            row[k] = prev[k] + q ** (m - k) * prev[k - 1]
+    try:
+        for m in range(1, n + 1):
+            prev = row
+            row = [1.0] * (m + 1)
+            for k in range(1, m):
+                row[k] = prev[k] + q ** (m - k) * prev[k - 1]
+    except OverflowError:  # raised by q ** (m - k); fails the test below
+        row = [math.inf]
+    if not all(map(math.isfinite, row)):
+        raise FloatRangeError(f"q-binomial row {n} at q={q!r} overflows float64")
     return row
 
 

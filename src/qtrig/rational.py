@@ -109,12 +109,6 @@ def denominator_certificate(n: int, q: float, interval: Interval, weights) -> fl
     return float(np.abs(dens).min())
 
 
-def _rational_rows(n, xs, q, interval, w) -> np.ndarray:
-    """rational_basis_all at every x for checked weights w, with its per-point rule only."""
-    terms = w * basis_matrix(n, xs, q, interval)
-    return terms / _denominators(terms, xs)[:, None]
-
-
 def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> np.ndarray:
     """Rational basis vectors at every point of xs, shape (m, n+1).
 
@@ -127,7 +121,8 @@ def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> 
     w = _coerce_weights(weights, n)
     if not np.all(w > 0.0):
         denominator_certificate(n, q, interval, w)
-    return _rational_rows(n, xs, q, interval, w)
+    terms = w * basis_matrix(n, xs, q, interval)
+    return terms / _denominators(terms, xs)[:, None]
 
 
 def rational_sample(
@@ -141,13 +136,10 @@ def rational_sample(
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
-    w = _coerce_weights(weights, polygon.degree)
-    positive = bool(np.all(w > 0.0))
-    if not positive:
-        denominator_certificate(polygon.degree, q, interval, w)
     xs = np.linspace(interval.a, interval.b, count)
-    basis = _rational_rows(polygon.degree, xs, q, interval, w)
+    basis = rational_basis_matrix(polygon.degree, xs, q, interval, weights)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
+    positive = bool(np.all(np.asarray(weights, dtype=float) > 0.0))
     return CurveSamples(xs, points, "rational" if positive else "rational-no-shape-guarantee")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import basis_matrix
 from .errors import MinorCapExceededError
 from .kernel import Interval
-from .rational import _coerce_weights, _rational_rows, point_segment_distance
+from .rational import point_segment_distance, rational_basis_matrix
 
 __all__ = [
     "MINOR_CAP",
@@ -87,11 +87,9 @@ def collocation(
         raise ValueError("points must be strictly increasing")
     if pts[0] < interval.a or pts[-1] > interval.b:
         raise ValueError(f"points must lie inside [{interval.a}, {interval.b}]")
-    if family == "rational" and weights is None:
-        raise ValueError("rational collocation needs weights")
 
-    if family == "rational":  # rational_basis_all's pointwise rule, no interval certificate
-        rows = _rational_rows(n, pts, q, interval, _coerce_weights(weights, n))
+    if family == "rational":  # mixed-sign weights pass the denominator certificate first
+        rows = rational_basis_matrix(n, pts, q, interval, weights)
     else:
         rows = basis_matrix(n, pts, 1.0 if family == "classical" else q, interval)
     return CollocationMatrix(entries=rows.T, points=pts, family=family)
@@ -110,11 +108,13 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     Accepts a CollocationMatrix or anything array-like.  A minor with
     determinant det and row-max-norm product scale fails when
     det < -tolerance * scale.  Refuses matrices with more than MINOR_CAP
-    square submatrices.
+    square submatrices, and matrices with NaN or inf entries.
     """
     entries = matrix.entries if isinstance(matrix, CollocationMatrix) else np.asarray(matrix, dtype=float)
     if entries.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("matrix entries must be finite")  # a NaN minor never compares below the worst
     n_rows, n_cols = entries.shape
     total = minor_count(n_rows, n_cols)
     if total > MINOR_CAP:

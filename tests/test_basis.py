@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from qtrig import (
     BasisVector,
+    FloatRangeError,
     Interval,
+    QTrigError,
     InvalidIntervalError,
     basis_all_direct,
     basis_all_recurrence1,
     basis_all_recurrence2,
     basis_matrix,
     classical_trig_basis,
+    rational_basis_matrix,
 )
 from oracles import basis_direct_mp, quarter_basis_mp
 
@@ -168,3 +171,24 @@ def test_recurrences_agree_with_product_formula_property(n, q, t):
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(rec1 - direct)) <= 1e-11 * scale
     assert np.max(np.abs(rec2 - direct)) <= 1e-11 * scale
+
+
+def test_denominator_product_outside_float_range(quarter):
+    # prod_i d(0, pi/2; q^i) = q^(n(n-1)/2) underflows to 0 at (150, 0.9)
+    # and overflows to inf at (40, 3) while the q-binomial row stays finite
+    assert issubclass(FloatRangeError, QTrigError)
+    for n, q in ((150, 0.9), (40, 3.0)):
+        with pytest.raises(FloatRangeError, match="is outside float64"):
+            basis_all_direct(n, 0.7, q, quarter)
+        with pytest.raises(FloatRangeError, match="is outside float64"):
+            basis_matrix(n, [0.1, 0.7], q, quarter)
+    # at (200, 3) the q-binomial row overflows first; the rational route
+    # inherits the error from the basis
+    with pytest.raises(FloatRangeError):
+        rational_basis_matrix(200, [0.1, 0.7], 3.0, quarter, np.ones(201))
+
+
+def test_recurrences_stay_finite_where_the_product_underflows(quarter):
+    for method in (basis_all_recurrence1, basis_all_recurrence2):
+        values = method(150, 0.7, 0.9, quarter).values
+        assert np.all(np.isfinite(values))

@@ -196,16 +196,29 @@ def test_rational_basis_certifies_mixed_weights(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rational_basis_rejects_nan_rows(tmp_path, capsys):
-    # at degree 200 the basis product overflows to inf/inf, so every row of
-    # weighted terms is NaN; the denominator rule must reject it
+    # at degree 200 and q = 3 the basis would be inf/inf = NaN in every row;
+    # the q-binomial row overflows first and the range error is a usage error
     out = tmp_path / "x.csv"
     code = main(["rational", "--basis", "--degree", "200", "--q", "3",
                  "--interval", "0,pi/2", "--samples", "3", "--out", str(out)])
-    assert code == 3
+    assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("qtrig: singular denominator:")
+    assert err.startswith("qtrig: error: q-binomial row 200 at q=3.0 overflows float64")
     assert "Traceback" not in err
+
+
+def test_basis_outside_float_range_is_a_usage_error(tmp_path, capsys):
+    # (150, 0.9): prod d(a,b;q^i) underflows to 0; (700, 3): q ** 699 overflows
+    for degree, q in (("150", "0.9"), ("700", "3")):
+        out = tmp_path / f"b{degree}.csv"
+        code = main(["basis", "--degree", degree, "--q", q, "--interval", "0,pi/2",
+                     "--samples", "2", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qtrig: error:") and "float64" in err
+        assert "Traceback" not in err
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):
@@ -316,3 +329,26 @@ def test_zero_divisor_angle_is_a_usage_error(capsys):
     assert main(["basis", "--degree", "3", "--q", "1", "--interval", "0,pi/0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("qtrig: error: cannot parse angle") and "Traceback" not in err
+
+
+def test_check_vdp_needs_at_least_one_line(tmp_path, capsys):
+    poly = write_polygon(tmp_path)
+    for grid in ("0", "-3"):
+        assert main(["check", "vdp", "--polygon", poly, "--q", "2",
+                     "--interval", "0,pi/2", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qtrig: error: check vdp needs at least 1 line, got --grid {grid}\n"
+
+
+def test_check_rejects_output_flags(tmp_path, capsys):
+    # check prints its verdict; --format, --out and --digits belong to the
+    # subcommands that write tables
+    out = tmp_path / "x.svg"
+    for flags in (["--format", "svg", "--out", str(out)], ["--digits", "5"]):
+        assert main(["check", "tp", "--degree", "2", "--q", "1.5",
+                     "--interval", "0,pi/2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+    assert not out.exists()

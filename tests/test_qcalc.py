@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtrig import (
+    FloatRangeError,
     q_binomial,
     q_binomial_row,
     q_powers,
@@ -141,3 +142,12 @@ def test_q_powers_running_product():
     got = q_powers(3.0, 5)
     assert got == [1.0, 3.0, 9.0, 27.0, 81.0]
     assert q_powers(2.0, 1) == [1.0]
+
+
+def test_row_outside_float_range_raises():
+    # q ** (m - k) itself overflows at (700, 3); at (60, 3) the entries near
+    # the middle pass 1e308 while every power stays finite
+    for n, q in ((700, 3.0), (700, -3.0), (60, 3.0)):
+        with pytest.raises(FloatRangeError, match=f"q-binomial row {n} "):
+            q_binomial_row(n, q)
+    assert all(map(math.isfinite, q_binomial_row(40, 3.0)))

@@ -160,14 +160,17 @@ def test_certificate_rejects_rows_with_no_weighted_terms(quarter):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_rows_are_singular(quarter):
-    # the degree-200 basis overflows to inf/inf = NaN on [0, pi/2] at q = 3
+def test_nan_rows_are_singular():
+    # far outside the short interval [0, 0.05] the degree-200 basis values at
+    # q = 1 overflow to +inf and -inf while prod d(a, b) = sin(0.05)^200 stays
+    # in range, so each row of weighted terms sums to NaN
+    iv = Interval(0.0, 0.05)
     w = np.ones(201)
     with pytest.raises(SingularDenominatorError) as err:
-        rational_basis_matrix(200, [0.1, 0.7], 3.0, quarter, w)
-    assert err.value.x == 0.1
+        rational_basis_matrix(200, [-1.5, 0.02], 1.0, iv, w)
+    assert err.value.x == -1.5
     with pytest.raises(SingularDenominatorError):
-        rational_basis_all(200, 0.1, 3.0, quarter, w)
+        rational_basis_all(200, -1.5, 1.0, iv, w)
 
 
 def test_mixed_weights_without_zero_crossing(quarter):

@@ -8,6 +8,7 @@ from qtrig import (
     CollocationMatrix,
     Interval,
     MinorCapExceededError,
+    SingularDenominatorError,
     basis_all_direct,
     classical_trig_basis,
     collocation,
@@ -81,6 +82,21 @@ def test_tp_check_hand_matrices():
     assert abs(bad.worst_minor - (-5.0)) <= 1e-12
     assert bad.witness == ((0, 1), (0, 1))
     assert bad.worst_scaled < -0.1
+
+
+def test_tp_check_rejects_non_finite_entries():
+    # a NaN scaled minor never compares below the running worst, so these
+    # matrices would pass; the 2x2 minor of the second is -inf
+    for bad in ([[math.nan, 1.0], [1.0, 2.0]], [[1.0, math.inf], [0.5, 2.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            total_positivity_check(np.array(bad))
+
+
+def test_rational_collocation_certifies_mixed_weights(quarter):
+    # at q = 1, w = (1, -3, 1) gives 1 - 3 sin(2x): positive at the two
+    # endpoints, zero in between, so only the interval certificate sees it
+    with pytest.raises(SingularDenominatorError):
+        collocation("rational", 2, 1.0, quarter, [0.0, math.pi / 2], weights=[1.0, -3.0, 1.0])
 
 
 def test_tp_check_refuses_oversized_matrices():
