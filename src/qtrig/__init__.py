@@ -26,7 +26,6 @@ from .kernel import (
     certify_interval,
     trig_kernel,
     kernel_tables,
-    kernel_tables_array,
 )
 from .basis import (
     BasisVector,
@@ -65,7 +64,6 @@ from .shape import (
     convex_hull,
     minor_count,
     point_in_hull,
-    sign_changes_function,
     sign_changes_seq,
     total_positivity_check,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "ValidityCertificate",
     "certify_interval",
     "kernel_tables",
-    "kernel_tables_array",
     "BasisVector",
     "basis_all_direct",
     "basis_matrix",
@@ -119,7 +116,6 @@ __all__ = [
     "minor_count",
     "total_positivity_check",
     "sign_changes_seq",
-    "sign_changes_function",
     "convex_hull",
     "point_in_hull",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatRangeError
-from .kernel import Interval, kernel_tables, kernel_tables_array
+from .kernel import Interval, kernel_tables
 from .qcalc import q_binomial_row, q_powers
 
 __all__ = [
@@ -49,24 +49,23 @@ class BasisVector:
             )
 
 
-def _product_factors(n, x, q, interval, tables):
-    """The q-binomial row, tables(interval, x, q, n) and prod_{i<n} d(a, b; q^i).
+def _product_chain(row, d_ax, d_xb, d_ab, n, q):
+    """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / prod(d_ab) for j = 0..r = len(row) - 1.
 
-    Raises FloatRangeError when the product is 0 or not finite.
+    One left-to-right chain per entry, on floats or (m,) columns alike.  Raises
+    FloatRangeError, naming degree n and q, when prod(d_ab) is 0 or not finite.
     """
-    row = q_binomial_row(n, q)  # first: it overflows before any q-power of the tables
-    d_ax, d_xb, d_ab = tables(interval, x, q, n)
     den = math.prod(d_ab)
     if den == 0.0 or not math.isfinite(den):
         raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
-    return row, d_ax, d_xb, den
+    r = len(row) - 1
+    return [math.prod(d_ax[:j] + d_xb[: r - j], start=row[j]) / den for j in range(r + 1)]
 
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    row, d_ax, d_xb, den = _product_factors(n, x, q, interval, kernel_tables)
-    # one left-to-right chain per k: [n choose k]_q, the d_ax, then the d_xb
-    values = [math.prod(d_ax[:k] + d_xb[: n - k], start=row[k]) / den for k in range(n + 1)]
+    row = q_binomial_row(n, q)  # first: it overflows before any q-power of the tables
+    values = _product_chain(row, *kernel_tables(interval, x, q, n), n, q)
     return BasisVector(degree=n, q=q, interval=interval, x=x, values=np.array(values))
 
 
@@ -74,16 +73,14 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     """Basis vectors at every point of xs, shape (m, n+1).
 
     Row j is bit-identical to basis_all_direct(n, xs[j], q, interval).values:
-    each entry takes the same multiplications in the same order.  The
-    interval is certified and the q-binomial row built once per call.
+    both take the same product chain, here on columns.  The interval is
+    certified and the q-binomial row built once per call.
     """
-    row, d_ax, d_xb, den = _product_factors(n, xs, q, interval, kernel_tables_array)
-    values = np.tile(row, (d_ax.shape[0], 1))
-    for i in range(n):  # entry k takes d_ax[:k] in order, then d_xb[:n-k]
-        values[:, i + 1:] *= d_ax[:, i, None]
-    for i in range(n):
-        values[:, : n - i] *= d_xb[:, i, None]
-    return values / den
+    row = q_binomial_row(n, q)
+    values = np.empty((len(xs), n + 1))
+    # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
+    values[:] = np.array(_product_chain(row, *kernel_tables(interval, xs, q, n), n, q)).T
+    return values
 
 
 def _recurrence(n, x, q, interval, second_form):

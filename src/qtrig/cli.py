@@ -33,7 +33,6 @@ from .shape import (
     collocation,
     convex_hull,
     point_in_hull,
-    sign_changes_function,
     sign_changes_seq,
     total_positivity_check,
 )
@@ -257,7 +256,7 @@ def _check_vdp(cfg: argparse.Namespace) -> dict:
         theta = rng.random() * math.pi
         normal = np.array([math.cos(theta), math.sin(theta)])
         offset = float(normal @ center)
-        curve_changes = sign_changes_function(pts @ normal - offset)
+        curve_changes = sign_changes_seq(pts @ normal - offset)
         ctrl_changes = sign_changes_seq(ctrl @ normal - offset)
         violations += curve_changes > ctrl_changes
         max_crossings = max(max_crossings, curve_changes)
@@ -277,7 +276,7 @@ def _check_signs(cfg: argparse.Namespace) -> dict:
     q = cfg.qs[0]
     n_samples = _count(cfg.samples, SIGNS_SAMPLES)
     sweep = sample_curve(polygon, q, cfg.interval, n_samples)
-    curve_changes = sign_changes_function(sweep.points[:, 0])
+    curve_changes = sign_changes_seq(sweep.points[:, 0])
     ctrl_changes = sign_changes_seq(polygon.points[:, 0])
     return {
         "check": "signs",

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_all_direct, basis_matrix
-from .errors import IllConditionedFitError
-from .kernel import Interval, kernel_tables, kernel_tables_array
+from .basis import _product_chain, basis_all_direct, basis_matrix
+from .errors import FloatRangeError, IllConditionedFitError
+from .kernel import Interval, kernel_tables
 from .qcalc import q_binomial_row, q_powers, validate_q
 
 __all__ = [
@@ -83,12 +83,16 @@ class CurveSamples:
     """A sampled curve as columns: x has shape (m,), points (m, dim).
 
     Indexing gives the CurveSample at one x, so the block also reads as a
-    sequence of samples.
+    sequence of samples.  Points that are inf or NaN raise FloatRangeError.
     """
 
     x: np.ndarray
     points: np.ndarray
     method: str
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.points)):
+            raise FloatRangeError(f"{self.method} curve points leave float64")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -128,12 +132,13 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
 def _stages(work, d_ax, d_xb, d_ab, q, variant):
     """Yield stages 0..n of the alg1/alg2 scheme, stage 0 being work itself.
 
-    work is (n+1, dim) with (n,) tables for one x, or (m, n+1, dim) with
-    (m, n) tables for m points; stage r then has n+1-r entries on the
-    second-to-last axis.  evaluate_alg1 and evaluate_alg2 state the step.
+    work is (n+1, dim) with the kernel_tables of one x, or (m, n+1, dim)
+    with the kernel_tables of m points; stage r then has n+1-r entries on
+    the second-to-last axis.  evaluate_alg1 and evaluate_alg2 state the step.
     """
     n = len(d_ab)
     powers = np.array(q_powers(float(q), n))
+    d_ax, d_xb = np.array(d_ax).T, np.array(d_xb).T  # (n,) or (m, n)
     yield work
     for r in range(n):
         den = d_ab[n - r - 1]
@@ -149,8 +154,8 @@ def _stages(work, d_ax, d_xb, d_ab, q, variant):
 
 def _tableau(polygon, x, q, interval, variant):
     q = validate_q(q)
-    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, polygon.degree)
-    rows = _stages(polygon.points.copy(), np.array(d_ax), np.array(d_xb), d_ab, q, variant)
+    tables = kernel_tables(interval, x, q, polygon.degree)
+    rows = _stages(polygon.points.copy(), *tables, q, variant)
     return DeCasteljauTableau(variant=variant, x=x, q=q, interval=interval, rows=tuple(rows))
 
 
@@ -199,20 +204,25 @@ def intermediate_explicit(
         raise IndexError(f"tableau entry (r={r}, k={k}) outside degree-{n} scheme")
     q = validate_q(q)
     d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
-    den = math.prod(d_ab[n - r:])
-    qb = q_binomial_row(r, q)
+    alg1 = variant == "alg1"
+    try:  # the prefactor times [r j]_q starts chain j
+        start = [q ** (k * (r - j) if alg1 else j * (n - r - k)) * c
+                 for j, c in enumerate(q_binomial_row(r, q))]
+    except OverflowError:  # raised by the power of q; fails the test below
+        start = [math.inf]
+    if not all(map(math.isfinite, start)):
+        raise FloatRangeError(f"degree {n}, q={q!r}: a prefactor q^e [r j]_q overflows float64")
+    coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], d_ab[n - r:], n, q)
     acc = np.zeros(polygon.dim)
-    for j in range(r + 1):
-        exponent = k * (r - j) if variant == "alg1" else j * (n - r - k)
-        # one left-to-right chain: the prefactor, d_ax[k:k+j], then d_xb[n-r-k:n-k-j]
-        term = math.prod(d_ax[k:k + j] + d_xb[n - r - k:n - k - j], start=q ** exponent * qb[j])
-        acc += (term / den) * polygon.points[k + j]
+    for j, c in enumerate(coeffs):
+        acc += c * polygon.points[k + j]
     return acc
 
 
 _METHODS = ("direct", "alg1", "alg2")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects inf and NaN points
 def sample_curve(
     polygon: ControlPolygon,
     q: float,
@@ -236,7 +246,7 @@ def sample_curve(
         # a plain basis @ points may round differently
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
-        tables = kernel_tables_array(interval, xs, q, polygon.degree)  # validates q
+        tables = kernel_tables(interval, xs, q, polygon.degree)  # validates q
         work = np.broadcast_to(polygon.points, (len(xs),) + polygon.points.shape)
         for work in _stages(work, *tables, q, method):
             pass  # only the last stage is kept; its one entry per x is the apex

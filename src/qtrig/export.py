@@ -132,7 +132,10 @@ def read_polygon_json(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
         raise ValueError(f"{path}: points must be finite rows of equal length")
     weights = None
     if data.get("weights") is not None:
-        weights = np.asarray(data["weights"], dtype=float)
+        try:
+            weights = np.asarray(data["weights"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: weights are not a numeric array") from exc
         if weights.shape != (points.shape[0],):
             raise ValueError(
                 f"{path}: expected {points.shape[0]} weights, got {weights.shape}"

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidIntervalError
+from .errors import FloatRangeError, InvalidIntervalError
 from .qcalc import q_powers, validate_q
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ValidityCertificate",
     "certify_interval",
     "kernel_tables",
-    "kernel_tables_array",
 ]
 
 # Denominators with |d(a,b;q^i)| at or below this are treated as singular.
@@ -41,7 +40,7 @@ _HALF_PI = math.pi / 2
 
 def trig_kernel(x: float, y: float, q: float) -> float:
     """d(x, y; q) = (q+1)/2 sin(y-x) + (q-1)/2 sin(y+x)."""
-    return 0.5 * (q + 1.0) * math.sin(y - x) + 0.5 * (q - 1.0) * math.sin(y + x)
+    return _kernel_row([q], math.sin(y - x), math.sin(y + x))[0]
 
 
 @dataclass(frozen=True)
@@ -87,28 +86,32 @@ class ValidityCertificate:
     failing_index: Optional[int]
 
 
+def _kernel_row(powers, sin_minus, sin_plus):
+    """d(x, y; p) for each p in powers, from sin(y - x) and sin(y + x) as floats or (m,) columns."""
+    return [0.5 * (p + 1.0) * sin_minus + 0.5 * (p - 1.0) * sin_plus for p in powers]
+
+
 def _scan_interval(interval: Interval, q: float, n: int):
-    """The one certification loop over i = 0..n.
+    """The one certification rule over i = 0..n.
 
     Returns the powers q^0..q^n, the denominators d(a, b; q^i), the smallest
     |d| and the first i with |d| <= SINGULARITY_TOL (None if there is none).
-    The extra index n covers the denominators of degree-raising recurrences.
+    Index n belongs to certify_interval's contract; no evaluation route
+    divides by d(a, b; q^n).  Raises FloatRangeError when some d(a, b; q^i)
+    is inf or NaN, as it is once a q-power overflows.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = interval.a, interval.b
     powers = q_powers(q, n + 1)
-    d_ab = []
-    min_abs = math.inf
+    d_ab = _kernel_row(powers, math.sin(b - a), math.sin(b + a))
+    if not all(map(math.isfinite, d_ab)):
+        raise FloatRangeError(f"degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+    magnitudes = list(map(abs, d_ab))
+    min_abs = min(magnitudes)
     failing = None
-    for i, qi in enumerate(powers):
-        d = trig_kernel(a, b, qi)
-        d_ab.append(d)
-        v = abs(d)
-        if v < min_abs:
-            min_abs = v
-        if failing is None and v <= SINGULARITY_TOL:
-            failing = i
+    if min_abs <= SINGULARITY_TOL:
+        failing = next(i for i, v in enumerate(magnitudes) if v <= SINGULARITY_TOL)
     return powers, d_ab, min_abs, failing
 
 
@@ -116,7 +119,8 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     """Certify [a, b] for degree-n work at parameter q.
 
     Reports whether |d(a, b; q^i)| > SINGULARITY_TOL for i = 0..n inclusive;
-    kernel_tables applies the same rule and raises where this reports.
+    kernel_tables applies the same rule and raises where this reports.  An
+    inf or NaN denominator raises FloatRangeError.
     """
     q = validate_q(q)
     _, _, min_abs, failing = _scan_interval(interval, q, n)
@@ -130,50 +134,24 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     )
 
 
-def _certified(interval: Interval, q: float, n: int) -> tuple[list[float], list[float]]:
-    """q^0..q^(n-1) and d(a, b; q^i) for i < n, once i = 0..n are certified.
-
-    Raises InvalidIntervalError at the first failing index.
-    """
-    powers, d_ab, _, failing = _scan_interval(interval, validate_q(q), n)
-    if failing is not None:
-        raise InvalidIntervalError(interval.a, interval.b, q, failing, d_ab[failing])
-    return powers[:n], d_ab[:n]
-
-
-def kernel_tables(
-    interval: Interval, x: float, q: float, n: int
-) -> tuple[list[float], list[float], list[float]]:
+def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, list[float]]:
     """Kernel values at the geometric powers q^0..q^(n-1).
 
-    Returns (d_ax, d_xb, d_ab) with d_ax[i] = d(a, x; q^i) and so on.
-    The interval is certified first, as certify_interval(interval, q, n)
-    would, and InvalidIntervalError raised if it fails.  Every evaluator in
-    the package shares these tables so that identical subexpressions are
-    bit-identical across methods.
+    Returns (d_ax, d_xb, d_ab) with d_ax[i] = d(a, x; q^i) and so on: floats
+    for a float x, (m,) columns bit-identical to them for an array of m
+    points, and x-free floats in d_ab.  The interval is certified first, as
+    certify_interval(interval, q, n) would, and InvalidIntervalError raised
+    if it fails.  Every evaluator in the package shares these tables so that
+    identical subexpressions are bit-identical across methods.
     """
     a, b = interval.a, interval.b
-    powers, d_ab = _certified(interval, q, n)
-    d_ax = [trig_kernel(a, x, qi) for qi in powers]
-    d_xb = [trig_kernel(x, b, qi) for qi in powers]
-    return d_ax, d_xb, d_ab
-
-
-def kernel_tables_array(
-    interval: Interval, xs, q: float, n: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """kernel_tables for every point of xs at once.
-
-    Returns (d_ax, d_xb, d_ab) with d_ax[j, i] = d(a, xs[j]; q^i), d_xb of
-    the same (m, n) shape, and the x-free d_ab list of kernel_tables, after
-    the same certification.  The tables are outer products in trig_kernel's
-    own form, so every entry is bit-identical to the scalar table entry.
-    """
-    a, b = interval.a, interval.b
-    xs = np.asarray(xs, dtype=float)[:, None]
-    powers, d_ab = _certified(interval, q, n)
-    p = np.array(powers)
-    plus, minus = 0.5 * (p + 1.0), 0.5 * (p - 1.0)
-    d_ax = plus * np.sin(xs - a) + minus * np.sin(xs + a)
-    d_xb = plus * np.sin(b - xs) + minus * np.sin(b + xs)
-    return d_ax, d_xb, d_ab
+    powers, d_ab, _, failing = _scan_interval(interval, validate_q(q), n)
+    if failing is not None:
+        raise InvalidIntervalError(a, b, q, failing, d_ab[failing])
+    if isinstance(x, (float, int)):
+        sin = math.sin
+    else:
+        sin, x = np.sin, np.asarray(x, dtype=float)
+    d_ax = _kernel_row(powers[:n], sin(x - a), sin(x + a))
+    d_xb = _kernel_row(powers[:n], sin(b - x), sin(b + x))
+    return d_ax, d_xb, d_ab[:n]

@@ -44,26 +44,28 @@ def _coerce_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _denominators(terms: np.ndarray, xs) -> np.ndarray:
-    """Row sums of the weighted basis terms (m, n+1), the rational denominators.
+def _weighted_rows(w: np.ndarray, basis: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The terms w_k B_k of the basis rows (m, n+1) and their sums, the denominators.
 
-    Raises SingularDenominatorError at the first x whose sum is not clear of
-    DENOMINATOR_REL_TOL times the row's largest term magnitude.  Rows of
-    zeros, NaN or inf fail that comparison too.
+    Raises SingularDenominatorError at the first x whose sum is not finite or
+    not clear of DENOMINATOR_REL_TOL times the row's largest term magnitude:
+    rows of zeros, NaN or inf fail, as do rows whose product or sum overflows.
     """
-    dens = terms.sum(axis=1)
-    clear = np.abs(dens) > DENOMINATOR_REL_TOL * np.abs(terms).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
+        terms = w * basis
+        dens = terms.sum(axis=1)
+    clear = np.isfinite(dens) & (np.abs(dens) > DENOMINATOR_REL_TOL * np.abs(terms).max(axis=1))
     if not clear.all():
         i = int(clear.argmin())
         raise SingularDenominatorError(float(xs[i]), float(dens[i]))
-    return dens
+    return terms, dens
 
 
 def rational_basis_all(n: int, x: float, q: float, interval: Interval, weights) -> BasisVector:
     """All rational basis values R_k(x; q); they sum to one exactly up to roundoff."""
-    terms = _coerce_weights(weights, n) * basis_all_direct(n, x, q, interval).values
-    den = _denominators(terms[None], [x])[0]
-    return BasisVector(degree=n, q=q, interval=interval, x=x, values=terms / den)
+    basis = basis_all_direct(n, x, q, interval).values[None]
+    terms, dens = _weighted_rows(_coerce_weights(weights, n), basis, [x])
+    return BasisVector(degree=n, q=q, interval=interval, x=x, values=terms[0] / dens[0])
 
 
 def rational_evaluate(
@@ -89,8 +91,8 @@ def denominator_certificate(n: int, q: float, interval: Interval, weights) -> fl
         return float((w * basis_all_direct(n, x, q, interval).values).sum())
 
     xs = np.linspace(interval.a, interval.b, CERTIFICATE_GRID)
-    dens = _denominators(w * basis_matrix(n, xs, q, interval), xs)
-    crossings = np.flatnonzero(dens[:-1] * dens[1:] < 0.0)
+    _, dens = _weighted_rows(w, basis_matrix(n, xs, q, interval), xs)
+    crossings = np.flatnonzero(np.signbit(dens[:-1]) != np.signbit(dens[1:]))  # dens are nonzero
     if crossings.size:
         i = int(crossings[0])
         lo, hi = float(xs[i]), float(xs[i + 1])
@@ -121,10 +123,11 @@ def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> 
     w = _coerce_weights(weights, n)
     if not np.all(w > 0.0):
         denominator_certificate(n, q, interval, w)
-    terms = w * basis_matrix(n, xs, q, interval)
-    return terms / _denominators(terms, xs)[:, None]
+    terms, dens = _weighted_rows(w, basis_matrix(n, xs, q, interval), xs)
+    return terms / dens[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects inf and NaN points
 def rational_sample(
     polygon: ControlPolygon, weights, q: float, interval: Interval, count: int
 ) -> CurveSamples:

@@ -29,7 +29,6 @@ __all__ = [
     "minor_count",
     "total_positivity_check",
     "sign_changes_seq",
-    "sign_changes_function",
     "convex_hull",
     "point_in_hull",
 ]
@@ -102,6 +101,7 @@ def minor_count(rows: int, cols: int) -> int:
     )
 
 
+@np.errstate(divide="ignore")  # det flags some subnormal minors, yet returns them right
 def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPReport:
     """Exhaustively test all minors of a matrix for nonnegativity.
 
@@ -168,11 +168,6 @@ def sign_changes_seq(seq, zero_tolerance: Optional[float] = None) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def sign_changes_function(samples) -> int:
-    """S^- of an ordered list of function samples (values only)."""
-    return sign_changes_seq(np.asarray(samples, dtype=float))
-
-
 def convex_hull(points) -> np.ndarray:
     """Convex hull of 2-d points, counter-clockwise (monotone chain).
 
@@ -214,9 +209,12 @@ def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12):
     hull = np.asarray(hull, dtype=float)
     if hull.ndim != 2 or hull.shape[1] != 2:
         raise ValueError(f"expected (h, 2) hull, got shape {hull.shape}")
+    # an exact power-of-two rescale: the same verdicts, and no overflow below
+    e = math.frexp(float(np.abs(hull).max()))[1]
+    p, hull = np.ldexp(p, -e), np.ldexp(hull, -e)
     diffs = hull[:, None, :] - hull[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
-    tol = slack * diameter if diameter > 0.0 else slack
+    tol = slack * diameter if diameter > 0.0 else math.ldexp(slack, -e)
     if hull.shape[0] == 1:
         inside = np.linalg.norm(p - hull[0], axis=-1) <= tol
     elif hull.shape[0] == 2:

@@ -32,7 +32,6 @@ from qtrig import (
     rational_evaluate,
     rational_sample,
     sample_curve,
-    sign_changes_function,
     sign_changes_seq,
     tn_membership_residual,
     total_positivity_check,
@@ -200,7 +199,7 @@ def test_criterion_07_sign_change_bound():
         q = float(rng.choice([0.5, 1.0, 2.0]))
         poly = ControlPolygon(controls)
         samples = sample_curve(poly, q, QUARTER, 512)
-        curve_changes = sign_changes_function([float(s.point[0]) for s in samples])
+        curve_changes = sign_changes_seq([float(s.point[0]) for s in samples])
         if curve_changes > sign_changes_seq(controls):
             violations += 1
     passed = violations == 0
@@ -245,7 +244,7 @@ def test_criterion_08_shape_properties():
             theta = rng.random() * math.pi
             normal = np.array([math.cos(theta), math.sin(theta)])
             offset = float(normal @ center)
-            if sign_changes_function(pts @ normal - offset) > sign_changes_seq(
+            if sign_changes_seq(pts @ normal - offset) > sign_changes_seq(
                 (poly.points - center) @ normal
             ):
                 vdp_violations += 1

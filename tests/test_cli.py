@@ -208,6 +208,31 @@ def test_rational_basis_rejects_nan_rows(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_rational_basis_rejects_overflowing_sums(tmp_path, capsys):
+    # 1.7e308 (B_0 + B_1) overflows where both B_k are near 1/sqrt(2)
+    out = tmp_path / "x.csv"
+    code = main(["rational", "--basis", "--degree", "1", "--weights", "1.7e308,1.7e308",
+                 "--q", "1", "--interval", "0,pi/2", "--samples", "3", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("qtrig: singular denominator:") and "Traceback" not in err
+
+
+def test_curve_with_non_finite_interval_denominators(tmp_path, capsys):
+    # degree 700 at q = 3: the q-powers of the tables overflow, which the
+    # interval scan reports as a range error before any stage is run
+    poly = write_polygon(tmp_path, {"points": [[i, i % 3] for i in range(701)]})
+    for method in ("direct", "alg1", "alg2"):
+        code = main(["curve", "--polygon", poly, "--q", "3", "--interval", "0,pi/2",
+                     "--method", method, "--samples", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qtrig: error:") and "float64" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_basis_outside_float_range_is_a_usage_error(tmp_path, capsys):
     # (150, 0.9): prod d(a,b;q^i) underflows to 0; (700, 3): q ** 699 overflows
     for degree, q in (("150", "0.9"), ("700", "3")):
@@ -306,6 +331,10 @@ def test_polygon_file_errors(tmp_path, capsys):
     assert main(["curve", "--polygon", mismatched, "--q", "1",
                  "--interval", "0,pi/2"]) == 1
     capsys.readouterr()
+
+    keyed = write_polygon(tmp_path, {"points": [[0, 0], [1, 1]], "weights": {"w": 1}}, "k.json")
+    assert main(["curve", "--polygon", keyed, "--q", "1", "--interval", "0,pi/2"]) == 1
+    assert capsys.readouterr().err.endswith("weights are not a numeric array\n")
 
 
 def test_svg_requires_planar_polygon(tmp_path, capsys):

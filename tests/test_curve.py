@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qtrig import (
     ControlPolygon,
     CurveSamples,
+    FloatRangeError,
     IllConditionedFitError,
     Interval,
     evaluate_alg1,
@@ -154,6 +155,27 @@ def test_intermediate_explicit_bounds(quarter, arch_polygon):
         intermediate_explicit("alg2", -1, 0, 0.5, arch_polygon, 2.0, quarter)
     with pytest.raises(ValueError):
         intermediate_explicit("alg3", 0, 0, 0.5, arch_polygon, 2.0, quarter)
+
+
+def test_intermediate_explicit_outside_float_range(quarter):
+    # prod_{i<150} d(0, pi/2; 0.9^i) = 0.9^11175 underflows to 0
+    ones = ControlPolygon(np.ones((151, 2)))
+    with pytest.raises(FloatRangeError, match="is outside float64"):
+        intermediate_explicit("alg1", 150, 0, 0.7, ones, 0.9, quarter)
+    # the alg2 prefactor q^(j(n-r-k)) reaches 3^2500 at (n, r, k) = (100, 50, 0)
+    with pytest.raises(FloatRangeError, match="prefactor"):
+        intermediate_explicit("alg2", 50, 0, 0.7, ControlPolygon(np.ones((101, 2))), 3.0, quarter)
+
+
+def test_sweep_points_outside_float_range(quarter):
+    # alternating control points of size 1e308 at q = 0.25: the curve
+    # leaves float64 on every route
+    poly = ControlPolygon(1e308 * np.array([[(-1.0) ** k] for k in range(9)]))
+    for method in ("direct", "alg1", "alg2"):
+        with pytest.raises(FloatRangeError, match="curve points leave float64"):
+            sample_curve(poly, 0.25, quarter, 5, method)
+    with pytest.raises(FloatRangeError, match="curve points leave float64"):
+        CurveSamples(np.array([0.0]), np.array([[math.nan]]), "direct")
 
 
 def test_design_matrix_shapes():

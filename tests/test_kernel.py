@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtrig import (
+    FloatRangeError,
     Interval,
     InvalidIntervalError,
     certify_interval,
     classical_trig_basis,
     trig_kernel,
     kernel_tables,
-    kernel_tables_array,
 )
 from oracles import d_mp
 
@@ -95,7 +95,7 @@ def test_quarter_period_detection():
 
 
 # the kernel tables certify the interval themselves, for one x or for many
-_TABLES = (kernel_tables, lambda iv, x, q, n: kernel_tables_array(iv, [x], q, n))
+_TABLES = (kernel_tables, lambda iv, x, q, n: kernel_tables(iv, [x], q, n))
 
 
 def test_certificate_quarter_interval_valid():
@@ -131,6 +131,18 @@ def test_certificate_failure_at_positive_index():
         with pytest.raises(InvalidIntervalError) as err:
             tables(Interval(a, b), 1.0, q, 2)
         assert err.value.failing_index == 1
+
+
+def test_certificate_rejects_non_finite_denominators():
+    # q^i overflows to inf from i ~ 647 at q = 3, so d(a, b; q^i) is inf or
+    # inf - inf; neither may pass as clear of zero
+    for iv in (Interval(0.0, math.pi / 2), Interval(2.0, 2.5)):
+        with pytest.raises(FloatRangeError, match="leaves float64"):
+            certify_interval(iv, 3.0, 700)
+        for tables in _TABLES:
+            with pytest.raises(FloatRangeError):
+                tables(iv, 1.0, 3.0, 700)
+    assert certify_interval(Interval(0.0, math.pi / 2), 3.0, 600).valid
 
 
 def test_kernel_tables_match_direct_calls():

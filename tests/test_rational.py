@@ -18,7 +18,6 @@ from qtrig import (
     rational_basis_matrix,
     rational_evaluate,
     rational_sample,
-    sign_changes_function,
     sign_changes_seq,
 )
 
@@ -171,6 +170,27 @@ def test_nan_rows_are_singular():
     assert err.value.x == -1.5
     with pytest.raises(SingularDenominatorError):
         rational_basis_all(200, -1.5, 1.0, iv, w)
+
+
+def test_overflowing_sum_is_singular(quarter):
+    # each term is finite, their sum overflows to inf
+    w = [1.7e308, 1.7e308]
+    with pytest.raises(SingularDenominatorError) as err:
+        rational_basis_all(1, 0.7, 1.0, quarter, w)
+    assert err.value.x == 0.7
+    with pytest.raises(SingularDenominatorError) as err:
+        rational_basis_matrix(1, [0.0, 0.7], 1.0, quarter, w)
+    assert err.value.x == 0.7
+
+
+def test_certificate_finds_crossings_at_any_scale(quarter):
+    # the product of two neighbouring grid values would overflow for
+    # 1.7e308 cos x - sin x, which crosses zero next to pi/2, and underflow
+    # to -0.0 for 1e-200 (cos x - sin x), which crosses at pi/4
+    for w, root in (([1.7e308, -1.0], math.pi / 2), ([1e-200, -1e-200], math.pi / 4)):
+        with pytest.raises(SingularDenominatorError) as err:
+            denominator_certificate(1, 1.0, quarter, w)
+        assert abs(err.value.x - root) <= 1e-6
 
 
 def test_mixed_weights_without_zero_crossing(quarter):

@@ -15,7 +15,6 @@ from qtrig import (
     convex_hull,
     minor_count,
     point_in_hull,
-    sign_changes_function,
     sign_changes_seq,
     total_positivity_check,
 )
@@ -90,6 +89,14 @@ def test_tp_check_rejects_non_finite_entries():
     for bad in ([[math.nan, 1.0], [1.0, 2.0]], [[1.0, math.inf], [0.5, 2.0]]):
         with pytest.raises(ValueError, match="finite"):
             total_positivity_check(np.array(bad))
+
+
+def test_tp_check_of_subnormal_minors(quarter):
+    # w_2 = 1.7e308 pushes R_0 into the subnormal range and R_1 is zero;
+    # np.linalg.det flags a division by zero on some of these zero minors
+    pts = [quarter.b * (j + 1) / 5 for j in range(4)]
+    mat = collocation("rational", 2, 1.0, quarter, pts, weights=[1.0, 0.0, 1.7e308])
+    assert total_positivity_check(mat).is_tp
 
 
 def test_rational_collocation_certifies_mixed_weights(quarter):
@@ -187,7 +194,7 @@ def test_sign_changes_sequences():
 
 def test_sign_changes_of_sampled_function():
     xs = np.linspace(0.0, 2 * math.pi, 512)
-    assert sign_changes_function(np.sin(2 * xs)) == 3
+    assert sign_changes_seq(np.sin(2 * xs)) == 3
 
 
 def test_convex_hull_shapes():
@@ -214,6 +221,12 @@ def test_point_in_hull_predicate():
     single = np.array([[1.0, 1.0]])
     assert point_in_hull([1.0, 1.0], single)
     assert not point_in_hull([1.1, 1.0], single)
+    # the same verdicts at 1e300, where squares and cross products overflow
+    cases = ((hull, [1.0, 1.0], [2.1, 1.0]), (segment, [0.5, 0.5], [0.5, 0.6]),
+             (single, [1.0, 1.0], [1.1, 1.0]))
+    for shape, inside, outside in cases:
+        assert point_in_hull(1e300 * np.array(inside), 1e300 * shape)
+        assert not point_in_hull(1e300 * np.array(outside), 1e300 * shape)
 
 
 def test_point_in_hull_array_matches_per_point():

@@ -21,6 +21,7 @@ from qtrig import (
     evaluate_alg1,
     evaluate_alg2,
     evaluate_direct,
+    kernel_tables,
     rational_basis_all,
     rational_basis_matrix,
     rational_evaluate,
@@ -50,6 +51,20 @@ def _cases(seed, count=24):
 
 def _same(got, want):
     return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True)
+
+
+def test_kernel_table_columns_equal_float_tables():
+    rng = np.random.default_rng(3100)
+    for poly, _, q, iv in _cases(3099):
+        n = poly.degree
+        xs = np.concatenate([[iv.a, iv.b], rng.uniform(iv.a, iv.b, size=20)])
+        d_ax, d_xb, d_ab = kernel_tables(iv, xs, q, n)
+        assert len(d_ax) == len(d_xb) == len(d_ab) == n
+        for j, x in enumerate(xs):
+            want_ax, want_xb, want_ab = kernel_tables(iv, float(x), q, n)
+            assert [col[j] for col in d_ax] == want_ax
+            assert [col[j] for col in d_xb] == want_xb
+            assert d_ab == want_ab
 
 
 @pytest.mark.parametrize("method", ["direct", "alg1", "alg2"])
