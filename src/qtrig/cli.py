@@ -30,6 +30,7 @@ from .export import Polyline, render_csv, render_json_records, render_svg, read_
 from .kernel import Interval
 from .rational import rational_basis_matrix, rational_sample
 from .shape import (
+    DEFAULT_TP_TOL,
     collocation,
     convex_hull,
     point_in_hull,
@@ -45,10 +46,9 @@ EXIT_VIOLATION = 4
 
 PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#ff7f0e", "#9467bd", "#8c564b")
 VDP_SEED = 20240811
-# --samples and --grid defaults; check vdp and check signs sample more densely
+# --samples defaults; check vdp and check signs sample more densely
 SAMPLES = 129
-TP_GRID = 6
-VDP_SAMPLES, VDP_LINES = 2048, 50
+VDP_SAMPLES = 2048
 SIGNS_SAMPLES = 512
 
 
@@ -96,11 +96,6 @@ def _parse_weights(text: str) -> np.ndarray:
     return np.array([float(p) for p in text.split(",")], dtype=float)
 
 
-def _count(value: Optional[int], default: int) -> int:
-    """An explicit --samples or --grid, else the subcommand's own default."""
-    return default if value is None else value
-
-
 def _polygon(cfg: argparse.Namespace, dim: Optional[int] = None):
     """(ControlPolygon, weights) from --polygon.
 
@@ -112,7 +107,7 @@ def _polygon(cfg: argparse.Namespace, dim: Optional[int] = None):
     if dim is not None and polygon.dim != dim:
         kind = "2-d" if dim == 2 else "scalar"
         raise _UsageError(f"check {cfg.property} needs {kind} control points")
-    weights = getattr(cfg, "weights", None)  # curve has no --weights
+    weights = getattr(cfg, "weights", None)  # curve and check signs have no --weights
     if weights is None:
         weights = np.ones(polygon.degree + 1) if file_weights is None else file_weights
     return polygon, weights
@@ -146,10 +141,9 @@ def _polyline(xs, ys, stroke: str, **style) -> Polyline:
 def cmd_basis(cfg: argparse.Namespace, weights=None) -> int:
     """One basis table per --q; the rational family if weights are given."""
     n, interval = cfg.degree, cfg.interval
-    samples = _count(cfg.samples, SAMPLES)
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
-    xs = np.linspace(interval.a, interval.b, samples)
+    if cfg.samples < 1:
+        raise ValueError(f"need at least 1 sample, got {cfg.samples}")
+    xs = np.linspace(interval.a, interval.b, cfg.samples)
     if weights is None:
         tables = [basis_matrix(n, xs, q, interval) for q in cfg.qs]
     else:
@@ -178,32 +172,26 @@ def _write_curve_output(cfg: argparse.Namespace, sweeps, polygon: ControlPolygon
 
 def cmd_curve(cfg: argparse.Namespace) -> int:
     polygon, _ = _polygon(cfg)
-    count = _count(cfg.samples, SAMPLES)
-    sweeps = [sample_curve(polygon, q, cfg.interval, count, cfg.method) for q in cfg.qs]
+    sweeps = [sample_curve(polygon, q, cfg.interval, cfg.samples, cfg.method) for q in cfg.qs]
     return _write_curve_output(cfg, sweeps, polygon)
 
 
 def cmd_rational(cfg: argparse.Namespace) -> int:
+    """The rational basis with --basis, else the curve of --polygon."""
+    if cfg.basis_mode != (cfg.degree is not None):
+        raise _UsageError("rational takes --basis and --degree together")
     if cfg.basis_mode:
-        if cfg.degree is None:
-            raise _UsageError("rational --basis needs --degree")
         weights = np.ones(cfg.degree + 1) if cfg.weights is None else cfg.weights
         return cmd_basis(cfg, weights)
-    if cfg.polygon is None:
-        raise _UsageError("rational needs --polygon (or --basis with --degree)")
     polygon, weights = _polygon(cfg)
-    count = _count(cfg.samples, SAMPLES)
-    sweeps = [rational_sample(polygon, weights, q, cfg.interval, count) for q in cfg.qs]
+    sweeps = [rational_sample(polygon, weights, q, cfg.interval, cfg.samples) for q in cfg.qs]
     return _write_curve_output(cfg, sweeps, polygon)
 
 
 def _check_tp(cfg: argparse.Namespace) -> dict:
-    if cfg.degree is None:
-        raise _UsageError("check tp needs --degree")
     q = cfg.qs[0]
     a, b = cfg.interval.a, cfg.interval.b
-    grid = _count(cfg.grid, TP_GRID)
-    pts = [a + (b - a) * (j + 1) / (grid + 1) for j in range(grid)]
+    pts = [a + (b - a) * (j + 1) / (cfg.grid + 1) for j in range(cfg.grid)]
     family = "quantum" if cfg.weights is None else "rational"
     mat = collocation(family, cfg.degree, q, cfg.interval, pts, weights=cfg.weights)
     rep = total_positivity_check(mat, cfg.tolerance)
@@ -213,7 +201,7 @@ def _check_tp(cfg: argparse.Namespace) -> dict:
         "degree": cfg.degree,
         "q": q,
         "interval": [a, b],
-        "grid": grid,
+        "grid": cfg.grid,
         "minors_checked": rep.minors_checked,
         "worst_minor": rep.worst_minor,
         "worst_scaled": rep.worst_scaled,
@@ -226,14 +214,12 @@ def _check_tp(cfg: argparse.Namespace) -> dict:
 def _check_hull(cfg: argparse.Namespace) -> dict:
     polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
-    n_samples = _count(cfg.samples, SAMPLES)
-    pts = rational_sample(polygon, weights, q, cfg.interval, n_samples).points
-    hull = convex_hull(polygon.points)
-    violations = int(np.count_nonzero(~point_in_hull(pts, hull, slack=1e-12)))
+    pts = rational_sample(polygon, weights, q, cfg.interval, cfg.samples).points
+    violations = int(np.count_nonzero(~point_in_hull(pts, convex_hull(polygon.points))))
     return {
         "check": "hull",
         "q": q,
-        "samples": n_samples,
+        "samples": cfg.samples,
         "violations": violations,
         "pass": violations == 0,
     }
@@ -242,16 +228,14 @@ def _check_hull(cfg: argparse.Namespace) -> dict:
 def _check_vdp(cfg: argparse.Namespace) -> dict:
     polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
-    n_samples = _count(cfg.samples, VDP_SAMPLES)
-    pts = rational_sample(polygon, weights, q, cfg.interval, n_samples).points
+    pts = rational_sample(polygon, weights, q, cfg.interval, cfg.samples).points
     ctrl = polygon.points
     lo, hi = ctrl.min(axis=0), ctrl.max(axis=0)
     rng = np.random.default_rng(VDP_SEED)
-    lines = _count(cfg.grid, VDP_LINES)
-    if lines < 1:
-        raise _UsageError(f"check vdp needs at least 1 line, got --grid {lines}")
+    if cfg.grid < 1:
+        raise _UsageError(f"check vdp needs at least 1 line, got --grid {cfg.grid}")
     violations = max_crossings = 0
-    for _ in range(lines):
+    for _ in range(cfg.grid):
         center = lo + rng.random(2) * np.maximum(hi - lo, 1e-9)
         theta = rng.random() * math.pi
         normal = np.array([math.cos(theta), math.sin(theta)])
@@ -263,8 +247,8 @@ def _check_vdp(cfg: argparse.Namespace) -> dict:
     return {
         "check": "vdp",
         "q": q,
-        "lines": lines,
-        "curve_samples": n_samples,
+        "lines": cfg.grid,
+        "curve_samples": cfg.samples,
         "violations": violations,
         "max_curve_crossings": max_crossings,
         "pass": violations == 0,
@@ -274,8 +258,7 @@ def _check_vdp(cfg: argparse.Namespace) -> dict:
 def _check_signs(cfg: argparse.Namespace) -> dict:
     polygon, _ = _polygon(cfg, dim=1)
     q = cfg.qs[0]
-    n_samples = _count(cfg.samples, SIGNS_SAMPLES)
-    sweep = sample_curve(polygon, q, cfg.interval, n_samples)
+    sweep = sample_curve(polygon, q, cfg.interval, cfg.samples)
     curve_changes = sign_changes_seq(sweep.points[:, 0])
     ctrl_changes = sign_changes_seq(polygon.points[:, 0])
     return {
@@ -287,15 +270,10 @@ def _check_signs(cfg: argparse.Namespace) -> dict:
     }
 
 
-CHECKS = {"tp": _check_tp, "vdp": _check_vdp, "hull": _check_hull, "signs": _check_signs}
-
-
 def cmd_check(cfg: argparse.Namespace) -> int:
     if len(cfg.qs) != 1:
         raise _UsageError("check takes exactly one --q")
-    if cfg.property != "tp" and not cfg.polygon:
-        raise _UsageError(f"check {cfg.property} needs --polygon")
-    payload = CHECKS[cfg.property](cfg)
+    payload = cfg.check(cfg)
     print(f"{payload['check']}: {'PASS' if payload['pass'] else 'FAIL'}")
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK if payload["pass"] else EXIT_VIOLATION
@@ -305,14 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qtrig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, writes=True, with_method=False):
+    def common(p, samples=SAMPLES, writes=True):
         p.add_argument("--q", dest="qs", metavar="Q", action="append", type=float,
                        required=True, help="deformation parameter, repeatable for overlays")
         p.add_argument("--interval", required=True,
                        help='parameter interval "a,b"; accepts pi fractions like pi/2')
-        p.add_argument("--samples", type=int,
-                       help=f"sample count (default {SAMPLES}; check vdp {VDP_SAMPLES}, "
-                            f"check signs {SIGNS_SAMPLES})")
+        if samples is not None:  # check tp collocates on --grid instead
+            p.add_argument("--samples", type=int, default=samples,
+                           help=f"sample count (default {SAMPLES}; check vdp {VDP_SAMPLES}, "
+                                f"check signs {SIGNS_SAMPLES})" if writes
+                           else "sample count (default %(default)s)")
         if not writes:  # check prints a verdict, no table
             return
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"),
@@ -320,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--digits", type=int, default=17,
                        help="significant digits in csv/json output")
-        if with_method:
-            p.add_argument("--method", choices=("direct", "alg1", "alg2"),
-                           default="direct")
+
+    def weights(p):
+        p.add_argument("--weights", type=_parse_weights,
+                       help='comma-separated weights, e.g. "1,1,1,1"')
 
     p_basis = sub.add_parser("basis", help="sample the quantum basis functions")
     p_basis.add_argument("--degree", type=int, required=True)
@@ -332,29 +313,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="sample a quantum curve")
     p_curve.add_argument("--polygon", required=True, help="control polygon JSON file")
     p_curve.set_defaults(run=cmd_curve)
-    common(p_curve, with_method=True)
+    common(p_curve)
+    p_curve.add_argument("--method", choices=("direct", "alg1", "alg2"), default="direct")
 
     p_rat = sub.add_parser("rational", help="sample a rational basis or curve")
-    p_rat.add_argument("--polygon", help="control polygon JSON file")
-    p_rat.add_argument("--degree", type=int)
-    p_rat.add_argument("--weights", type=_parse_weights,
-                       help='comma-separated weights, e.g. "1,1,1,1"')
-    p_rat.add_argument("--basis", action="store_true", dest="basis_mode",
-                       help="emit the rational basis functions instead of a curve")
+    mode = p_rat.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--polygon", help="control polygon JSON file")
+    mode.add_argument("--basis", action="store_true", dest="basis_mode",
+                      help="emit the rational basis functions of --degree instead of a curve")
+    p_rat.add_argument("--degree", type=int, help="basis degree, with --basis only")
+    weights(p_rat)
     p_rat.set_defaults(run=cmd_rational)
     common(p_rat)
 
     p_check = sub.add_parser("check", help="run a brute-force shape check")
-    p_check.add_argument("property", choices=tuple(CHECKS))
-    p_check.add_argument("--polygon")
-    p_check.add_argument("--degree", type=int)
-    p_check.add_argument("--weights", type=_parse_weights)
-    p_check.add_argument("--grid", type=int,
-                         help=f"collocation points (tp, default {TP_GRID}) "
-                              f"or random lines (vdp, default {VDP_LINES})")
-    p_check.add_argument("--tolerance", type=float, default=1e-9)
     p_check.set_defaults(run=cmd_check)
-    common(p_check, writes=False)
+    checks = p_check.add_subparsers(dest="property", required=True)
+
+    def check(name, run, help, samples=None, polygon=True, weighted=True):
+        """The sub-parser of one check, with only the flags that check reads."""
+        p = checks.add_parser(name, help=help)
+        p.set_defaults(check=run)
+        common(p, samples, writes=False)
+        if polygon:
+            p.add_argument("--polygon", required=True, help="control polygon JSON file")
+        if weighted:
+            weights(p)
+        return p
+
+    p_tp = check("tp", _check_tp, "total positivity of a collocation matrix", polygon=False)
+    p_tp.add_argument("--degree", type=int, required=True)
+    p_tp.add_argument("--grid", type=int, default=6,
+                      help="collocation points (default %(default)s)")
+    p_tp.add_argument("--tolerance", type=float, default=DEFAULT_TP_TOL,
+                      help="scaled minor tolerance (default %(default)s)")
+    p_vdp = check("vdp", _check_vdp, "variation diminishing along random lines", VDP_SAMPLES)
+    p_vdp.add_argument("--grid", type=int, default=50,
+                       help="random lines, at least 1 (default %(default)s)")
+    check("hull", _check_hull, "convex-hull containment of the samples", SAMPLES)
+    check("signs", _check_signs, "sign changes of a scalar curve", SIGNS_SAMPLES, weighted=False)
     return parser
 
 

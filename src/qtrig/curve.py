@@ -71,6 +71,17 @@ class ControlPolygon:
         return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
 
+def _finite(points: np.ndarray, what: str) -> np.ndarray:
+    """points, once checked finite; inf or NaN raises FloatRangeError."""
+    if points.ndim == 1:  # one point: a few Python floats cost less than a numpy reduction
+        finite = all(map(math.isfinite, points.tolist()))
+    else:
+        finite = np.isfinite(points).all()
+    if not finite:
+        raise FloatRangeError(f"{what} leave float64")
+    return points
+
+
 @dataclass(frozen=True)
 class CurveSample:
     x: float
@@ -91,8 +102,7 @@ class CurveSamples:
     method: str
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.points)):
-            raise FloatRangeError(f"{self.method} curve points leave float64")
+        _finite(self.points, f"{self.method} curve points")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -126,7 +136,7 @@ class DeCasteljauTableau:
 def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Interval) -> np.ndarray:
     """P(x) as the basis-weighted sum of control points."""
     bv = basis_all_direct(polygon.degree, x, q, interval)
-    return bv.values @ polygon.points
+    return _finite(bv.values @ polygon.points, "direct curve points")
 
 
 def _stages(work, d_ax, d_xb, d_ab, q, variant):
@@ -155,8 +165,9 @@ def _stages(work, d_ax, d_xb, d_ab, q, variant):
 def _tableau(polygon, x, q, interval, variant):
     q = validate_q(q)
     tables = kernel_tables(interval, x, q, polygon.degree)
-    rows = _stages(polygon.points.copy(), *tables, q, variant)
-    return DeCasteljauTableau(variant=variant, x=x, q=q, interval=interval, rows=tuple(rows))
+    rows = tuple(_stages(polygon.points.copy(), *tables, q, variant))
+    _finite(rows[-1][0], f"{variant} curve points")  # inf and NaN reach the apex
+    return DeCasteljauTableau(variant=variant, x=x, q=q, interval=interval, rows=rows)
 
 
 def evaluate_alg1(polygon: ControlPolygon, x: float, q: float, interval: Interval) -> DeCasteljauTableau:
@@ -216,7 +227,7 @@ def intermediate_explicit(
     acc = np.zeros(polygon.dim)
     for j, c in enumerate(coeffs):
         acc += c * polygon.points[k + j]
-    return acc
+    return _finite(acc, f"{variant} tableau points")
 
 
 _METHODS = ("direct", "alg1", "alg2")

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "QTrigError",
+    "InvalidIntervalError",
+    "SingularDenominatorError",
+    "MinorCapExceededError",
+    "IllConditionedFitError",
+    "FloatRangeError",
+]
+
 
 class QTrigError(Exception):
     """Base class for domain errors raised by qtrig."""

@@ -15,7 +15,7 @@ vanishes; no shape property is claimed for them.
 import numpy as np
 
 from .basis import BasisVector, basis_all_direct, basis_matrix
-from .curve import ControlPolygon, CurveSamples
+from .curve import ControlPolygon, CurveSamples, _finite
 from .errors import SingularDenominatorError
 from .kernel import Interval
 
@@ -73,7 +73,7 @@ def rational_evaluate(
 ) -> np.ndarray:
     """R(x) = sum_k b_k R_k(x; q)."""
     rv = rational_basis_all(polygon.degree, x, q, interval, weights)
-    return rv.values @ polygon.points
+    return _finite(rv.values @ polygon.points, "rational curve points")
 
 
 def denominator_certificate(n: int, q: float, interval: Interval, weights) -> float:

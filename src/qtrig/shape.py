@@ -151,27 +151,33 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     )
 
 
-def _strip_zeros(values: np.ndarray, zero_tolerance: Optional[float]) -> np.ndarray:
-    if values.size == 0:
-        return values
-    if zero_tolerance is None:
-        zero_tolerance = SIGN_ZERO_REL_TOL * float(np.abs(values).max())
-    return values[np.abs(values) > zero_tolerance]
-
-
 def sign_changes_seq(seq, zero_tolerance: Optional[float] = None) -> int:
     """Strict sign changes S^- of a sequence, after discarding near-zeros."""
-    stripped = _strip_zeros(np.asarray(seq, dtype=float), zero_tolerance)
-    if stripped.size < 2:
+    values = np.asarray(seq, dtype=float)
+    if values.size < 2:
         return 0
-    signs = np.sign(stripped)
+    if zero_tolerance is None:
+        zero_tolerance = SIGN_ZERO_REL_TOL * float(np.abs(values).max())
+    signs = np.sign(values[np.abs(values) > zero_tolerance])
     return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def _rescaled(ref: np.ndarray, *arrays: np.ndarray):
+    """(e, [a * 2**-e for a in arrays]) with e the binary exponent of max |ref|.
+
+    A power-of-two scale is exact short of the subnormal range, so products
+    and differences of the scaled coordinates have the signs of the exact
+    ones, where the raw coordinates could underflow to 0 or overflow to inf.
+    """
+    e = math.frexp(float(np.abs(ref).max()))[1]
+    return e, [np.ldexp(a, -e) for a in arrays]
 
 
 def convex_hull(points) -> np.ndarray:
     """Convex hull of 2-d points, counter-clockwise (monotone chain).
 
-    Collinear input degenerates to the two extreme points.
+    Collinear input degenerates to the two extreme points.  The vertices
+    are input points, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -179,24 +185,27 @@ def convex_hull(points) -> np.ndarray:
     uniq = sorted(set(map(tuple, pts.tolist())))
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float)
+    _, (scaled,) = _rescaled(pts, np.array(uniq))
+    xy = scaled.tolist()
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def cross(o, a, b):  # of the scaled points at indices o, a, b
+        (ox, oy), (ax, ay), (bx, by) = xy[o], xy[a], xy[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
     lower = []
-    for p in uniq:
+    for p in range(len(uniq)):
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper = []
-    for p in reversed(uniq):
+    for p in reversed(range(len(uniq))):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:  # everything collinear after pruning
-        return np.array([uniq[0], uniq[-1]], dtype=float)
-    return np.array(hull, dtype=float)
+        hull = [0, len(uniq) - 1]
+    return np.array([uniq[i] for i in hull], dtype=float)
 
 
 def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12):
@@ -209,16 +218,12 @@ def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12):
     hull = np.asarray(hull, dtype=float)
     if hull.ndim != 2 or hull.shape[1] != 2:
         raise ValueError(f"expected (h, 2) hull, got shape {hull.shape}")
-    # an exact power-of-two rescale: the same verdicts, and no overflow below
-    e = math.frexp(float(np.abs(hull).max()))[1]
-    p, hull = np.ldexp(p, -e), np.ldexp(hull, -e)
+    e, (p, hull) = _rescaled(hull, p, hull)  # the same verdicts, and no overflow below
     diffs = hull[:, None, :] - hull[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
     tol = slack * diameter if diameter > 0.0 else math.ldexp(slack, -e)
-    if hull.shape[0] == 1:
-        inside = np.linalg.norm(p - hull[0], axis=-1) <= tol
-    elif hull.shape[0] == 2:
-        inside = point_segment_distance(p, hull[0], hull[1]) <= tol
+    if hull.shape[0] <= 2:  # a point or a segment
+        inside = point_segment_distance(p, hull[0], hull[-1]) <= tol
     else:
         inside = np.ones(p.shape[:-1], dtype=bool)
         for i in range(hull.shape[0]):

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from qtrig import sample_curve
 from qtrig.cli import main, parse_angle, parse_interval
 
 ARCH = {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [3.0, 0.0]], "weights": [1, 1, 1, 1]}
@@ -381,3 +382,64 @@ def test_check_rejects_output_flags(tmp_path, capsys):
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
     assert not out.exists()
+
+
+# flag-command pairs whose flag the command does not read
+IGNORED_FLAGS = [
+    ("check tp --degree 3", ["--polygon", "POLY"]),
+    ("check tp --degree 3", ["--samples", "9"]),
+    ("check hull --polygon POLY", ["--degree", "3"]),
+    ("check hull --polygon POLY", ["--grid", "6"]),
+    ("check hull --polygon POLY", ["--tolerance", "1e-6"]),
+    ("check vdp --polygon POLY", ["--degree", "3"]),
+    ("check vdp --polygon POLY", ["--tolerance", "1e-6"]),
+    ("check signs --polygon SCALAR", ["--degree", "2"]),
+    ("check signs --polygon SCALAR", ["--weights", "1,1,1"]),
+    ("check signs --polygon SCALAR", ["--grid", "6"]),
+    ("check signs --polygon SCALAR", ["--tolerance", "1e-6"]),
+    ("rational --polygon POLY", ["--degree", "3"]),
+    ("rational --basis --degree 3", ["--polygon", "POLY"]),
+]
+
+
+@pytest.mark.parametrize("command,flag", IGNORED_FLAGS,
+                         ids=[f"{' '.join(c.split()[:2])} {f[0]}" for c, f in IGNORED_FLAGS])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command, flag):
+    files = {"POLY": write_polygon(tmp_path),
+             "SCALAR": write_polygon(tmp_path, {"points": [[0.5], [-1.0], [1.0]]}, "scalar.json")}
+    out = tmp_path / "x.csv"
+    argv = [files.get(a, a) for a in command.split() + flag]
+    tail = ["--q", "2", "--interval", "0,pi/2"]
+    if argv[0] == "rational":
+        tail += ["--out", str(out)]
+    assert main(argv[:-len(flag)] + tail) == 0  # the same command without the flag
+    capsys.readouterr()
+    out.unlink(missing_ok=True)
+    assert main(argv + tail) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qtrig: error:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_check_defaults(tmp_path, capsys, monkeypatch):
+    poly = write_polygon(tmp_path)
+    scalar = write_polygon(tmp_path, {"points": [[0.5], [-1.0], [1.0]]}, "scalar.json")
+    payloads = {}
+    for prop, source in (("tp", ["--degree", "2"]), ("vdp", ["--polygon", poly]),
+                         ("hull", ["--polygon", poly]), ("signs", ["--polygon", scalar])):
+        assert main(["check", prop, *source, "--q", "2", "--interval", "0,pi/2"]) == 0
+        payloads[prop] = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert payloads["tp"]["grid"] == 6 and payloads["tp"]["tolerance"] == 1e-9
+    assert (payloads["vdp"]["lines"], payloads["vdp"]["curve_samples"]) == (50, 2048)
+    assert payloads["hull"]["samples"] == 129
+    counts = []  # signs reports no sample count; count the samples it asks for
+
+    def counting(polygon, q, interval, count):
+        counts.append(count)
+        return sample_curve(polygon, q, interval, count)
+
+    monkeypatch.setattr("qtrig.cli.sample_curve", counting)
+    assert main(["check", "signs", "--polygon", scalar, "--q", "2", "--interval", "0,pi/2"]) == 0
+    assert counts == [512]
+    capsys.readouterr()

@@ -2,9 +2,11 @@
 
 Hypothesis draws argv for each subcommand, with degrees 0-12 and three
 out-of-range cases, q values, valid and invalid intervals, mixed-sign
-weights and polygon files of 1-3 dims, malformed ones included.  Whatever
-the input, the exit code is one of 0-4, stderr holds no traceback and the
-output holds no nan or inf.
+weights and polygon files of 1-3 dims, malformed ones included.  Each flag
+is drawn only for the commands that read it, and one draw in eight appends
+a flag the command does not read.  Whatever the input, the exit code is one
+of 0-4, stderr holds no traceback and the output holds no nan or inf; an
+unread flag exits 1 with no output.
 """
 
 import json
@@ -60,36 +62,56 @@ def _polygon_text(draw, n, dim):
     return json.dumps(data)
 
 
+# the flags each command reads besides --q, --interval, --out and --digits
+READS = {
+    "basis": ("--samples", "--degree", "--format"),
+    "curve": ("--samples", "--polygon", "--method", "--format"),
+    "rational": ("--samples", "--polygon", "--weights", "--format"),
+    "rational --basis": ("--samples", "--degree", "--weights", "--format"),
+    "check tp": ("--degree", "--weights", "--grid", "--tolerance"),
+    "check vdp": ("--samples", "--polygon", "--weights", "--grid"),
+    "check hull": ("--samples", "--polygon", "--weights"),
+    "check signs": ("--samples", "--polygon"),
+}
+FLAG_VALUES = {"--samples": "5", "--degree": "3", "--polygon": "poly.json", "--weights": "1,1",
+               "--grid": "6", "--tolerance": "1e-6", "--method": "alg1", "--format": "csv"}
+
+
 @st.composite
 def command_lines(draw, directory):
-    """(argv, polygon file text or None) for one qtrig run."""
-    command = draw(st.sampled_from(["basis", "curve", "rational", "rational --basis",
-                                    "check tp", "check vdp", "check hull", "check signs"]))
+    """(argv, polygon file text or None, whether argv holds a flag the command does not read)."""
+    command = draw(st.sampled_from(list(READS)))
+    reads = READS[command]
     n, q = draw(degree_and_q(6 if command == "check tp" else 12))
     argv = command.split() + ["--q", repr(q), "--interval", draw(st.sampled_from(INTERVALS))]
-    if draw(st.booleans()):
+    if "--samples" in reads and draw(st.booleans()):
         argv += ["--samples", str(draw(st.integers(-1, 12)))]
-    if command in ("basis", "rational --basis", "check tp"):
+    if "--degree" in reads:
         argv += ["--degree", str(n)]
     text = None
-    if command in ("curve", "rational", "check vdp", "check hull", "check signs"):
+    if "--polygon" in reads:
         dim = {"check signs": 1, "check vdp": 2, "check hull": 2}.get(command)
         if dim is None or draw(st.integers(0, 7)) == 0:  # any dim, sometimes a wrong one
             dim = draw(st.integers(1, 3))
         text = _polygon_text(draw, n, dim)
         argv += ["--polygon", str(directory / "poly.json")]
-    if command.startswith("rational") or command == "check tp":
-        if draw(st.booleans()):
-            argv += ["--weights", ",".join(map(repr, _weights(draw, n)))]
-    if command == "curve":
+    if "--weights" in reads and draw(st.booleans()):
+        argv += ["--weights", ",".join(map(repr, _weights(draw, n)))]
+    if "--method" in reads:
         argv += ["--method", draw(st.sampled_from(["direct", "alg1", "alg2"]))]
     if command == "check tp":
         argv += ["--grid", str(draw(st.integers(1, 6)))]
     if command == "check vdp" and draw(st.booleans()):
         argv += ["--grid", str(draw(st.integers(-1, 6)))]
-    if not command.startswith("check"):
+    if "--tolerance" in reads and draw(st.booleans()):
+        argv += ["--tolerance", draw(st.sampled_from(["0", "1e-12", "1e-9", "1e-6"]))]
+    if "--format" in reads:
         argv += ["--format", draw(st.sampled_from(["csv", "json", "svg"]))]
-    return argv, text
+    unread = draw(st.integers(0, 7)) == 0
+    if unread:
+        flag = draw(st.sampled_from([f for f in FLAG_VALUES if f not in reads]))
+        argv += [flag, FLAG_VALUES[flag]]
+    return argv, text, unread
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +122,7 @@ def directory(tmp_path_factory):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_ends_in_a_documented_exit_code(directory, data):
-    argv, text = data.draw(command_lines(directory), label="command line")
+    argv, text, unread = data.draw(command_lines(directory), label="command line")
     if text is not None:
         (directory / "poly.json").write_text(text)
     out, err = StringIO(), StringIO()
@@ -111,3 +133,5 @@ def test_cli_ends_in_a_documented_exit_code(directory, data):
     assert not NON_FINITE.search(out.getvalue())
     if code == 0:
         assert out.getvalue()
+    if unread:
+        assert code == 1 and not out.getvalue()

@@ -178,6 +178,20 @@ def test_sweep_points_outside_float_range(quarter):
         CurveSamples(np.array([0.0]), np.array([[math.nan]]), "direct")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_single_x_points_outside_float_range(quarter):
+    # the same curve as above at one x: every route raises as the sweeps do
+    poly = ControlPolygon(1e308 * np.array([[(-1.0) ** k] for k in range(9)]))
+    x = math.pi / 4
+    for name, evaluate in EVALUATORS:
+        with pytest.raises(FloatRangeError, match="curve points leave float64"):
+            evaluate(poly, x, 0.25, quarter)
+    for variant, first in (("alg1", 1), ("alg2", 2)):  # alg2's stage 1 point is finite
+        for r in range(first, 9):
+            with pytest.raises(FloatRangeError, match="tableau points leave float64"):
+                intermediate_explicit(variant, r, 0, x, poly, 0.25, quarter)
+
+
 def test_design_matrix_shapes():
     xs = np.linspace(0.0, 1.0, 7)
     assert tn_design_matrix(xs, 0).shape == (7, 1)  # constants only

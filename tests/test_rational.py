@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qtrig import (
     ControlPolygon,
     CurveSamples,
+    FloatRangeError,
     Interval,
     SingularDenominatorError,
     chord_distance_profile,
@@ -181,6 +182,17 @@ def test_overflowing_sum_is_singular(quarter):
     with pytest.raises(SingularDenominatorError) as err:
         rational_basis_matrix(1, [0.0, 0.7], 1.0, quarter, w)
     assert err.value.x == 0.7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_curve_points_outside_float_range(quarter):
+    # R_1 = -0.9 sin(2x) / (1 - 0.9 sin(2x)) pushes R_0 + R_2 to 10 at pi/4
+    poly = ControlPolygon(np.full((3, 1), 1.7e308))
+    w = [1.0, -0.9, 1.0]
+    with pytest.raises(FloatRangeError, match="curve points leave float64"):
+        rational_evaluate(poly, w, math.pi / 4, 1.0, quarter)
+    with pytest.raises(FloatRangeError, match="curve points leave float64"):
+        rational_sample(poly, w, 1.0, quarter, 3)
 
 
 def test_certificate_finds_crossings_at_any_scale(quarter):

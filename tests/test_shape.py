@@ -208,6 +208,18 @@ def test_convex_hull_shapes():
         convex_hull(np.zeros((3, 3)))
 
 
+def test_convex_hull_outside_float_range():
+    # cross products of these coordinates underflow to 0 or overflow to inf
+    tiny = np.array([[0.0, 0.0], [1e-310, 0.0], [0.0, 1e-310]])
+    hull = convex_hull(tiny)
+    assert hull.tolist() == tiny.tolist()  # the input points, bit for bit
+    assert point_in_hull([1e-311, 1e-311], hull)
+    huge = 1e300 * np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.2, 0.7]])
+    hull = convex_hull(huge)
+    assert hull.tolist() == huge[:4].tolist()
+    assert point_in_hull(huge[4:], hull).all()
+
+
 def test_point_in_hull_predicate():
     hull = convex_hull(np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float))
     assert point_in_hull([1.0, 1.0], hull)
