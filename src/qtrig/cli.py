@@ -20,12 +20,7 @@ import numpy as np
 
 from .basis import basis_matrix
 from .curve import ControlPolygon, sample_curve
-from .errors import (
-    InvalidIntervalError,
-    MinorCapExceededError,
-    QTrigError,
-    SingularDenominatorError,
-)
+from .errors import InvalidIntervalError, QTrigError, SingularDenominatorError
 from .export import Polyline, render_csv, render_json_records, render_svg, read_polygon_json
 from .kernel import Interval
 from .rational import rational_basis_matrix, rational_sample
@@ -290,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help='parameter interval "a,b"; accepts pi fractions like pi/2')
         if samples is not None:  # check tp collocates on --grid instead
             p.add_argument("--samples", type=int, default=samples,
-                           help=f"sample count (default {SAMPLES}; check vdp {VDP_SAMPLES}, "
-                                f"check signs {SIGNS_SAMPLES})" if writes
-                           else "sample count (default %(default)s)")
+                           help="sample count (default %(default)s)")
         if not writes:  # check prints a verdict, no table
             return
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"),
@@ -370,9 +363,6 @@ def main(argv=None) -> int:
     except SingularDenominatorError as exc:
         print(f"qtrig: singular denominator: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except MinorCapExceededError as exc:
-        print(f"qtrig: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError, QTrigError) as exc:
         print(f"qtrig: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

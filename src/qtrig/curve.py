@@ -122,15 +122,8 @@ class DeCasteljauTableau:
     rows: tuple[np.ndarray, ...]
 
     @property
-    def degree(self) -> int:
-        return len(self.rows) - 1
-
-    @property
     def apex(self) -> np.ndarray:
         return self.rows[-1][0]
-
-    def entry(self, r: int, k: int) -> np.ndarray:
-        return self.rows[r][k]
 
 
 def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Interval) -> np.ndarray:

@@ -38,16 +38,10 @@ def render_csv(header: list[str], rows, digits: int = 17) -> str:
 
 
 def render_json_records(records: list[dict], digits: int = 17) -> str:
-    def conv(obj):
-        if isinstance(obj, dict):
-            return {k: conv(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple, np.ndarray)):
-            return [conv(v) for v in obj]
-        if isinstance(obj, (float, np.floating)):
-            return round_sig(obj, digits)
-        return obj
-
-    return json.dumps(conv(records)) + "\n"
+    """A JSON array of {"x": x, key: [v, ...]} records, every float at digits."""
+    rounded = [{k: round_sig(v, digits) if k == "x" else [round_sig(e, digits) for e in v]
+                for k, v in record.items()} for record in records]
+    return json.dumps(rounded) + "\n"
 
 
 @dataclass(frozen=True)
@@ -58,14 +52,18 @@ class Polyline:
     dash: Optional[str] = None
 
 
+# Fraction of the data span added on each side of the SVG viewBox.
+SVG_MARGIN = 0.05
+
+
 def _fmt(v: float) -> str:
     return f"{v:.8g}"
 
 
-def render_svg(polylines: list[Polyline], markers=(), margin: float = 0.05) -> str:
+def render_svg(polylines: list[Polyline], markers=()) -> str:
     """Render polylines and point markers as a standalone SVG document.
 
-    The viewBox is the data bounding box plus a margin fraction per axis.
+    The viewBox is the data bounding box plus SVG_MARGIN of its span per axis.
     SVG's y axis points down, so y coordinates are negated on output.
     """
     xs, ys = [], []
@@ -82,7 +80,7 @@ def render_svg(polylines: list[Polyline], markers=(), margin: float = 0.05) -> s
     miny, maxy = min(ys), max(ys)
     spanx = maxx - minx or 1.0
     spany = maxy - miny or 1.0
-    mx, my = margin * spanx, margin * spany
+    mx, my = SVG_MARGIN * spanx, SVG_MARGIN * spany
     width = spanx + 2 * mx
     height = spany + 2 * my
     view = f"{_fmt(minx - mx)} {_fmt(-maxy - my)} {_fmt(width)} {_fmt(height)}"

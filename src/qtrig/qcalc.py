@@ -11,7 +11,6 @@ from .errors import FloatRangeError
 
 __all__ = [
     "validate_q",
-    "q_binomial",
     "q_binomial_row",
     "q_powers",
 ]
@@ -48,15 +47,6 @@ def q_binomial_row(n: int, q: float) -> list[float]:
     if not all(map(math.isfinite, row)):
         raise FloatRangeError(f"q-binomial row {n} at q={q!r} overflows float64")
     return row
-
-
-def q_binomial(n: int, k: int, q: float) -> float:
-    """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0.0
-    return q_binomial_row(n, q)[k]
 
 
 def q_powers(q: float, count: int) -> list[float]:

@@ -133,17 +133,18 @@ def rational_sample(
 ) -> CurveSamples:
     """Uniform samples of the rational curve, endpoints included.
 
-    Mixed-sign weights trigger the grid certificate first and the samples
-    are tagged as carrying no shape guarantee.  Sample j is bit-identical to
-    rational_evaluate at the same x.
+    Mixed-sign weights trigger the grid certificate first.  The samples are
+    tagged "rational" on a quarter period with q > 0 and positive weights,
+    where the shape properties hold, and "rational-no-shape-guarantee"
+    otherwise.  Sample j is bit-identical to rational_evaluate at the same x.
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     xs = np.linspace(interval.a, interval.b, count)
     basis = rational_basis_matrix(polygon.degree, xs, q, interval, weights)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
-    positive = bool(np.all(np.asarray(weights, dtype=float) > 0.0))
-    return CurveSamples(xs, points, "rational" if positive else "rational-no-shape-guarantee")
+    shaped = interval.quarter_period and q > 0 and bool(np.all(np.asarray(weights, dtype=float) > 0.0))
+    return CurveSamples(xs, points, "rational" if shaped else "rational-no-shape-guarantee")
 
 
 def point_segment_distance(p, s0, s1):

@@ -37,6 +37,8 @@ MINOR_CAP = 1_000_000
 DEFAULT_TP_TOL = 1e-9
 # Relative floor below which sequence entries count as zero.
 SIGN_ZERO_REL_TOL = 1e-12
+# Points within this fraction of the hull's diameter outside it count as inside.
+HULL_SLACK = 1e-12
 
 _FAMILIES = ("quantum", "classical", "rational")
 
@@ -48,14 +50,6 @@ class CollocationMatrix:
     entries: np.ndarray
     points: np.ndarray
     family: str
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -108,8 +102,11 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     Accepts a CollocationMatrix or anything array-like.  A minor with
     determinant det and row-max-norm product scale fails when
     det < -tolerance * scale.  Refuses matrices with more than MINOR_CAP
-    square submatrices, and matrices with NaN or inf entries.
+    square submatrices, matrices with NaN or inf entries, and a tolerance
+    that is NaN, infinite or negative.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     entries = matrix.entries if isinstance(matrix, CollocationMatrix) else np.asarray(matrix, dtype=float)
     if entries.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {entries.shape}")
@@ -117,13 +114,14 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
         raise ValueError("matrix entries must be finite")  # a NaN minor never compares below the worst
     n_rows, n_cols = entries.shape
     total = minor_count(n_rows, n_cols)
+    if total == 0:
+        raise ValueError("matrix has no minors")
     if total > MINOR_CAP:
         raise MinorCapExceededError(total, MINOR_CAP)
 
     worst_scaled = math.inf
     worst_det = 0.0
     worst_idx = None
-    checked = 0
     for r in range(1, min(n_rows, n_cols) + 1):
         col_sets = list(combinations(range(n_cols), r))
         for rows_sel in combinations(range(n_rows), r):
@@ -133,17 +131,14 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
                 det = float(sub[0, 0]) if r == 1 else float(np.linalg.det(sub))
                 scale = float(np.prod(np.abs(sub).max(axis=1)))
                 scaled = det / scale if scale > 0.0 else 0.0
-                checked += 1
                 if scaled < worst_scaled:
                     worst_scaled = scaled
                     worst_det = det
                     worst_idx = (rows_sel, cols_sel)
-    if checked == 0:
-        raise ValueError("matrix has no minors")
     is_tp = worst_scaled >= -tolerance
     return TPReport(
         is_tp=is_tp,
-        minors_checked=checked,
+        minors_checked=total,
         worst_minor=worst_det,
         worst_scaled=worst_scaled,
         tolerance=tolerance,
@@ -151,14 +146,18 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     )
 
 
-def sign_changes_seq(seq, zero_tolerance: Optional[float] = None) -> int:
-    """Strict sign changes S^- of a sequence, after discarding near-zeros."""
+def sign_changes_seq(seq) -> int:
+    """Strict sign changes S^- of a finite sequence, after discarding near-zeros.
+
+    Entries within SIGN_ZERO_REL_TOL of the largest magnitude count as zero.
+    """
     values = np.asarray(seq, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sequence entries must be finite")
     if values.size < 2:
         return 0
-    if zero_tolerance is None:
-        zero_tolerance = SIGN_ZERO_REL_TOL * float(np.abs(values).max())
-    signs = np.sign(values[np.abs(values) > zero_tolerance])
+    floor = SIGN_ZERO_REL_TOL * float(np.abs(values).max())
+    signs = np.sign(values[np.abs(values) > floor])
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
@@ -182,6 +181,8 @@ def convex_hull(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (m, 2) points, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("hull points must be finite")
     uniq = sorted(set(map(tuple, pts.tolist())))
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float)
@@ -202,26 +203,26 @@ def convex_hull(points) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # everything collinear after pruning
-        hull = [0, len(uniq) - 1]
+    hull = lower[:-1] + upper[:-1]  # [0, last] when every point is collinear
     return np.array([uniq[i] for i in hull], dtype=float)
 
 
-def point_in_hull(point, hull: np.ndarray, slack: float = 1e-12):
-    """Is the point inside (or within slack * diameter of) the hull?
+def point_in_hull(point, hull: np.ndarray):
+    """Is the point inside (or within HULL_SLACK * diameter of) the hull?
 
     point is one 2-d point, giving a bool, or an (m, 2) array of points,
-    giving one verdict per row.
+    giving one verdict per row.  Points and hull vertices must be finite.
     """
     p = np.asarray(point, dtype=float)
     hull = np.asarray(hull, dtype=float)
     if hull.ndim != 2 or hull.shape[1] != 2:
         raise ValueError(f"expected (h, 2) hull, got shape {hull.shape}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(hull))):
+        raise ValueError("points and hull vertices must be finite")
     e, (p, hull) = _rescaled(hull, p, hull)  # the same verdicts, and no overflow below
     diffs = hull[:, None, :] - hull[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
-    tol = slack * diameter if diameter > 0.0 else math.ldexp(slack, -e)
+    tol = HULL_SLACK * diameter if diameter > 0.0 else math.ldexp(HULL_SLACK, -e)
     if hull.shape[0] <= 2:  # a point or a segment
         inside = point_segment_distance(p, hull[0], hull[-1]) <= tol
     else:

@@ -289,6 +289,17 @@ def test_check_tp_rational_family(capsys):
     assert payload["pass"] is True
 
 
+def test_check_tp_rejects_unusable_tolerances(capsys):
+    # nan failed a TP matrix and inf passed any, each printing invalid JSON
+    for tolerance in ("nan", "inf", "-1e-9"):
+        code = main(["check", "tp", "--degree", "3", "--q", "1.5", "--interval", "0,pi/2",
+                     f"--tolerance={tolerance}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and >= 0" in captured.err
+
+
 def test_check_hull_vdp_signs(tmp_path, capsys):
     poly = write_polygon(tmp_path)
     assert main(["check", "hull", "--polygon", poly, "--q", "2",

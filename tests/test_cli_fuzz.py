@@ -7,6 +7,10 @@ is drawn only for the commands that read it, and one draw in eight appends
 a flag the command does not read.  Whatever the input, the exit code is one
 of 0-4, stderr holds no traceback and the output holds no nan or inf; an
 unread flag exits 1 with no output.
+
+A second property draws only well-posed checks, the setting of the paper's
+shape claims: a quarter period, q in [0.5, 3], positive weights, degree 1-6
+and a generic polygon at scale 1.  There every check must exit 0 and PASS.
 """
 
 import json
@@ -104,7 +108,8 @@ def command_lines(draw, directory):
     if command == "check vdp" and draw(st.booleans()):
         argv += ["--grid", str(draw(st.integers(-1, 6)))]
     if "--tolerance" in reads and draw(st.booleans()):
-        argv += ["--tolerance", draw(st.sampled_from(["0", "1e-12", "1e-9", "1e-6"]))]
+        argv += ["--tolerance", draw(st.sampled_from(["0", "1e-12", "1e-9", "1e-6",
+                                                      "nan", "inf", "-1e-9"]))]
     if "--format" in reads:
         argv += ["--format", draw(st.sampled_from(["csv", "json", "svg"]))]
     unread = draw(st.integers(0, 7)) == 0
@@ -135,3 +140,39 @@ def test_cli_ends_in_a_documented_exit_code(directory, data):
         assert out.getvalue()
     if unread:
         assert code == 1 and not out.getvalue()
+
+
+QUARTERS = ["-pi/2,0", "0,pi/2", "pi/2,pi", "pi,3pi/2"]
+
+
+@st.composite
+def well_posed_checks(draw, directory):
+    """(argv, polygon file text or None) of a check whose property the paper proves."""
+    command = draw(st.sampled_from(["tp", "hull", "vdp", "signs"]))
+    n = draw(st.integers(1, 6))
+    q = draw(st.floats(min_value=0.5, max_value=3.0))
+    argv = ["check", command, "--q", repr(q), "--interval=" + draw(st.sampled_from(QUARTERS))]
+    weights = draw(st.lists(st.floats(min_value=0.25, max_value=4.0), min_size=n + 1, max_size=n + 1))
+    if command != "signs" and draw(st.booleans()):
+        argv += ["--weights", ",".join(map(repr, weights))]
+    if command == "tp":
+        return argv + ["--degree", str(n), "--grid", str(draw(st.integers(1, 6)))], None
+    argv += ["--samples", str(draw(st.integers(16, 256))), "--polygon", str(directory / "poly.json")]
+    if command == "vdp":
+        argv += ["--grid", str(draw(st.integers(1, 10)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    points = rng.uniform(-1.0, 1.0, size=(n + 1, 1 if command == "signs" else 2))
+    return argv, json.dumps({"points": points.tolist()})
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_well_posed_checks_pass(directory, data):
+    argv, text = data.draw(well_posed_checks(directory), label="command line")
+    if text is not None:
+        (directory / "poly.json").write_text(text)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, (out.getvalue(), err.getvalue())
+    assert out.getvalue().split("\n")[0].endswith(": PASS")

@@ -40,7 +40,7 @@ def test_frozen_arch_point(quarter, arch_polygon):
 def test_degree_one_scalar_scheme(quarter):
     poly = ControlPolygon(np.array([0.0, 1.0]))
     tab = evaluate_alg1(poly, math.pi / 4, 1.0, quarter)
-    assert tab.degree == 1
+    assert len(tab.rows) - 1 == 1
     assert tab.rows[0].shape == (2, 1)
     assert tab.rows[1].shape == (1, 1)
     # apex reduces to sin(pi/4)/sin(pi/2) exactly; that is sqrt(2)/2 up to 1 ulp
@@ -82,7 +82,7 @@ def test_tableau_matches_explicit_intermediates(variant):
         for r in range(poly.degree + 1):
             for k in range(poly.degree - r + 1):
                 want = intermediate_explicit(variant, r, k, x, poly, q, iv)
-                assert np.max(np.abs(tab.entry(r, k) - want)) <= 1e-11 * scale
+                assert np.max(np.abs(tab.rows[r][k] - want)) <= 1e-11 * scale
 
 
 def test_variants_coincide_at_q_one(quarter):
@@ -139,10 +139,10 @@ def test_control_polygon_properties(arch_polygon):
 def test_tableau_structure(quarter, arch_polygon):
     tab = evaluate_alg2(arch_polygon, 0.7, 1.5, quarter)
     assert tab.variant == "alg2"
-    assert tab.degree == 3
+    assert len(tab.rows) - 1 == 3
     for r, row in enumerate(tab.rows):
         assert row.shape == (4 - r, 2)
-    assert np.array_equal(tab.entry(0, 2), arch_polygon.points[2])
+    assert np.array_equal(tab.rows[0][2], arch_polygon.points[2])
     assert np.array_equal(tab.apex, tab.rows[3][0])
 
 

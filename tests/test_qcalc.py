@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qtrig import (
     FloatRangeError,
-    q_binomial,
     q_binomial_row,
     q_powers,
     validate_q,
@@ -14,6 +13,12 @@ from qtrig import (
 from oracles import qbinom_exact, qfact_exact, qint_exact
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
+
+
+def q_binomial(n, k, q):
+    """[n choose k]_q read off the Gaussian triangle; 0 outside 0 <= k <= n."""
+    row = q_binomial_row(n, q)  # raises on n < 0
+    return row[k] if 0 <= k <= n else 0.0
 
 
 def q_integer(k, q):

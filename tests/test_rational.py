@@ -74,7 +74,7 @@ def test_samples_stay_in_convex_hull(quarter):
         q = float(np.exp(rng.uniform(np.log(0.5), np.log(3.0))))
         hull = convex_hull(poly.points)
         for s in rational_sample(poly, w, q, quarter, 65):
-            assert point_in_hull(s.point, hull, slack=1e-12)
+            assert point_in_hull(s.point, hull)
 
 
 def test_affine_invariance(quarter):
@@ -219,6 +219,15 @@ def test_positive_weight_samples_keep_plain_tag(quarter, arch_polygon):
     assert all(s.method == "rational" for s in samples)
     with pytest.raises(ValueError):
         rational_sample(arch_polygon, ONES4, 2.0, quarter, 1)
+
+
+def test_shape_tag_needs_quarter_period_and_positive_q(quarter, arch_polygon):
+    # off the quarter period the arch's samples leave the control hull
+    off = rational_sample(arch_polygon, ONES4, 0.5, Interval(0.3, 1.5), 33)
+    assert off.method == "rational-no-shape-guarantee"
+    assert not point_in_hull(off.points, convex_hull(arch_polygon.points)).all()
+    assert rational_sample(arch_polygon, ONES4, -0.5, quarter, 9).method == "rational-no-shape-guarantee"
+    assert rational_sample(arch_polygon, ONES4, 0.5, Interval.quarter(2), 9).method == "rational"
 
 
 def test_weight_vector_validation():

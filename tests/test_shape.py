@@ -31,7 +31,7 @@ def test_collocation_matches_the_basis(quarter):
     pts = _interior_points(quarter, 4)
     mat = collocation("quantum", 3, 2.0, quarter, pts)
     assert mat.family == "quantum"
-    assert mat.rows == 4 and mat.cols == 4
+    assert mat.entries.shape == (4, 4)
     for j, x in enumerate(pts):
         want = basis_all_direct(3, float(x), 2.0, quarter).values
         assert np.array_equal(mat.entries[:, j], want)
@@ -89,6 +89,19 @@ def test_tp_check_rejects_non_finite_entries():
     for bad in ([[math.nan, 1.0], [1.0, 2.0]], [[1.0, math.inf], [0.5, 2.0]]):
         with pytest.raises(ValueError, match="finite"):
             total_positivity_check(np.array(bad))
+
+
+def test_tp_check_rejects_unusable_tolerances():
+    # a NaN tolerance failed every matrix and an infinite one passed any
+    for tolerance in (math.nan, math.inf, -1e-9):
+        with pytest.raises(ValueError, match="tolerance"):
+            total_positivity_check(np.eye(2), tolerance)
+
+
+def test_tp_check_of_empty_matrices():
+    for empty in (np.zeros((0, 3)), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="no minors"):
+            total_positivity_check(empty)
 
 
 def test_tp_check_of_subnormal_minors(quarter):
@@ -187,9 +200,15 @@ def test_sign_changes_sequences():
     alternating = [(-1.0) ** i for i in range(8)]
     assert sign_changes_seq(alternating) == 7
     assert sign_changes_seq(1e-9 * np.array(alternating)) == 7  # scale free
-    assert sign_changes_seq(np.array([1.0, -0.5, 0.5]), zero_tolerance=None) == 2
-    # explicit zero tolerance overrides the relative default
-    assert sign_changes_seq([1.0, -0.01, 1.0], zero_tolerance=0.1) == 0
+    assert sign_changes_seq(np.array([1.0, -0.5, 0.5])) == 2
+
+
+def test_sign_changes_reject_non_finite_entries():
+    # a NaN or inf entry turned the relative zero floor into NaN or inf,
+    # which dropped every entry and reported 0 changes
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sign_changes_seq([1.0, -1.0, bad])
 
 
 def test_sign_changes_of_sampled_function():
@@ -241,6 +260,18 @@ def test_point_in_hull_predicate():
         assert not point_in_hull(1e300 * np.array(outside), 1e300 * shape)
 
 
+def test_hull_functions_reject_non_finite_points():
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        convex_hull(np.vstack([triangle, [math.nan, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        point_in_hull([math.nan, math.nan], triangle)
+    with pytest.raises(ValueError, match="finite"):
+        point_in_hull(np.array([[0.1, 0.1], [math.inf, 0.0]]), triangle)
+    with pytest.raises(ValueError, match="finite"):
+        point_in_hull([0.1, 0.1], np.vstack([triangle[:2], [math.nan, 1.0]]))
+
+
 def test_point_in_hull_array_matches_per_point():
     rng = np.random.default_rng(5001)
     for size in range(1, 9):
@@ -248,10 +279,9 @@ def test_point_in_hull_array_matches_per_point():
             hull = convex_hull(rng.uniform(-2.0, 2.0, size=(size, 2)))
             edges = 0.5 * (hull + np.roll(hull, 1, axis=0))
             pts = np.concatenate([rng.uniform(-3.0, 3.0, size=(60, 2)), hull, edges])
-            for slack in (1e-12, 1e-9):
-                verdicts = point_in_hull(pts, hull, slack=slack)
-                assert verdicts.shape == (len(pts),)
-                assert verdicts.tolist() == [point_in_hull(p, hull, slack=slack) for p in pts]
+            verdicts = point_in_hull(pts, hull)
+            assert verdicts.shape == (len(pts),)
+            assert verdicts.tolist() == [point_in_hull(p, hull) for p in pts]
 
 
 @settings(max_examples=60)
@@ -265,11 +295,10 @@ def test_convex_combinations_stay_inside_hull(seed, coeffs):
     hull = convex_hull(pts)
     lam = np.array(coeffs) + 1e-9  # keep the total positive
     combo = (lam / lam.sum()) @ pts
-    assert point_in_hull(combo, hull, slack=1e-9)
+    assert point_in_hull(combo, hull)
 
 
 def test_collocation_matrix_dataclass_shape(quarter):
     pts = np.array([0.2, 0.9])
     mat = CollocationMatrix(entries=np.ones((3, 2)), points=pts, family="quantum")
-    assert mat.rows == 3
-    assert mat.cols == 2
+    assert mat.entries.shape == (3, 2)
