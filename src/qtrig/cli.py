@@ -20,14 +20,21 @@ import numpy as np
 
 from .basis import basis_matrix
 from .curve import ControlPolygon, sample_curve
-from .errors import InvalidIntervalError, QTrigError, SingularDenominatorError
+from .errors import (
+    InvalidIntervalError,
+    MinorCapExceededError,
+    QTrigError,
+    SingularDenominatorError,
+)
 from .export import Polyline, render_csv, render_json_records, render_svg, read_polygon_json
 from .kernel import Interval
 from .rational import rational_basis_matrix, rational_sample
 from .shape import (
     DEFAULT_TP_TOL,
+    MINOR_CAP,
     collocation,
     convex_hull,
+    minor_count,
     point_in_hull,
     sign_changes_seq,
     total_positivity_check,
@@ -56,6 +63,13 @@ class _Parser(argparse.ArgumentParser):
     # errors must not use argparse's default exit(2)
     def error(self, message):
         raise _UsageError(message)
+
+    # every flag is long, so a value such as -pi/8,pi/4, -1e-3 or -1,2,1
+    # is an argument, where argparse would read it as an unknown flag
+    def _parse_optional(self, arg_string):
+        if arg_string[1:2] not in ("", "-") and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_angle(text: str) -> float:
@@ -184,6 +198,9 @@ def cmd_rational(cfg: argparse.Namespace) -> int:
 
 
 def _check_tp(cfg: argparse.Namespace) -> dict:
+    count = minor_count(cfg.degree + 1, cfg.grid)
+    if count > MINOR_CAP:  # refuse before collocating, whose cost grows with --grid
+        raise MinorCapExceededError(count, MINOR_CAP)
     q = cfg.qs[0]
     a, b = cfg.interval.a, cfg.interval.b
     pts = [a + (b - a) * (j + 1) / (cfg.grid + 1) for j in range(cfg.grid)]

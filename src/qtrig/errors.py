@@ -50,8 +50,11 @@ class MinorCapExceededError(QTrigError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
+        shown = count  # str() refuses ints of more than 4300 digits
+        if count.bit_length() > 10_000:
+            shown = f"at least 10^{(count.bit_length() - 1) * 3 // 10}"
         super().__init__(
-            f"matrix has {count} square submatrices, refusing to enumerate more than {cap}"
+            f"matrix has {shown} square submatrices, refusing to enumerate more than {cap}"
         )
 
 

@@ -6,7 +6,9 @@ This module checks single matrices exhaustively: it enumerates all square
 submatrices up to a hard cap, evaluates determinants by partially pivoted
 elimination (LU), and compares against a tolerance scaled per minor by the
 product of its row max-norms.  That is a certificate for the sampled grid,
-not a proof for the whole interval.
+not a proof for the whole interval.  The work is batched by order: the
+r x r minors are gathered, in enumeration order, into stacks of at most
+MINOR_BLOCK entries, and each stack takes one determinant call.
 """
 
 import math
@@ -34,6 +36,9 @@ __all__ = [
 ]
 
 MINOR_CAP = 1_000_000
+# Entries per (k, r, r) stack of minors, k = MINOR_BLOCK // r**2: bounds the
+# check's working memory whatever the matrix shape.
+MINOR_BLOCK = 1 << 14
 DEFAULT_TP_TOL = 1e-9
 # Relative floor below which sequence entries count as zero.
 SIGN_ZERO_REL_TOL = 1e-12
@@ -90,12 +95,41 @@ def collocation(
 
 def minor_count(rows: int, cols: int) -> int:
     """Number of square submatrices of an rows x cols matrix."""
-    return sum(
-        math.comb(rows, r) * math.comb(cols, r) for r in range(1, min(rows, cols) + 1)
-    )
+    rows, cols = max(rows, 0), max(cols, 0)  # no minors, as for an empty matrix
+    # Vandermonde: sum over r >= 0 of C(rows, r) C(cols, cols - r) is C(rows + cols, rows)
+    return math.comb(rows + cols, rows) - 1
 
 
-@np.errstate(divide="ignore")  # det flags some subnormal minors, yet returns them right
+def _subsets(n: int, r: int):
+    """The map from lexicographic ranks (k,) to the (r, k) r-subsets of range(n), one per column.
+
+    Subsets that fit in MINOR_BLOCK entries are listed once.  Others are
+    unranked per call: reversing and complementing maps lexicographic rank
+    to colex rank, whose unranking takes, element by element, the largest c
+    with C(c, i) <= rest.
+    """
+    count = math.comb(n, r)
+    if r * count <= MINOR_BLOCK:
+        every = np.array(list(combinations(range(n), r)), dtype=np.intp).T
+        return lambda ranks: every[:, ranks]
+    binomials = [np.array([math.comb(c, i) for c in range(n)], dtype=np.int64) for i in range(r, 1, -1)]
+
+    def unrank(ranks):
+        out = np.empty((r, ranks.size), dtype=np.intp)
+        rest = (count - 1) - ranks
+        for t, row in enumerate(binomials):
+            c = np.searchsorted(row, rest, side="right") - 1
+            rest = rest - row[c]
+            out[t] = (n - 1) - c
+        out[r - 1] = (n - 1) - rest  # C(c, 1) = c
+        return out
+
+    return unrank
+
+
+# det flags some subnormal minors, yet returns them right; an overflowing
+# minor over an overflowing scale is NaN, which is never taken as the worst
+@np.errstate(divide="ignore", invalid="ignore")
 def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPReport:
     """Exhaustively test all minors of a matrix for nonnegativity.
 
@@ -103,7 +137,9 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     determinant det and row-max-norm product scale fails when
     det < -tolerance * scale.  Refuses matrices with more than MINOR_CAP
     square submatrices, matrices with NaN or inf entries, and a tolerance
-    that is NaN, infinite or negative.
+    that is NaN, infinite or negative.  The witness is the first worst
+    minor in the order (size, row set, column set), sets in lexicographic
+    order.
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
@@ -119,22 +155,30 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     if total > MINOR_CAP:
         raise MinorCapExceededError(total, MINOR_CAP)
 
+    flat = np.ascontiguousarray(entries).ravel()
     worst_scaled = math.inf
     worst_det = 0.0
     worst_idx = None
     for r in range(1, min(n_rows, n_cols) + 1):
-        col_sets = list(combinations(range(n_cols), r))
-        for rows_sel in combinations(range(n_rows), r):
-            sub_rows = entries[list(rows_sel), :]
-            for cols_sel in col_sets:
-                sub = sub_rows[:, list(cols_sel)]
-                det = float(sub[0, 0]) if r == 1 else float(np.linalg.det(sub))
-                scale = float(np.prod(np.abs(sub).max(axis=1)))
-                scaled = det / scale if scale > 0.0 else 0.0
-                if scaled < worst_scaled:
-                    worst_scaled = scaled
-                    worst_det = det
-                    worst_idx = (rows_sel, cols_sel)
+        col_sets = math.comb(n_cols, r)
+        pairs = math.comb(n_rows, r) * col_sets
+        block = MINOR_BLOCK // (r * r)
+        row_subsets, col_subsets = _subsets(n_rows, r), _subsets(n_cols, r)
+        for start in range(0, pairs, block):
+            # the minors of pairs start, start + 1, ... (row set rank outer) as an (r, r, k) stack
+            row_ranks, col_ranks = np.divmod(np.arange(start, min(start + block, pairs)), col_sets)
+            rows, cols = row_subsets(row_ranks), col_subsets(col_ranks)
+            subs = flat.take(rows[:, None, :] * n_cols + cols[None, :, :])
+            # np.linalg.det goes through log|u_ii| and is not exact on 1x1
+            dets = subs[0, 0] if r == 1 else np.linalg.det(subs.transpose(2, 0, 1))
+            scales = np.abs(subs).max(axis=1).prod(axis=0)
+            scaled = np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0.0)
+            scaled[np.isnan(scaled)] = math.inf  # never below the worst
+            j = int(np.argmin(scaled))  # the first of equal minima
+            if scaled[j] < worst_scaled:
+                worst_scaled = float(scaled[j])
+                worst_det = float(dets[j])
+                worst_idx = (tuple(rows[:, j].tolist()), tuple(cols[:, j].tolist()))
     is_tp = worst_scaled >= -tolerance
     return TPReport(
         is_tp=is_tp,

@@ -5,10 +5,14 @@ kernel, basis and curve values.  Everything here is deliberately separate
 from the production code paths: different arithmetic, and where possible a
 different formula (e.g. the quarter-period closed form instead of kernel
 products).  monomial_tp_reference runs the production minor checker on a
-matrix known to be totally positive, as a sanity reference for the checker.
+matrix known to be totally positive, as a sanity reference for the checker;
+total_positivity_reference is the checker's loop, one determinant per minor,
+which the batched checker must match bit for bit.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -101,3 +105,39 @@ def monomial_tp_reference(n: int, points, tolerance: float = 1e-9) -> TPReport:
         raise ValueError("points must be strictly increasing")
     entries = np.vstack([pts ** i for i in range(n + 1)])
     return total_positivity_check(entries, tolerance)
+
+
+@np.errstate(divide="ignore")  # det flags some subnormal minors, yet returns them right
+def total_positivity_reference(matrix, tolerance: float = 1e-9) -> TPReport:
+    """total_positivity_check of finite entries, one minor at a time.
+
+    Sizes, then row sets, then column sets, each in lexicographic order;
+    a minor replaces the worst only when its scaled value is strictly lower.
+    """
+    entries = np.asarray(matrix, dtype=float)
+    n_rows, n_cols = entries.shape
+    worst_scaled = math.inf
+    worst_det = 0.0
+    worst_idx = None
+    for r in range(1, min(n_rows, n_cols) + 1):
+        col_sets = list(combinations(range(n_cols), r))
+        for rows_sel in combinations(range(n_rows), r):
+            sub_rows = entries[list(rows_sel), :]
+            for cols_sel in col_sets:
+                sub = sub_rows[:, list(cols_sel)]
+                det = float(sub[0, 0]) if r == 1 else float(np.linalg.det(sub))
+                scale = float(np.prod(np.abs(sub).max(axis=1)))
+                scaled = det / scale if scale > 0.0 else 0.0
+                if scaled < worst_scaled:
+                    worst_scaled = scaled
+                    worst_det = det
+                    worst_idx = (rows_sel, cols_sel)
+    is_tp = worst_scaled >= -tolerance
+    return TPReport(
+        is_tp=is_tp,
+        minors_checked=sum(math.comb(n_rows, r) * math.comb(n_cols, r) for r in range(1, min(n_rows, n_cols) + 1)),
+        worst_minor=worst_det,
+        worst_scaled=worst_scaled,
+        tolerance=tolerance,
+        witness=None if is_tp else worst_idx,
+    )

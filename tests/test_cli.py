@@ -280,6 +280,45 @@ def test_check_tp_passes_on_quarter_interval(capsys):
     assert payload["family"] == "quantum"
 
 
+def test_check_tp_degree_9_on_12_points(capsys):
+    # 646,645 minors, about 11 s with one determinant call per minor
+    code = main(["check", "tp", "--degree", "9", "--q", "1.5", "--interval", "0,pi/2", "--grid", "12"])
+    assert code == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[0] == "tp: PASS"
+    payload = json.loads(out[-1])
+    assert payload["minors_checked"] == 646645
+    assert (payload["worst_minor"], payload["worst_scaled"]) == (6.957530259928383e-16, 8.224818273223697e-13)
+
+
+def test_check_tp_refuses_before_collocating(capsys, monkeypatch):
+    def no_collocation(*args, **kwargs):
+        raise AssertionError("collocated a matrix the minor cap refuses")
+
+    monkeypatch.setattr("qtrig.cli.collocation", no_collocation)
+    cases = (("1", "4000000", "matrix has 8000006000000 square submatrices"),
+             ("10000", "10000", "matrix has at least 10^5997 square submatrices"))  # too long to print
+    for degree, grid, message in cases:
+        code = main(["check", "tp", "--degree", degree, "--q", "1.5", "--interval", "0,pi/2",
+                     "--grid", grid])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qtrig: error: {message}, refusing to enumerate more than 1000000\n"
+
+
+@pytest.mark.parametrize("argv,flag,value,code", [
+    (["basis", "--degree", "2", "--q", "2"], "--interval", "-pi/8,pi/4", 0),
+    (["basis", "--degree", "2", "--interval", "0,pi/2"], "--q", "-1e-3", 0),
+    (["rational", "--basis", "--degree", "2", "--q", "1", "--interval", "0,pi/2"], "--weights", "-1,-2,-1", 0),
+])
+def test_values_may_start_with_a_minus(capsys, argv, flag, value, code):
+    assert main(argv + ["--samples", "5", flag, value]) == code
+    separate = capsys.readouterr()
+    assert main(argv + ["--samples", "5", f"{flag}={value}"]) == code
+    assert separate == capsys.readouterr()
+
+
 def test_check_tp_rational_family(capsys):
     code = main(["check", "tp", "--degree", "3", "--q", "2", "--weights", "1,2,0.5,1",
                  "--interval", "0,pi/2"])

@@ -151,7 +151,7 @@ def well_posed_checks(draw, directory):
     command = draw(st.sampled_from(["tp", "hull", "vdp", "signs"]))
     n = draw(st.integers(1, 6))
     q = draw(st.floats(min_value=0.5, max_value=3.0))
-    argv = ["check", command, "--q", repr(q), "--interval=" + draw(st.sampled_from(QUARTERS))]
+    argv = ["check", command, "--q", repr(q), "--interval", draw(st.sampled_from(QUARTERS))]
     weights = draw(st.lists(st.floats(min_value=0.25, max_value=4.0), min_size=n + 1, max_size=n + 1))
     if command != "signs" and draw(st.booleans()):
         argv += ["--weights", ",".join(map(repr, weights))]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import qtrig
 from qtrig import basis, curve, errors, kernel, qcalc, rational, shape
 
@@ -11,3 +16,15 @@ def test_package_exports_each_layer_all_once():
     for module in LAYERS:
         for name in module.__all__:
             assert getattr(qtrig, name) is getattr(module, name)
+
+
+def test_python_m_qtrig_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtrig", "check", "tp", "--degree", "3", "--q", "1.5",
+         "--interval", "0,pi/2"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("tp: PASS\n")

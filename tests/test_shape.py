@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qtrig import (
     sign_changes_seq,
     total_positivity_check,
 )
-from oracles import monomial_tp_reference
+from oracles import monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
 
@@ -68,6 +69,10 @@ def test_minor_count_small_cases():
     assert minor_count(1, 1) == 1
     assert minor_count(2, 3) == 2 * 3 + 1 * 3
     assert minor_count(4, 4) == 16 + 36 + 16 + 1
+    for rows in range(-1, 9):
+        for cols in range(-1, 9):
+            per_order = sum(math.comb(rows, r) * math.comb(cols, r) for r in range(1, min(rows, cols) + 1))
+            assert minor_count(rows, cols) == per_order
 
 
 def test_tp_check_hand_matrices():
@@ -117,6 +122,72 @@ def test_rational_collocation_certifies_mixed_weights(quarter):
     # endpoints, zero in between, so only the interval certificate sees it
     with pytest.raises(SingularDenominatorError):
         collocation("rational", 2, 1.0, quarter, [0.0, math.pi / 2], weights=[1.0, -3.0, 1.0])
+
+
+def _assert_same_report(got, want):
+    assert (got.is_tp, got.minors_checked, got.witness) == (want.is_tp, want.minors_checked, want.witness)
+    for field in ("worst_minor", "worst_scaled", "tolerance"):  # as float bits, -0.0 included
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+
+
+def test_tp_check_matches_the_minor_loop_on_random_matrices():
+    rng = np.random.default_rng(9001)
+    # minors of entries near 1e300 overflow, and inf / inf scaled minors are
+    # never the worst: the batched check must skip them as the loop does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                for span, tolerance in ((0, 1e-9), (3, 0.5), (300, 1e-9)):
+                    exponents = rng.uniform(-span, span, size=(rows, cols))
+                    signs = rng.choice([-1.0, 1.0, 1.0], size=(rows, cols))
+                    entries = signs * 10.0 ** exponents
+                    _assert_same_report(total_positivity_check(entries, tolerance),
+                                        total_positivity_reference(entries, tolerance))
+
+
+def test_tp_check_matches_the_minor_loop_on_degenerate_matrices():
+    rng = np.random.default_rng(9002)
+    base = rng.uniform(-1.0, 1.0, size=(5, 6))
+    zero_row, zero_col = base.copy(), base.copy()
+    zero_row[2] = 0.0
+    zero_col[:, 3] = 0.0
+    tied = np.repeat(np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 0.5]]), 3, axis=1)  # equal worst minors
+    cases = [
+        zero_row, zero_col, np.zeros((3, 4)), tied, tied.T,
+        base * 1e-310,  # subnormal entries
+        np.array([[5e-324, 1.0], [1.0, 5e-324]]),
+        # wide and tall: more subsets than one listing holds, and stacks across row sets
+        rng.uniform(-1.0, 1.0, size=(2, 200)), rng.uniform(-1.0, 1.0, size=(200, 2)),
+        rng.uniform(0.0, 1.0, size=(3, 34)), rng.uniform(0.0, 1.0, size=(34, 3)),
+    ]
+    for entries in cases:
+        _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
+    assert total_positivity_check(tied).witness == ((0, 2), (0, 3))  # the first of nine ties
+
+
+@pytest.mark.parametrize("family", ["quantum", "classical", "rational"])
+def test_tp_check_matches_the_minor_loop_on_collocation_matrices(family):
+    rng = np.random.default_rng(9003)
+    intervals = [Interval.quarter(k) for k in (-1, 0, 1, 2)] + [Interval(0.3, 1.5), Interval(-0.4, 0.9)]
+    for interval in intervals:
+        for n, q in ((2, 0.5), (4, 1.7), (5, 3.0)):
+            weights = rng.uniform(0.5, 2.0, size=n + 1) if family == "rational" else None
+            for points in (_interior_points(interval, n + 2), np.linspace(interval.a, interval.b, n + 1)):
+                mat = collocation(family, n, q, interval, points, weights=weights)
+                _assert_same_report(total_positivity_check(mat), total_positivity_reference(mat.entries))
+
+
+def test_tp_check_memory_is_bounded_by_the_block():
+    # 982,100 minors, nearly all 2x2 of a 2 x 1400 matrix: one stack would take 31 MB
+    entries = np.random.default_rng(9004).uniform(0.1, 1.0, size=(2, 1400))
+    tracemalloc.start()
+    try:
+        rep = total_positivity_check(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.minors_checked == 982_100
+    assert peak < 4 * 2 ** 20
 
 
 def test_tp_check_refuses_oversized_matrices():
