@@ -20,21 +20,15 @@ import numpy as np
 
 from .basis import basis_matrix
 from .curve import ControlPolygon, sample_curve
-from .errors import (
-    InvalidIntervalError,
-    MinorCapExceededError,
-    QTrigError,
-    SingularDenominatorError,
-)
+from .errors import InvalidIntervalError, QTrigError, SingularDenominatorError
 from .export import Polyline, render_csv, render_json_records, render_svg, read_polygon_json
 from .kernel import Interval
 from .rational import rational_basis_matrix, rational_sample
 from .shape import (
     DEFAULT_TP_TOL,
-    MINOR_CAP,
+    _refuse_over_cap,
     collocation,
     convex_hull,
-    minor_count,
     point_in_hull,
     sign_changes_seq,
     total_positivity_check,
@@ -198,9 +192,7 @@ def cmd_rational(cfg: argparse.Namespace) -> int:
 
 
 def _check_tp(cfg: argparse.Namespace) -> dict:
-    count = minor_count(cfg.degree + 1, cfg.grid)
-    if count > MINOR_CAP:  # refuse before collocating, whose cost grows with --grid
-        raise MinorCapExceededError(count, MINOR_CAP)
+    _refuse_over_cap(cfg.degree + 1, cfg.grid)  # before collocating, whose cost grows with --grid
     q = cfg.qs[0]
     a, b = cfg.interval.a, cfg.interval.b
     pts = [a + (b - a) * (j + 1) / (cfg.grid + 1) for j in range(cfg.grid)]

@@ -47,12 +47,11 @@ class FloatRangeError(QTrigError):
 class MinorCapExceededError(QTrigError):
     """Exhaustive minor enumeration would exceed the hard cap."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, count: int | None, cap: int):
+        """count is None when it is only known to be over cap."""
         self.count = count
         self.cap = cap
-        shown = count  # str() refuses ints of more than 4300 digits
-        if count.bit_length() > 10_000:
-            shown = f"at least 10^{(count.bit_length() - 1) * 3 // 10}"
+        shown = f"more than {cap}" if count is None else count
         super().__init__(
             f"matrix has {shown} square submatrices, refusing to enumerate more than {cap}"
         )

@@ -100,13 +100,29 @@ def minor_count(rows: int, cols: int) -> int:
     return math.comb(rows + cols, rows) - 1
 
 
+def _refuse_over_cap(rows: int, cols: int) -> int:
+    """minor_count(rows, cols), or MinorCapExceededError when it is over MINOR_CAP.
+
+    From 12 x 12 on the count is at least C(24, 12) - 1 > MINOR_CAP, and the
+    exact binomial, whose cost grows with min(rows, cols), is not taken.
+    """
+    if min(rows, cols) >= 12:
+        raise MinorCapExceededError(None, MINOR_CAP)
+    total = minor_count(rows, cols)
+    if total > MINOR_CAP:
+        raise MinorCapExceededError(total, MINOR_CAP)
+    return total
+
+
 def _subsets(n: int, r: int):
     """The map from lexicographic ranks (k,) to the (r, k) r-subsets of range(n), one per column.
 
-    Subsets that fit in MINOR_BLOCK entries are listed once.  Others are
-    unranked per call: reversing and complementing maps lexicographic rank
-    to colex rank, whose unranking takes, element by element, the largest c
-    with C(c, i) <= rest.
+    Subsets that fit in MINOR_BLOCK entries are listed once: on the small
+    matrices that make up most checks, one gather per block costs less than
+    the r - 1 vectorised steps of unranking.  Others are unranked per call,
+    so memory stays that of the ranks asked for, whatever C(n, r): reversing
+    and complementing maps lexicographic rank to colex rank, whose unranking
+    takes, element by element, the largest c with C(c, i) <= rest.
     """
     count = math.comb(n, r)
     if r * count <= MINOR_BLOCK:
@@ -149,11 +165,9 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must be finite")  # a NaN minor never compares below the worst
     n_rows, n_cols = entries.shape
-    total = minor_count(n_rows, n_cols)
+    total = _refuse_over_cap(n_rows, n_cols)
     if total == 0:
         raise ValueError("matrix has no minors")
-    if total > MINOR_CAP:
-        raise MinorCapExceededError(total, MINOR_CAP)
 
     flat = np.ascontiguousarray(entries).ravel()
     worst_scaled = math.inf

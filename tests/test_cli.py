@@ -297,7 +297,8 @@ def test_check_tp_refuses_before_collocating(capsys, monkeypatch):
 
     monkeypatch.setattr("qtrig.cli.collocation", no_collocation)
     cases = (("1", "4000000", "matrix has 8000006000000 square submatrices"),
-             ("10000", "10000", "matrix has at least 10^5997 square submatrices"))  # too long to print
+             # C(20000001, 10000000) - 1 minors: over the cap without counting them
+             ("10000000", "10000000", "matrix has more than 1000000 square submatrices"))
     for degree, grid, message in cases:
         code = main(["check", "tp", "--degree", degree, "--q", "1.5", "--interval", "0,pi/2",
                      "--grid", grid])

@@ -19,6 +19,7 @@ from qtrig import (
     sign_changes_seq,
     total_positivity_check,
 )
+from qtrig.shape import MINOR_CAP, _refuse_over_cap
 from oracles import monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -195,6 +196,21 @@ def test_tp_check_refuses_oversized_matrices():
         total_positivity_check(np.zeros((20, 20)))
     # and the count itself is what trips it
     assert minor_count(20, 20) > 1_000_000
+
+
+def test_cap_refuses_exactly_the_matrices_over_it():
+    # from 12 x 12 on the count is not taken, so the bound must hold there
+    assert minor_count(11, 11) <= MINOR_CAP < minor_count(12, 12)
+    for rows in range(0, 30):
+        for cols in list(range(0, 30)) + [999_999, 1_000_000, 4_000_000]:
+            count = minor_count(rows, cols)
+            if count <= MINOR_CAP:
+                assert _refuse_over_cap(rows, cols) == count
+                continue
+            with pytest.raises(MinorCapExceededError) as info:
+                _refuse_over_cap(rows, cols)
+            assert info.value.count in (None, count)
+            assert (info.value.count is None) == (min(rows, cols) >= 12)
 
 
 def test_monomial_reference_is_tp():
