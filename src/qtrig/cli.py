@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or input error, 2 invalid interval,
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -372,6 +373,9 @@ def main(argv=None) -> int:
     except SingularDenominatorError as exc:
         print(f"qtrig: singular denominator: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except BrokenPipeError:  # the reader closed stdout: there is no one left to tell
+        sys.stdout = open(os.devnull, "w")  # so the flush at exit writes nowhere
+        return EXIT_USAGE
     except (ValueError, OSError, QTrigError) as exc:
         print(f"qtrig: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

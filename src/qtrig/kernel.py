@@ -8,9 +8,12 @@ drives every basis and curve evaluation in this package.  It is affine in q
 and collapses to sin(y - x) at q = 1.  A degree-n evaluation on [a, b]
 divides by d(a, b; q^i) for a range of i, so the kernel tables certify the
 interval before use: every such denominator must stay clear of zero in
-float64.
+float64.  That scan depends on (a, b, q, n) only, so it is memoised per
+key: the last 128 scans are kept.  A scan that meets an inf or NaN raises
+FloatRangeError on every call.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FloatRangeError, InvalidIntervalError
-from .qcalc import q_powers, validate_q
+from .qcalc import _validate_degree, q_powers, validate_q
 
 __all__ = [
     "SINGULARITY_TOL",
@@ -34,6 +37,8 @@ __all__ = [
 SINGULARITY_TOL = 1e-12
 # Endpoint distance to the k*pi/2 grid for quarter-period detection.
 QUARTER_SNAP_TOL = 1e-12
+# Interval scans kept by the memo, least recently used out first.
+_SCAN_MEMO_SIZE = 128
 
 _HALF_PI = math.pi / 2
 
@@ -91,28 +96,40 @@ def _kernel_row(powers, sin_minus, sin_plus):
     return [0.5 * (p + 1.0) * sin_minus + 0.5 * (p - 1.0) * sin_plus for p in powers]
 
 
-def _scan_interval(interval: Interval, q: float, n: int):
-    """The one certification rule over i = 0..n.
+@functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
+def _scan_interval(a: float, b: float, q: float, n: int):
+    """The one certification rule over i = 0..n, for plain floats a, b, q and a plain int n >= 0.
 
-    Returns the powers q^0..q^n, the denominators d(a, b; q^i), the smallest
-    |d| and the first i with |d| <= SINGULARITY_TOL (None if there is none).
+    Returns the powers q^0..q^n and the denominators d(a, b; q^i), as tuples
+    that no caller can change, the smallest |d| and the first i with
+    |d| <= SINGULARITY_TOL (None if there is none).  Returns None instead
+    when some d(a, b; q^i) is inf or NaN, as it is once a q-power overflows.
     Index n belongs to certify_interval's contract; no evaluation route
-    divides by d(a, b; q^n).  Raises FloatRangeError when some d(a, b; q^i)
-    is inf or NaN, as it is once a q-power overflows.
+    divides by d(a, b; q^n).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    a, b = interval.a, interval.b
-    powers = q_powers(q, n + 1)
-    d_ab = _kernel_row(powers, math.sin(b - a), math.sin(b + a))
+    powers = tuple(q_powers(q, n + 1))
+    d_ab = tuple(_kernel_row(powers, math.sin(b - a), math.sin(b + a)))
     if not all(map(math.isfinite, d_ab)):
-        raise FloatRangeError(f"degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+        return None
     magnitudes = list(map(abs, d_ab))
     min_abs = min(magnitudes)
     failing = None
     if min_abs <= SINGULARITY_TOL:
         failing = next(i for i, v in enumerate(magnitudes) if v <= SINGULARITY_TOL)
     return powers, d_ab, min_abs, failing
+
+
+def _scan(interval: Interval, q: float, n: int):
+    """_scan_interval on the interval at a validated q, after checking n.
+
+    Raises FloatRangeError, on every call, where the scan met an inf or NaN.
+    """
+    n_checked = _validate_degree(n)
+    a, b = interval.a, interval.b
+    scan = _scan_interval(float(a), float(b), q, n_checked)
+    if scan is None:
+        raise FloatRangeError(f"degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+    return scan
 
 
 def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificate:
@@ -123,7 +140,7 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     inf or NaN denominator raises FloatRangeError.
     """
     q = validate_q(q)
-    _, _, min_abs, failing = _scan_interval(interval, q, n)
+    _, _, min_abs, failing = _scan(interval, q, n)
     return ValidityCertificate(
         interval=interval,
         q=q,
@@ -145,7 +162,7 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
     identical subexpressions are bit-identical across methods.
     """
     a, b = interval.a, interval.b
-    powers, d_ab, _, failing = _scan_interval(interval, validate_q(q), n)
+    powers, d_ab, _, failing = _scan(interval, validate_q(q), n)
     if failing is not None:
         raise InvalidIntervalError(a, b, q, failing, d_ab[failing])
     if isinstance(x, (float, int)):
@@ -154,4 +171,4 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
         sin, x = np.sin, np.asarray(x, dtype=float)
     d_ax = _kernel_row(powers[:n], sin(x - a), sin(x + a))
     d_xb = _kernel_row(powers[:n], sin(b - x), sin(b + x))
-    return d_ax, d_xb, d_ab[:n]
+    return d_ax, d_xb, list(d_ab[:n])

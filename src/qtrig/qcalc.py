@@ -3,9 +3,16 @@
 The deformation parameter q is any finite nonzero real.  Everything here is
 continuous in q, including at q = 1 where the classical binomial
 coefficients are recovered.  The q-integer [k]_q is q_binomial_row(k, q)[1].
+
+A q-binomial row depends on (n, q) only, and a table of single-x calls asks
+for the same row again and again, so rows are memoised per (n, q): the last
+128 rows built are kept.  Every call returns a fresh list, and a call that
+raises is not memoised, so it raises again the next time.
 """
 
+import functools
 import math
+import operator
 
 from .errors import FloatRangeError
 
@@ -14,6 +21,9 @@ __all__ = [
     "q_binomial_row",
     "q_powers",
 ]
+
+# Rows kept by the q-binomial memo, least recently used out first.
+_ROW_MEMO_SIZE = 128
 
 
 def validate_q(q: float) -> float:
@@ -30,11 +40,23 @@ def q_binomial_row(n: int, q: float) -> list[float]:
     Built by the Pascal-type recurrence
         C(m, k) = C(m-1, k) + q^(m-k) C(m-1, k-1),
     which stays continuous through q = 1, unlike the quotient of
-    q-factorials.  Raises FloatRangeError past the float64 range.
+    q-factorials.  Raises FloatRangeError past the float64 range.  The row
+    is built once per (n, q) while it stays in the memo.
     """
     q = validate_q(q)
+    return list(_q_binomial_row(_validate_degree(n), q))
+
+
+def _validate_degree(n: int) -> int:
+    """Check a degree: an integer >= 0, returned as a plain int."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    return operator.index(n)
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _q_binomial_row(n: int, q: float) -> tuple[float, ...]:
+    """q_binomial_row for a plain int n >= 0 and a plain float q, as a tuple."""
     row = [1.0]
     try:
         for m in range(1, n + 1):
@@ -46,7 +68,7 @@ def q_binomial_row(n: int, q: float) -> list[float]:
         row = [math.inf]
     if not all(map(math.isfinite, row)):
         raise FloatRangeError(f"q-binomial row {n} at q={q!r} overflows float64")
-    return row
+    return tuple(row)
 
 
 def q_powers(q: float, count: int) -> list[float]:

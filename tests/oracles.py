@@ -107,12 +107,33 @@ def monomial_tp_reference(n: int, points, tolerance: float = 1e-9) -> TPReport:
     return total_positivity_check(entries, tolerance)
 
 
-@np.errstate(divide="ignore")  # det flags some subnormal minors, yet returns them right
+SMALLEST_NORMAL = 2.0 ** -1022
+
+
+def _rescaled_minor_reference(sub):
+    """(det, det / scale) of sub with row i multiplied by 2**-e_i, e_i = frexp(max |row i|)[1].
+
+    The det returned is the rescaled one times 2**sum(e_i), inf or 0 where
+    that leaves float range.
+    """
+    exps = [math.frexp(float(np.abs(row).max()))[1] for row in sub]
+    rows = np.array([[math.ldexp(float(v), -e) for v in row] for row, e in zip(sub, exps)])
+    det = float(rows[0, 0]) if len(rows) == 1 else float(np.linalg.det(rows))
+    scale = float(np.prod(np.abs(rows).max(axis=1)))
+    return float(np.ldexp(det, sum(exps))), det / scale if scale > 0.0 else 0.0
+
+
+# det flags some subnormal minors, yet returns them right; det and the scale
+# may overflow, and such minors are taken again by _rescaled_minor_reference
+@np.errstate(divide="ignore", over="ignore")
 def total_positivity_reference(matrix, tolerance: float = 1e-9) -> TPReport:
     """total_positivity_check of finite entries, one minor at a time.
 
     Sizes, then row sets, then column sets, each in lexicographic order;
     a minor replaces the worst only when its scaled value is strictly lower.
+    A minor whose det is not finite, or whose row-max product is not a
+    positive normal float while no row is zero, is taken again with every
+    row rescaled by a power of two.
     """
     entries = np.asarray(matrix, dtype=float)
     n_rows, n_cols = entries.shape
@@ -126,8 +147,12 @@ def total_positivity_reference(matrix, tolerance: float = 1e-9) -> TPReport:
             for cols_sel in col_sets:
                 sub = sub_rows[:, list(cols_sel)]
                 det = float(sub[0, 0]) if r == 1 else float(np.linalg.det(sub))
-                scale = float(np.prod(np.abs(sub).max(axis=1)))
-                scaled = det / scale if scale > 0.0 else 0.0
+                row_max = np.abs(sub).max(axis=1)
+                scale = float(np.prod(row_max))
+                if not math.isfinite(det) or (not SMALLEST_NORMAL <= scale < math.inf and row_max.all()):
+                    det, scaled = _rescaled_minor_reference(sub)
+                else:
+                    scaled = det / scale if scale > 0.0 else 0.0
                 if scaled < worst_scaled:
                     worst_scaled = scaled
                     worst_det = det

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -494,3 +496,20 @@ def test_check_defaults(tmp_path, capsys, monkeypatch):
     assert main(["check", "signs", "--polygon", scalar, "--q", "2", "--interval", "0,pi/2"]) == 0
     assert counts == [512]
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    # as in `qtrig check tp ... | head -1` once head has gone
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["check", "tp", "--degree", "3", "--q", "1.5", "--interval", "0,pi/2"])
+    assert code == 1
+    assert sys.stdout.name == os.devnull  # the flush at exit writes nowhere
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""

@@ -13,6 +13,7 @@ from qtrig import (
     trig_kernel,
     kernel_tables,
 )
+from qtrig.kernel import _scan_interval
 from oracles import d_mp
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -173,3 +174,39 @@ def test_circular_barycentric_frozen_examples():
     u, v = coords(Interval(math.pi / 8, math.pi / 4), math.pi / 4)
     assert abs(u - 1.0) <= 1e-15
     assert abs(v) <= 1e-16
+
+
+def test_changing_returned_tables_changes_no_later_table():
+    iv = Interval(math.pi / 8, math.pi / 4)
+    d_ax, d_xb, d_ab = kernel_tables(iv, 0.6, 1.3, 4)
+    want = [list(d_ax), list(d_xb), list(d_ab)]
+    for table in (d_ax, d_xb, d_ab):
+        table[0] = -1.0
+        table.append(99.0)
+    assert [list(t) for t in kernel_tables(iv, 0.6, 1.3, 4)] == want
+
+
+def test_failing_scans_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(InvalidIntervalError):
+            kernel_tables(Interval(0, math.pi), 0.7, 1.0, 3)
+        with pytest.raises(FloatRangeError, match=r"on \[0, 1\]"):  # the interval as given
+            certify_interval(Interval(0, 1), 3.0, 700)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_equal_keys_of_other_types_give_the_same_plain_float_scan(order):
+    # Interval(0, 1) of ints and of floats, and q as 2, 2.0 or np.float64(2.0),
+    # are one memo key: whichever fills the entry, every caller gets plain floats
+    _scan_interval.cache_clear()
+    keys = [(Interval(a, b), q) for a, b in ((0, 1), (0.0, 1.0), (np.float64(0.0), np.float64(1.0)))
+            for q in (2, 2.0, np.float64(2.0))][::order]
+    got = []
+    for iv, q in keys:
+        cert = certify_interval(iv, q, 4)
+        d_ax, d_xb, d_ab = kernel_tables(iv, 0.25, q, 4)
+        values = [cert.min_abs_denominator, *d_ax, *d_xb, *d_ab]
+        assert all(type(v) is float for v in values)
+        got.append([v.hex() for v in values])
+    assert all(g == got[0] for g in got)
+    assert float.fromhex(got[0][-1]) == trig_kernel(0.0, 1.0, 8.0)

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -28,3 +29,12 @@ def test_python_m_qtrig_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("tp: PASS\n")
+
+
+def test_public_functions_stay_plain_functions():
+    # memos wrap private helpers only, so a public function can still be
+    # told apart, and wrapped, as a plain function
+    for name in qtrig.__all__:
+        obj = getattr(qtrig, name)
+        if callable(obj) and not isinstance(obj, type):
+            assert inspect.isfunction(obj), name

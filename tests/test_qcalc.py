@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qtrig import (
     FloatRangeError,
+    Interval,
+    basis_all_direct,
     q_binomial_row,
     q_powers,
     validate_q,
 )
+from qtrig.qcalc import _q_binomial_row
 from oracles import qbinom_exact, qfact_exact, qint_exact
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -153,6 +157,30 @@ def test_row_outside_float_range_raises():
     # q ** (m - k) itself overflows at (700, 3); at (60, 3) the entries near
     # the middle pass 1e308 while every power stays finite
     for n, q in ((700, 3.0), (700, -3.0), (60, 3.0)):
-        with pytest.raises(FloatRangeError, match=f"q-binomial row {n} "):
-            q_binomial_row(n, q)
+        for _ in range(2):  # a row that raises is not memoised
+            with pytest.raises(FloatRangeError, match=f"q-binomial row {n} "):
+                q_binomial_row(n, q)
     assert all(map(math.isfinite, q_binomial_row(40, 3.0)))
+
+
+def test_changing_a_returned_row_changes_no_later_row_or_basis():
+    interval = Interval(0.0, math.pi / 2)
+    row = q_binomial_row(4, 1.3)
+    want_row = list(row)
+    want_basis = basis_all_direct(4, 0.6, 1.3, interval).values.copy()
+    row[2] = -1.0
+    row.append(99.0)
+    assert q_binomial_row(4, 1.3) == want_row
+    assert np.array_equal(basis_all_direct(4, 0.6, 1.3, interval).values, want_basis)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_equal_keys_of_other_types_give_the_same_plain_float_row(order):
+    # 2, 2.0 and np.float64(2.0) are one memo key: whichever fills the entry,
+    # every caller gets the plain floats the loop makes
+    _q_binomial_row.cache_clear()
+    rows = [q_binomial_row(n, q) for n, q in [(5, 2), (5, 2.0), (np.int64(5), np.float64(2.0))][::order]]
+    want = [float(qbinom_exact(5, k, Fraction(2))) for k in range(6)]
+    for row in rows:
+        assert all(type(v) is float for v in row)
+        assert [v.hex() for v in row] == [v.hex() for v in want]

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from qtrig import (
     sign_changes_seq,
     total_positivity_check,
 )
-from qtrig.shape import MINOR_CAP, _refuse_over_cap
+from qtrig.shape import MINOR_CAP, _minors_in_range, _refuse_over_cap
 from oracles import monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -389,3 +391,42 @@ def test_collocation_matrix_dataclass_shape(quarter):
     pts = np.array([0.2, 0.9])
     mat = CollocationMatrix(entries=np.ones((3, 2)), points=pts, family="quantum")
     assert mat.entries.shape == (3, 2)
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_tp_check_sees_negative_minors_outside_float_range(factor):
+    # det [[1, 2], [2, 1]] = -3: times 1e200 the determinant and the scale
+    # overflow, times 1e-200 they underflow, and neither may pass as >= 0
+    entries = np.array([[1.0, 2.0], [2.0, 1.0]]) * factor
+    rep = total_positivity_check(entries)
+    assert not rep.is_tp
+    rows, cols = rep.witness
+    sub = [[entries[i, j] for j in cols] for i in rows]
+    with mp.workdps(50):
+        exact = mp.det(mp.matrix(sub))
+        scale = mp.fprod(max(abs(mp.mpf(v)) for v in row) for row in sub)
+        assert exact < 0 and rep.worst_scaled < 0 and math.copysign(1.0, rep.worst_minor) == -1.0
+        assert abs(rep.worst_scaled - exact / scale) <= 1e-15
+    _assert_same_report(rep, total_positivity_reference(entries))
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8])
+def test_matrices_taken_as_in_range_have_every_minor_in_range(order):
+    # Sylvester-Hadamard matrices meet Hadamard's bound |det| = r**(r/2) * scale,
+    # so at the largest and the smallest power of two that the once-per-matrix
+    # test accepts, every minor must still have a finite det and a normal scale
+    hadamard = np.ones((1, 1))
+    while len(hadamard) < order:
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    accepted = [k for k in range(-1074, 1024) if _minors_in_range(np.ldexp(hadamard, k).ravel(), order)]
+    assert accepted == list(range(accepted[0], accepted[-1] + 1))
+    for k in (accepted[0], accepted[-1]):
+        entries = np.ldexp(hadamard, k)
+        for r in range(1, order + 1):
+            for rows in combinations(range(order), r):
+                for cols in combinations(range(order), r):
+                    sub = entries[np.ix_(rows, cols)]
+                    scale = np.abs(sub).max(axis=1).prod()
+                    assert np.isfinite(np.linalg.det(sub)) and np.finfo(float).tiny <= scale < math.inf
+    assert not _minors_in_range(np.ldexp(hadamard, accepted[-1] + 1).ravel(), order)
+    assert not _minors_in_range(np.ldexp(hadamard, accepted[0] - 1).ravel(), order)
