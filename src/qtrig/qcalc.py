@@ -6,8 +6,10 @@ coefficients are recovered.  The q-integer [k]_q is q_binomial_row(k, q)[1].
 
 A q-binomial row depends on (n, q) only, and a table of single-x calls asks
 for the same row again and again, so rows are memoised per (n, q): the last
-128 rows built are kept.  Every call returns a fresh list, and a call that
-raises is not memoised, so it raises again the next time.
+128 rows built are kept, which holds at most 128 (n + 1) floats alive for
+rows of degree up to n, about 4 KiB per unit of n + 1.  Every call returns
+a fresh list, and a call that raises is not memoised, so it raises again
+the next time.
 """
 
 import functools

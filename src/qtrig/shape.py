@@ -8,10 +8,10 @@ elimination (LU), and compares against a tolerance scaled per minor by the
 product of its row max-norms.  That is a certificate for the sampled grid,
 not a proof for the whole interval.  The work is batched by order: the
 r x r minors are gathered, in enumeration order, into stacks of at most
-MINOR_BLOCK entries, and each stack takes one determinant call.  A minor
-whose determinant or scale leaves float range is taken again on its own,
-with each row rescaled exactly by a power of two; a matrix whose entries
-rule that out skips the test.
+MINOR_BLOCK entries, and each stack takes one determinant call.  The minors
+of a stack whose determinant or scale leaves float range are taken again,
+in one more determinant call, with each row rescaled exactly by a power of
+two.
 """
 
 import math
@@ -147,42 +147,21 @@ def _subsets(n: int, r: int):
     return unrank
 
 
-def _minors_in_range(entries: np.ndarray, order: int) -> bool:
-    """True when no minor of order <= order can have a det or a scale outside float range.
+def _minor_values(subs: np.ndarray):
+    """(dets, row_max, scales, scaled) of an (r, r, k) stack of minors.
 
-    Every nonzero |entry| lies in [2**lo, 2**hi).  A minor of order r whose
-    rows are nonzero then has a row-max product in [2**(r lo), 2**(r hi)),
-    normal when r lo >= -1021, and by Hadamard's inequality
-    |det| <= r**(r/2) times that product; 16 bits spare cover the rounding
-    of the product and of the LU factors.
+    row_max (r, k) holds each row's max |entry| and scales (k,) their
+    product; scaled is det / scale, 0 where the scale is 0.
     """
-    magnitudes = np.abs(entries)
-    nonzero = magnitudes[magnitudes > 0.0]
-    if nonzero.size == 0:
-        return True
-    lo = math.frexp(float(nonzero.min()))[1] - 1
-    hi = math.frexp(float(nonzero.max()))[1]
-    return order * min(lo, 0) >= -1021 and order * (max(hi, 0) + math.log2(order) / 2) + 16 <= 1023
-
-
-def _rescaled_minor(sub: np.ndarray) -> tuple[float, float]:
-    """(det, scaled) of an r x r minor whose determinant or scale leaves float range.
-
-    Row i is first scaled exactly by 2**-e_i, with e_i the binary exponent of
-    its max, which leaves det / scale as it is and puts every row max in
-    [0.5, 1), so both stay finite and normal.  det is the rescaled
-    determinant times 2**sum(e_i): inf or 0 where that leaves float range,
-    with the sign of the exact one.
-    """
-    exps = [math.frexp(m)[1] for m in np.abs(sub).max(axis=1).tolist()]
-    sub = np.ldexp(sub, -np.array(exps)[:, None])
-    det = float(sub[0, 0] if len(sub) == 1 else np.linalg.det(sub))
-    scale = float(np.abs(sub).max(axis=1).prod())
-    return float(np.ldexp(det, sum(exps))), det / scale if scale > 0.0 else 0.0
+    # np.linalg.det goes through log|u_ii| and is not exact on 1x1
+    dets = subs[0, 0] if len(subs) == 1 else np.linalg.det(subs.transpose(2, 0, 1))
+    row_max = np.abs(subs).max(axis=1)
+    scales = row_max.prod(axis=0)
+    return dets, row_max, scales, np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0.0)
 
 
 # det flags some subnormal minors, yet returns them right; minors whose det or
-# scale overflows or underflows are taken again by _rescaled_minor
+# scale overflows or underflows are taken again with rescaled rows
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPReport:
     """Exhaustively test all minors of a matrix for nonnegativity.
@@ -209,7 +188,6 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
         raise ValueError("matrix has no minors")
 
     flat = np.ascontiguousarray(entries).ravel()
-    in_range = _minors_in_range(flat, min(n_rows, n_cols))
     worst_scaled = math.inf
     worst_det = 0.0
     worst_idx = None
@@ -223,15 +201,17 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
             row_ranks, col_ranks = np.divmod(np.arange(start, min(start + block, pairs)), col_sets)
             rows, cols = row_subsets(row_ranks), col_subsets(col_ranks)
             subs = flat.take(rows[:, None, :] * n_cols + cols[None, :, :])
-            # np.linalg.det goes through log|u_ii| and is not exact on 1x1
-            dets = subs[0, 0] if r == 1 else np.linalg.det(subs.transpose(2, 0, 1))
-            row_max = np.abs(subs).max(axis=1)
-            scales = row_max.prod(axis=0)
-            scaled = np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0.0)
-            if not in_range:
-                normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
-                for t in np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0))).tolist():
-                    dets[t], scaled[t] = _rescaled_minor(subs[:, :, t])
+            dets, row_max, scales, scaled = _minor_values(subs)
+            normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
+            redo = np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0)))
+            if redo.size:
+                # row i scaled exactly by 2**-e_i, e_i the binary exponent of its
+                # max, leaves det / scale as it is and every row max in [0.5, 1);
+                # the det is then 2**sum(e_i) times the rescaled one, inf or 0
+                # where that leaves float range, with the sign of the exact one
+                exps = np.frexp(row_max[:, redo])[1]
+                rescaled_dets, _, _, scaled[redo] = _minor_values(np.ldexp(subs[:, :, redo], -exps[:, None, :]))
+                dets[redo] = np.ldexp(rescaled_dets, exps.sum(axis=0))
             j = int(np.argmin(scaled))  # the first of equal minima
             if scaled[j] < worst_scaled:
                 worst_scaled = float(scaled[j])

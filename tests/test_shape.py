@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +20,7 @@ from qtrig import (
     sign_changes_seq,
     total_positivity_check,
 )
-from qtrig.shape import MINOR_CAP, _minors_in_range, _refuse_over_cap
+from qtrig.shape import MINOR_BLOCK, MINOR_CAP, _refuse_over_cap
 from oracles import monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -135,8 +134,8 @@ def _assert_same_report(got, want):
 
 def test_tp_check_matches_the_minor_loop_on_random_matrices():
     rng = np.random.default_rng(9001)
-    # minors of entries near 1e300 overflow, and inf / inf scaled minors are
-    # never the worst: the batched check must skip them as the loop does
+    # minors of entries near 1e300 or 1e-300 leave float range, and the
+    # batched check must take them again with rescaled rows as the loop does
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in range(1, 8):
             for cols in range(1, 8):
@@ -410,23 +409,13 @@ def test_tp_check_sees_negative_minors_outside_float_range(factor):
     _assert_same_report(rep, total_positivity_reference(entries))
 
 
-@pytest.mark.parametrize("order", [1, 2, 4, 8])
-def test_matrices_taken_as_in_range_have_every_minor_in_range(order):
-    # Sylvester-Hadamard matrices meet Hadamard's bound |det| = r**(r/2) * scale,
-    # so at the largest and the smallest power of two that the once-per-matrix
-    # test accepts, every minor must still have a finite det and a normal scale
-    hadamard = np.ones((1, 1))
-    while len(hadamard) < order:
-        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
-    accepted = [k for k in range(-1074, 1024) if _minors_in_range(np.ldexp(hadamard, k).ravel(), order)]
-    assert accepted == list(range(accepted[0], accepted[-1] + 1))
-    for k in (accepted[0], accepted[-1]):
-        entries = np.ldexp(hadamard, k)
-        for r in range(1, order + 1):
-            for rows in combinations(range(order), r):
-                for cols in combinations(range(order), r):
-                    sub = entries[np.ix_(rows, cols)]
-                    scale = np.abs(sub).max(axis=1).prod()
-                    assert np.isfinite(np.linalg.det(sub)) and np.finfo(float).tiny <= scale < math.inf
-    assert not _minors_in_range(np.ldexp(hadamard, accepted[-1] + 1).ravel(), order)
-    assert not _minors_in_range(np.ldexp(hadamard, accepted[0] - 1).ravel(), order)
+def test_tp_check_rescales_out_of_range_minors_in_every_block_as_the_loop_does():
+    # 2 x 100 has C(100, 2) = 4950 minors of order 2, more than one stack holds;
+    # near 1e+-300 most of them overflow or underflow, in both stacks
+    assert math.comb(100, 2) > MINOR_BLOCK // 4
+    rng = np.random.default_rng(9004)
+    for sign in (1.0, -1.0):
+        exponents = sign * rng.uniform(150.0, 300.0, size=(2, 100))
+        signs = rng.choice([-1.0, 1.0, 1.0, 1.0], size=(2, 100))
+        entries = signs * 10.0 ** exponents
+        _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
