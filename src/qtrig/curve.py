@@ -135,9 +135,10 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
 def _stages(work, d_ax, d_xb, d_ab, q, variant):
     """Yield stages 0..n of the alg1/alg2 scheme, stage 0 being work itself.
 
-    work is (n+1, dim) with the kernel_tables of one x, or (m, n+1, dim)
-    with the kernel_tables of m points; stage r then has n+1-r entries on
-    the second-to-last axis.  evaluate_alg1 and evaluate_alg2 state the step.
+    work is (dim, n+1) with the kernel_tables of one x, or (dim, m, n+1)
+    with the kernel_tables of m points: the entries run along the last,
+    contiguous axis, and stage r has n+1-r of them.  evaluate_alg1 and
+    evaluate_alg2 state the step.
     """
     n = len(d_ab)
     powers = np.array(q_powers(float(q), n))
@@ -151,14 +152,14 @@ def _stages(work, d_ax, d_xb, d_ab, q, variant):
             lower = powers[: n - r] * lower
         else:
             upper = powers[n - r - 1::-1] * upper
-        work = lower[..., None] * work[..., :-1, :] + upper[..., None] * work[..., 1:, :]
+        work = lower * work[..., :-1] + upper * work[..., 1:]
         yield work
 
 
 def _tableau(polygon, x, q, interval, variant):
     q = validate_q(q)
     tables = kernel_tables(interval, x, q, polygon.degree)
-    rows = tuple(_stages(polygon.points.copy(), *tables, q, variant))
+    rows = tuple(stage.T for stage in _stages(polygon.points.T.copy(), *tables, q, variant))
     _finite(rows[-1][0], f"{variant} curve points")  # inf and NaN reach the apex
     return DeCasteljauTableau(variant=variant, x=x, q=q, interval=interval, rows=rows)
 
@@ -251,10 +252,11 @@ def sample_curve(
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
         tables = kernel_tables(interval, xs, q, polygon.degree)  # validates q
-        work = np.broadcast_to(polygon.points, (len(xs),) + polygon.points.shape)
+        dim, size = polygon.dim, polygon.degree + 1
+        work = np.broadcast_to(polygon.points.T[:, None, :], (dim, len(xs), size))
         for work in _stages(work, *tables, q, method):
             pass  # only the last stage is kept; its one entry per x is the apex
-        points = work[:, 0].copy()
+        points = work[..., 0].T.copy()
     return CurveSamples(xs, points, method)
 
 

@@ -4,7 +4,9 @@ Exact rational arithmetic for the q-combinatorics and 30-digit mpmath for
 kernel, basis and curve values.  Everything here is deliberately separate
 from the production code paths: different arithmetic, and where possible a
 different formula (e.g. the quarter-period closed form instead of kernel
-products).  monomial_tp_reference runs the production minor checker on a
+products).  tableau_reference is the alg1/alg2 step one entry at a time, in
+the operation order of the production stages, which must match it bit for
+bit.  monomial_tp_reference runs the production minor checker on a
 matrix known to be totally positive, as a sanity reference for the checker;
 total_positivity_reference is the checker's loop, one determinant per minor,
 which the batched checker must match bit for bit.
@@ -17,7 +19,8 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from qtrig import TPReport, total_positivity_check
+from qtrig import TPReport, kernel_tables, total_positivity_check
+from qtrig.qcalc import q_powers
 
 DPS = 30
 
@@ -87,6 +90,35 @@ def curve_direct_mp(controls, x, q, a, b):
     vals = [basis_direct_mp(n, k, x, q, a, b) for k in range(n + 1)]
     dim = len(controls[0])
     return [sum(mp.mpf(controls[k][j]) * vals[k] for k in range(n + 1)) for j in range(dim)]
+
+
+def tableau_reference(points, x, q, interval, variant):
+    """Stages 0..n of alg1 or alg2 at one x as lists of points, one float at a time.
+
+    Entry k of stage r+1 is lower_k * b_k + upper_k * b_(k+1) per coordinate,
+    with lower_k = d(x,b;q^(n-r-k-1)) / d(a,b;q^(n-r-1)) and
+    upper_k = d(a,x;q^k) / d(a,b;q^(n-r-1)), and the q-power multiplying lower_k
+    (alg1) or upper_k (alg2) from the left, as the production stages take it.
+    """
+    stage = [[float(v) for v in point] for point in points]
+    n = len(stage) - 1
+    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
+    powers = q_powers(float(q), n)
+    stages = [stage]
+    for r in range(n):
+        den = d_ab[n - r - 1]
+        nxt = []
+        for k in range(n - r):
+            lower = d_xb[n - r - 1 - k] / den
+            upper = d_ax[k] / den
+            if variant == "alg1":
+                lower = powers[k] * lower
+            else:
+                upper = powers[n - r - 1 - k] * upper
+            nxt.append([lower * u + upper * v for u, v in zip(stage[k], stage[k + 1])])
+        stage = nxt
+        stages.append(stage)
+    return stages
 
 
 def monomial_tp_reference(n: int, points, tolerance: float = 1e-9) -> TPReport:

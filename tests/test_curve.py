@@ -19,7 +19,7 @@ from qtrig import (
     tn_membership_residual,
 )
 from conftest import random_curve_case
-from oracles import curve_direct_mp
+from oracles import curve_direct_mp, tableau_reference
 
 ROOT2 = math.sqrt(2.0)
 EVALUATORS = [
@@ -144,6 +144,21 @@ def test_tableau_structure(quarter, arch_polygon):
         assert row.shape == (4 - r, 2)
     assert np.array_equal(tab.rows[0][2], arch_polygon.points[2])
     assert np.array_equal(tab.apex, tab.rows[3][0])
+
+
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_tableau_rows_equal_the_scalar_reference_bit_for_bit(variant):
+    run = evaluate_alg1 if variant == "alg1" else evaluate_alg2
+    rng = np.random.default_rng(2210 if variant == "alg1" else 2211)
+    for _ in range(40):
+        poly, x, q, iv = random_curve_case(rng, max_degree=30)
+        n, dim = poly.degree, poly.dim
+        tab = run(poly, x, q, iv)
+        want = tableau_reference(poly.points, x, q, iv, variant)
+        assert len(tab.rows) == n + 1
+        for r, (row, ref) in enumerate(zip(tab.rows, want)):
+            assert row.shape == (n + 1 - r, dim)
+            assert row.tolist() == ref, (variant, n, q, iv, r)
 
 
 def test_intermediate_explicit_bounds(quarter, arch_polygon):
