@@ -14,6 +14,8 @@ they agree with the product formula and with each other.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -52,14 +54,18 @@ class BasisVector:
 def _product_chain(row, d_ax, d_xb, d_ab, n, q):
     """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / prod(d_ab) for j = 0..r = len(row) - 1.
 
-    One left-to-right chain per entry, on floats or (m,) columns alike.  Raises
-    FloatRangeError, naming degree n and q, when prod(d_ab) is 0 or not finite.
+    The two products are running prefix products of d_ax and d_xb, so all
+    r + 1 entries cost O(r) multiplications, on floats or (m,) columns alike.
+    Raises FloatRangeError, naming degree n and q, when prod(d_ab) is 0 or
+    not finite.
     """
     den = math.prod(d_ab)
     if den == 0.0 or not math.isfinite(den):
         raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
     r = len(row) - 1
-    return [math.prod(d_ax[:j] + d_xb[: r - j], start=row[j]) / den for j in range(r + 1)]
+    pa = list(accumulate(d_ax, mul, initial=1.0))
+    pb = list(accumulate(d_xb, mul, initial=1.0))
+    return [row[j] * pa[j] * pb[r - j] / den for j in range(r + 1)]
 
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:

@@ -3,19 +3,27 @@
 The kernel
 
     d(x, y; q) = (q+1)/2 * sin(y - x) + (q-1)/2 * sin(y + x)
+               = q sin y cos x - cos y sin x
 
 drives every basis and curve evaluation in this package.  It is affine in q
-and collapses to sin(y - x) at q = 1.  A degree-n evaluation on [a, b]
-divides by d(a, b; q^i) for a range of i, so the kernel tables certify the
-interval before use: every such denominator must stay clear of zero in
-float64.  That scan depends on (a, b, q, n) only, so it is memoised per
-key: the last 128 scans are kept.  Each holds the powers and the
-denominators, two tuples of n + 1 floats, so the memo holds at most
-128 x 2 (n + 1) floats alive for degrees up to n, about 8 KiB per unit of
-n + 1 (8 MB at n = 1000).  A scan that meets an inf or NaN raises
+and collapses to sin(y - x) at q = 1.  The two terms of the first form
+cancel when q is far from 1 and sin(y + x) is close to +-sin(y - x), as on
+every quarter period, so d is evaluated in one of two exact rewrites whose
+terms do not cancel there:
+
+    q <= 1:   q sin(y - x) - (1 - q) cos y sin x
+    q > 1:      sin(y - x) + (q - 1) sin y cos x
+
+A degree-n evaluation on [a, b] divides by d(a, b; q^i) for a range of i,
+so the kernel tables certify the interval before use: every such
+denominator must stay clear of zero in float64.  That scan depends on
+(a, b, q, n) only, so it is memoised per key: the last 128 scans are kept.
+Each holds the powers and the denominators, two tuples of n + 1 floats,
+and the sines and cosines of a and b, so the memo holds at most
+128 x (2 (n + 1) + 4) floats alive for degrees up to n, about 8 KiB per
+unit of n + 1 (8 MB at n = 1000).  A scan that meets an inf or NaN raises
 FloatRangeError on every call.
 """
-
 import functools
 import math
 from dataclasses import dataclass
@@ -47,8 +55,8 @@ _HALF_PI = math.pi / 2
 
 
 def trig_kernel(x: float, y: float, q: float) -> float:
-    """d(x, y; q) = (q+1)/2 sin(y-x) + (q-1)/2 sin(y+x)."""
-    return _kernel_row([q], math.sin(y - x), math.sin(y + x))[0]
+    """d(x, y; q) = (q+1)/2 sin(y-x) + (q-1)/2 sin(y+x), in the form of _kernel_row."""
+    return _kernel_row([q], math.sin(y - x), math.cos(y) * math.sin(x), math.sin(y) * math.cos(x))[0]
 
 
 @dataclass(frozen=True)
@@ -94,9 +102,14 @@ class ValidityCertificate:
     failing_index: Optional[int]
 
 
-def _kernel_row(powers, sin_minus, sin_plus):
-    """d(x, y; p) for each p in powers, from sin(y - x) and sin(y + x) as floats or (m,) columns."""
-    return [0.5 * (p + 1.0) * sin_minus + 0.5 * (p - 1.0) * sin_plus for p in powers]
+def _kernel_row(powers, sin_diff, cos_y_sin_x, sin_y_cos_x):
+    """d(x, y; p) for each p in powers, from sin(y - x), cos y sin x and sin y cos x.
+
+    p sin(y - x) - (1 - p) cos y sin x for p <= 1 and sin(y - x) + (p - 1) sin y cos x
+    for p > 1, on floats or (m,) columns alike.
+    """
+    return [p * sin_diff - (1.0 - p) * cos_y_sin_x if p <= 1.0 else sin_diff + (p - 1.0) * sin_y_cos_x
+            for p in powers]
 
 
 @functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
@@ -104,14 +117,16 @@ def _scan_interval(a: float, b: float, q: float, n: int):
     """The one certification rule over i = 0..n, for plain floats a, b, q and a plain int n >= 0.
 
     Returns the powers q^0..q^n and the denominators d(a, b; q^i), as tuples
-    that no caller can change, the smallest |d| and the first i with
-    |d| <= SINGULARITY_TOL (None if there is none).  Returns None instead
+    that no caller can change, the smallest |d|, the first i with
+    |d| <= SINGULARITY_TOL (None if there is none) and the x-free factors
+    (sin a, cos a, sin b, cos b) of the kernel tables.  Returns None instead
     when some d(a, b; q^i) is inf or NaN, as it is once a q-power overflows.
     Index n belongs to certify_interval's contract; no evaluation route
     divides by d(a, b; q^n).
     """
     powers = tuple(q_powers(q, n + 1))
-    d_ab = tuple(_kernel_row(powers, math.sin(b - a), math.sin(b + a)))
+    trig = sin_a, cos_a, sin_b, cos_b = math.sin(a), math.cos(a), math.sin(b), math.cos(b)
+    d_ab = tuple(_kernel_row(powers, math.sin(b - a), cos_b * sin_a, sin_b * cos_a))
     if not all(map(math.isfinite, d_ab)):
         return None
     magnitudes = list(map(abs, d_ab))
@@ -119,7 +134,7 @@ def _scan_interval(a: float, b: float, q: float, n: int):
     failing = None
     if min_abs <= SINGULARITY_TOL:
         failing = next(i for i, v in enumerate(magnitudes) if v <= SINGULARITY_TOL)
-    return powers, d_ab, min_abs, failing
+    return powers, d_ab, min_abs, failing, trig
 
 
 def _scan(interval: Interval, q: float, n: int):
@@ -143,7 +158,7 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     inf or NaN denominator raises FloatRangeError.
     """
     q = validate_q(q)
-    _, _, min_abs, failing = _scan(interval, q, n)
+    _, _, min_abs, failing, _ = _scan(interval, q, n)
     return ValidityCertificate(
         interval=interval,
         q=q,
@@ -165,13 +180,14 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
     identical subexpressions are bit-identical across methods.
     """
     a, b = interval.a, interval.b
-    powers, d_ab, _, failing = _scan(interval, validate_q(q), n)
+    powers, d_ab, _, failing, (sin_a, cos_a, sin_b, cos_b) = _scan(interval, validate_q(q), n)
     if failing is not None:
         raise InvalidIntervalError(a, b, q, failing, d_ab[failing])
     if isinstance(x, (float, int)):
-        sin = math.sin
+        sin, cos = math.sin, math.cos
     else:
-        sin, x = np.sin, np.asarray(x, dtype=float)
-    d_ax = _kernel_row(powers[:n], sin(x - a), sin(x + a))
-    d_xb = _kernel_row(powers[:n], sin(b - x), sin(b + x))
+        sin, cos, x = np.sin, np.cos, np.asarray(x, dtype=float)
+    sin_x, cos_x = sin(x), cos(x)
+    d_ax = _kernel_row(powers[:n], sin(x - a), cos_x * sin_a, sin_x * cos_a)
+    d_xb = _kernel_row(powers[:n], sin(b - x), cos_b * sin_x, sin_b * cos_x)
     return d_ax, d_xb, list(d_ab[:n])

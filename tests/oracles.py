@@ -42,8 +42,8 @@ def qbinom_exact(n: int, k: int, q: Fraction) -> Fraction:
     return qfact_exact(n, q) / (qfact_exact(k, q) * qfact_exact(n - k, q))
 
 
-def d_mp(x, y, q) -> mp.mpf:
-    with mp.workdps(DPS):
+def d_mp(x, y, q, dps=DPS) -> mp.mpf:
+    with mp.workdps(dps):
         x, y, q = mp.mpf(x), mp.mpf(y), mp.mpf(q)
         return (q + 1) / 2 * mp.sin(y - x) + (q - 1) / 2 * mp.sin(y + x)
 
@@ -71,6 +71,22 @@ def basis_direct_mp(n: int, k: int, x, q, a, b) -> mp.mpf:
         for i in range(n):
             den *= d_mp(a, b, q ** i)
         return num / den
+
+
+def basis_row_mp(n: int, x, q, a, b, dps=60) -> list:
+    """All n + 1 product-formula basis values at dps significant digits.
+
+    The kernel is taken in its affine form, which loses up to log10 |q^(n-1)|
+    digits to cancellation; the default leaves more than 35 for |q| <= 3 and
+    n <= 40.
+    """
+    with mp.workdps(dps):
+        x, q, a, b = mp.mpf(x), mp.mpf(q), mp.mpf(a), mp.mpf(b)
+        d_ax = [d_mp(a, x, q ** i, dps) for i in range(n)]
+        d_xb = [d_mp(x, b, q ** i, dps) for i in range(n)]
+        den = mp.fprod(d_mp(a, b, q ** i, dps) for i in range(n))
+        row = _qbinom_row_mp(n, q)
+        return [row[k] * mp.fprod(d_ax[:k]) * mp.fprod(d_xb[:n - k]) / den for k in range(n + 1)]
 
 
 def quarter_basis_mp(n: int, i: int, x, q) -> mp.mpf:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,13 @@ from qtrig import (
     basis_all_recurrence1,
     basis_all_recurrence2,
     basis_matrix,
+    certify_interval,
     classical_trig_basis,
     rational_basis_matrix,
 )
-from oracles import basis_direct_mp, quarter_basis_mp
+from qtrig.basis import _product_chain
+from qtrig.kernel import SINGULARITY_TOL
+from oracles import basis_direct_mp, basis_row_mp, d_mp, quarter_basis_mp
 
 ROOT2 = math.sqrt(2.0)
 Q_GRID = [0.5, 1.0, 1.3, 2.0, 5.0]
@@ -27,6 +31,7 @@ INTERVALS = [
     Interval(math.pi, 3 * math.pi / 2),
 ]
 ALL_METHODS = [basis_all_direct, basis_all_recurrence1, basis_all_recurrence2]
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def test_frozen_cubic_row_at_quarter_midpoint(quarter):
@@ -192,3 +197,71 @@ def test_recurrences_stay_finite_where_the_product_underflows(quarter):
     for method in (basis_all_recurrence1, basis_all_recurrence2):
         values = method(150, 0.7, 0.9, quarter).values
         assert np.all(np.isfinite(values))
+
+
+def test_product_chain_within_first_order_bound():
+    # each entry takes at most 2n + 1 roundings: the two prefix products, the
+    # q-binomial factor, the quotient and the product of the n denominators
+    rng = np.random.default_rng(1201)
+
+    def table(size, spread):
+        return (rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-spread, spread, size))).tolist()
+
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        row = np.exp(rng.uniform(0.0, 20.0, n + 1)).tolist()
+        d_ax, d_xb, d_ab = table(n, 2.3), table(n, 2.3), table(n, 2.3)
+        got = _product_chain(row, d_ax, d_xb, d_ab, n, 1.0)
+        with mp.workdps(50):
+            den = mp.fprod(map(mp.mpf, d_ab))
+            for j, value in enumerate(got):
+                want = row[j] * mp.fprod(map(mp.mpf, d_ax[:j])) * mp.fprod(map(mp.mpf, d_xb[:n - j])) / den
+                assert abs(value - want) <= (2 * n + 1) * UNIT_ROUNDOFF * abs(want), (n, j)
+
+
+QUARTER_ROUTES = {
+    "direct": lambda n, x, q, iv: basis_all_direct(n, x, q, iv).values,
+    "matrix": lambda n, x, q, iv: basis_matrix(n, [x, iv.a], q, iv)[0],
+    "recurrence1": lambda n, x, q, iv: basis_all_recurrence1(n, x, q, iv).values,
+    "recurrence2": lambda n, x, q, iv: basis_all_recurrence2(n, x, q, iv).values,
+}
+
+
+def _quarter_cases():
+    """(n, x, q, interval): the [pi/2, pi] case of 2.4e-2 error, then random draws.
+
+    q is log-uniform in [0.3, 3], n up to 40 and x anywhere in a quarter
+    period; no basis-mass guard, as the B_k are positive there.
+    """
+    half = Interval.quarter(1)
+    yield 30, (half.a + half.b) / 2 + 0.1, 3.0, half
+    rng = np.random.default_rng(1202)
+    for _ in range(60):
+        iv = Interval.quarter(int(rng.integers(-1, 3)))
+        q = float(np.exp(rng.uniform(math.log(0.3), math.log(3.0))))
+        yield int(rng.integers(1, 41)), float(rng.uniform(iv.a, iv.b)), q, iv
+
+
+def test_quarter_period_bases_have_small_relative_error():
+    for n, x, q, iv in _quarter_cases():
+        try:
+            certify = certify_interval(iv, q, n)
+        except FloatRangeError:
+            continue
+        if not certify.valid:  # the certificate's own rule, against the 60-digit kernel
+            i = certify.failing_index
+            assert abs(d_mp(iv.a, iv.b, mp.mpf(q) ** i, 60)) <= SINGULARITY_TOL * (1 + 1e-9), (n, q, iv)
+            continue
+        want = basis_row_mp(n, x, q, iv.a, iv.b)
+        tol = 8 * (n + 1) * UNIT_ROUNDOFF
+        for name, route in QUARTER_ROUTES.items():
+            try:
+                got = route(n, x, q, iv)
+            except FloatRangeError:  # only where the exact denominator product leaves float64
+                assert name in ("direct", "matrix")
+                with mp.workdps(60):
+                    den = abs(mp.fprod(d_mp(iv.a, iv.b, mp.mpf(q) ** i, 60) for i in range(n)))
+                assert not 2.0 ** -1022 <= den < 2.0 ** 1024, (name, n, q, iv)
+                continue
+            err = max(abs((g - w) / w) for g, w in zip(got.tolist(), want))
+            assert err <= tol, (name, n, x, q, iv, float(err))

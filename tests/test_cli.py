@@ -9,6 +9,7 @@ import pytest
 
 from qtrig import sample_curve
 from qtrig.cli import main, parse_angle, parse_interval
+from oracles import basis_row_mp
 
 ARCH = {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [3.0, 0.0]], "weights": [1, 1, 1, 1]}
 
@@ -176,6 +177,20 @@ def test_exit_code_invalid_interval(tmp_path):
     assert code == 2
 
 
+def test_degree_40_on_the_second_quarter_period_is_certified(tmp_path):
+    # d(pi/2, pi; 3^i) = 1 for every i; the affine form of the kernel
+    # computed 0 at i = 34 and rejected the interval
+    out = tmp_path / "b40.csv"
+    code = main(["basis", "--degree", "40", "--q", "3", "--interval", "pi/2,pi",
+                 "--samples", "9", "--out", str(out)])
+    assert code == 0
+    header, data = read_csv(out)
+    assert header == ["x"] + [f"B{k}" for k in range(41)]
+    x = data[4, 0]
+    want = basis_row_mp(40, x, 3.0, math.pi / 2, math.pi)
+    assert max(abs((g - w) / w) for g, w in zip(data[4, 1:].tolist(), want)) <= 1e-13
+
+
 def test_exit_code_singular_denominator(tmp_path):
     # (cos x - sin x)^2 denominator touches zero at pi/4; the pointwise
     # guard trips on the exact sample there
@@ -290,7 +305,8 @@ def test_check_tp_degree_9_on_12_points(capsys):
     assert out[0] == "tp: PASS"
     payload = json.loads(out[-1])
     assert payload["minors_checked"] == 646645
-    assert (payload["worst_minor"], payload["worst_scaled"]) == (6.957530259928383e-16, 8.224818273223697e-13)
+    # the witness, rows 0-9 x columns 1-10, is 6.9575302599294655e-16 at 50 digits
+    assert (payload["worst_minor"], payload["worst_scaled"]) == (6.957530259919386e-16, 8.224818273213061e-13)
 
 
 def test_check_tp_refuses_before_collocating(capsys, monkeypatch):
