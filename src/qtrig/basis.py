@@ -8,8 +8,11 @@ Degree-n basis on a certified interval [a, b]:
                 / prod_{i=0}^{n-1} d(a, b; q^i)
 
 with empty products equal to 1.  At q = 1 this is the classical circular
-Bernstein basis.  Two degree-raising recurrences evaluate the whole vector;
-they agree with the product formula and with each other.
+Bernstein basis.  The product formula takes all n + 1 values at one x from
+running prefix products of the two kernel tables, O(n) multiplications in
+all, and the same chain serves an array of x column by column.  Two
+degree-raising recurrences evaluate the whole vector; they agree with the
+product formula and with each other.
 """
 
 import math

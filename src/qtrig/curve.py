@@ -200,7 +200,10 @@ def intermediate_explicit(
             * prod_{i=0}^{r-j-1} d(x, b; q^(i+n-r-k))
             / prod_{i=0}^{r-1}   d(a, b; q^(i+n-r))
 
-    with prefactor q^(k(r-j)) for "alg1" and q^(j(n-r-k)) for "alg2".
+    with prefactor q^(k(r-j)) for "alg1" and q^(j(n-r-k)) for "alg2".  The
+    basis product chain takes the windows d(a, x; q^(k..k+r-1)) and
+    d(x, b; q^(n-r-k..n-k-1)) of the kernel tables, and its prefix products
+    start at the first entry of each window.
     """
     if variant not in ("alg1", "alg2"):
         raise ValueError(f"variant must be 'alg1' or 'alg2', got {variant!r}")

@@ -11,8 +11,8 @@ cancel when q is far from 1 and sin(y + x) is close to +-sin(y - x), as on
 every quarter period, so d is evaluated in one of two exact rewrites whose
 terms do not cancel there:
 
-    q <= 1:   q sin(y - x) - (1 - q) cos y sin x
-    q > 1:      sin(y - x) + (q - 1) sin y cos x
+    |q| <= 1:   q sin(y - x) - (1 - q) cos y sin x
+    |q| > 1:      sin(y - x) + (q - 1) sin y cos x
 
 A degree-n evaluation on [a, b] divides by d(a, b; q^i) for a range of i,
 so the kernel tables certify the interval before use: every such
@@ -105,10 +105,10 @@ class ValidityCertificate:
 def _kernel_row(powers, sin_diff, cos_y_sin_x, sin_y_cos_x):
     """d(x, y; p) for each p in powers, from sin(y - x), cos y sin x and sin y cos x.
 
-    p sin(y - x) - (1 - p) cos y sin x for p <= 1 and sin(y - x) + (p - 1) sin y cos x
-    for p > 1, on floats or (m,) columns alike.
+    p sin(y - x) - (1 - p) cos y sin x for |p| <= 1 and sin(y - x) + (p - 1) sin y cos x
+    for |p| > 1, on floats or (m,) columns alike.
     """
-    return [p * sin_diff - (1.0 - p) * cos_y_sin_x if p <= 1.0 else sin_diff + (p - 1.0) * sin_y_cos_x
+    return [p * sin_diff - (1.0 - p) * cos_y_sin_x if -1.0 <= p <= 1.0 else sin_diff + (p - 1.0) * sin_y_cos_x
             for p in powers]
 
 

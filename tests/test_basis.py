@@ -230,16 +230,17 @@ QUARTER_ROUTES = {
 def _quarter_cases():
     """(n, x, q, interval): the [pi/2, pi] case of 2.4e-2 error, then random draws.
 
-    q is log-uniform in [0.3, 3], n up to 40 and x anywhere in a quarter
-    period; no basis-mass guard, as the B_k are positive there.
+    |q| is log-uniform in [0.3, 3], n up to 40 and x anywhere in a quarter
+    period; no basis-mass guard, as the B_k are positive there for q > 0.
+    One draw in four takes q < 0, where each B_k is still a product.
     """
     half = Interval.quarter(1)
     yield 30, (half.a + half.b) / 2 + 0.1, 3.0, half
     rng = np.random.default_rng(1202)
-    for _ in range(60):
+    for i in range(80):
         iv = Interval.quarter(int(rng.integers(-1, 3)))
         q = float(np.exp(rng.uniform(math.log(0.3), math.log(3.0))))
-        yield int(rng.integers(1, 41)), float(rng.uniform(iv.a, iv.b)), q, iv
+        yield int(rng.integers(1, 41)), float(rng.uniform(iv.a, iv.b)), -q if i % 4 == 3 else q, iv
 
 
 def test_quarter_period_bases_have_small_relative_error():
