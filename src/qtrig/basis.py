@@ -57,18 +57,19 @@ class BasisVector:
 def _product_chain(row, d_ax, d_xb, d_ab, n, q):
     """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / prod(d_ab) for j = 0..r = len(row) - 1.
 
-    The two products are running prefix products of d_ax and d_xb, so all
-    r + 1 entries cost O(r) multiplications, on floats or (m,) columns alike.
+    d_ax and d_xb hold r values each.  The two products are running prefix
+    products of d_ax and d_xb, so all r + 1 entries cost O(r) multiplications,
+    on floats or (m,) columns alike.  Entry j takes the j-th prefix of d_ax as
+    it is formed and pops the (r-j)-th of d_xb, so no more than r + 2
+    prefixes are held at once.
     Raises FloatRangeError, naming degree n and q, when prod(d_ab) is 0 or
     not finite.
     """
     den = math.prod(d_ab)
     if den == 0.0 or not math.isfinite(den):
         raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
-    r = len(row) - 1
-    pa = list(accumulate(d_ax, mul, initial=1.0))
     pb = list(accumulate(d_xb, mul, initial=1.0))
-    return [row[j] * pa[j] * pb[r - j] / den for j in range(r + 1)]
+    return [c * pa * pb.pop() / den for c, pa in zip(row, accumulate(d_ax, mul, initial=1.0))]
 
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:

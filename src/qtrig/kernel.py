@@ -24,6 +24,7 @@ and the sines and cosines of a and b, so the memo holds at most
 unit of n + 1 (8 MB at n = 1000).  A scan that meets an inf or NaN raises
 FloatRangeError on every call.
 """
+
 import functools
 import math
 from dataclasses import dataclass

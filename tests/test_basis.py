@@ -11,6 +11,7 @@ from qtrig import (
     Interval,
     QTrigError,
     InvalidIntervalError,
+    SINGULARITY_TOL,
     basis_all_direct,
     basis_all_recurrence1,
     basis_all_recurrence2,
@@ -20,7 +21,6 @@ from qtrig import (
     rational_basis_matrix,
 )
 from qtrig.basis import _product_chain
-from qtrig.kernel import SINGULARITY_TOL
 from oracles import basis_direct_mp, basis_row_mp, d_mp, quarter_basis_mp
 
 ROOT2 = math.sqrt(2.0)
@@ -221,7 +221,7 @@ def test_product_chain_within_first_order_bound():
 
 QUARTER_ROUTES = {
     "direct": lambda n, x, q, iv: basis_all_direct(n, x, q, iv).values,
-    "matrix": lambda n, x, q, iv: basis_matrix(n, [x, iv.a], q, iv)[0],
+    "matrix": lambda n, x, q, iv: basis_matrix(n, [x], q, iv)[0],
     "recurrence1": lambda n, x, q, iv: basis_all_recurrence1(n, x, q, iv).values,
     "recurrence2": lambda n, x, q, iv: basis_all_recurrence2(n, x, q, iv).values,
 }
