@@ -228,7 +228,8 @@ QUARTER_ROUTES = {
 
 
 def _quarter_cases():
-    """(n, x, q, interval): the [pi/2, pi] case of 2.4e-2 error, then random draws.
+    """(n, x, q, interval): the [pi/2, pi] case of 2.4e-2 error, a case whose
+    denominator product overflows, then random draws.
 
     |q| is log-uniform in [0.3, 3], n up to 40 and x anywhere in a quarter
     period; no basis-mass guard, as the B_k are positive there for q > 0.
@@ -236,6 +237,7 @@ def _quarter_cases():
     """
     half = Interval.quarter(1)
     yield 30, (half.a + half.b) / 2 + 0.1, 3.0, half
+    yield 40, 0.7, 3.0, Interval.quarter(0)  # prod d(0, pi/2; 3^i) = 3^780
     rng = np.random.default_rng(1202)
     for i in range(80):
         iv = Interval.quarter(int(rng.integers(-1, 3)))
@@ -262,7 +264,7 @@ def test_quarter_period_bases_have_small_relative_error():
                 assert name in ("direct", "matrix")
                 with mp.workdps(60):
                     den = abs(mp.fprod(d_mp(iv.a, iv.b, mp.mpf(q) ** i, 60) for i in range(n)))
-                assert not 2.0 ** -1022 <= den < 2.0 ** 1024, (name, n, q, iv)
+                    assert not mp.mpf(2) ** -1022 <= den < mp.mpf(2) ** 1024, (name, n, q, iv)
                 continue
             err = max(abs((g - w) / w) for g, w in zip(got.tolist(), want))
             assert err <= tol, (name, n, x, q, iv, float(err))
