@@ -13,6 +13,11 @@ running prefix products of the two kernel tables, O(n) multiplications in
 all, and the same chain serves an array of x column by column.  Two
 degree-raising recurrences evaluate the whole vector; they agree with the
 product formula and with each other.
+
+Every route reads the x-free part of its work (the q-binomial row, the
+certified denominators and their product) from one memoised evaluation
+plan per (a, b, q, n), kernel._plan, so a single-x call makes one lookup
+and then does only its x-dependent work.
 """
 
 import math
@@ -23,8 +28,8 @@ from operator import mul
 import numpy as np
 
 from .errors import FloatRangeError
-from .kernel import Interval, kernel_tables
-from .qcalc import q_binomial_row, q_powers
+from .kernel import Interval, _plan, _tables, kernel_tables
+from .qcalc import _checked_row
 
 __all__ = [
     "BasisVector",
@@ -54,19 +59,26 @@ class BasisVector:
             )
 
 
-def _product_chain(row, d_ax, d_xb, d_ab, n, q):
-    """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / prod(d_ab) for j = 0..r = len(row) - 1.
+def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
+    """A BasisVector of the (n + 1,) float array a route has just built, not checked again."""
+    bv = object.__new__(BasisVector)
+    bv.__dict__.update(degree=n, q=q, interval=interval, x=x, values=values)
+    return bv
 
-    d_ax and d_xb hold r values each.  The two products are running prefix
-    products of d_ax and d_xb, so all r + 1 entries cost O(r) multiplications,
-    on floats or (m,) columns alike.  Entry j takes the j-th prefix of d_ax as
-    it is formed and pops the (r-j)-th of d_xb, so no more than r + 2
-    prefixes are held at once.
-    Raises FloatRangeError, naming degree n and q, when prod(d_ab) is 0 or
-    not finite.
+
+def _product_chain(row, d_ax, d_xb, den, den_in_range, n, q):
+    """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / den for j = 0..r = len(row) - 1.
+
+    d_ax and d_xb hold r values each, and den is the product of the r
+    denominators d(a, b; q^i) with its verdict from kernel._den_product.  The
+    two products are running prefix products of d_ax and d_xb, so all r + 1
+    entries cost O(r) multiplications, on floats or (m,) columns alike.
+    Entry j takes the j-th prefix of d_ax as it is formed and pops the
+    (r-j)-th of d_xb, so no more than r + 2 prefixes are held at once.
+    Raises FloatRangeError, naming degree n and q, when den is 0 or not
+    finite.
     """
-    den = math.prod(d_ab)
-    if den == 0.0 or not math.isfinite(den):
+    if not den_in_range:
         raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
     pb = list(accumulate(d_xb, mul, initial=1.0))
     return [c * pa * pb.pop() / den for c, pa in zip(row, accumulate(d_ax, mul, initial=1.0))]
@@ -74,28 +86,31 @@ def _product_chain(row, d_ax, d_xb, d_ab, n, q):
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    row = q_binomial_row(n, q)  # first: it overflows before any q-power of the tables
-    values = _product_chain(row, *kernel_tables(interval, x, q, n), n, q)
-    return BasisVector(degree=n, q=q, interval=interval, x=x, values=np.array(values))
+    plan = _plan(interval, q, n)
+    row = _checked_row(plan.row, plan.n, plan.q)  # first: it overflows before any q-power of the tables
+    values = _product_chain(row, *_tables(plan, interval, x, q), plan.den, plan.den_in_range, n, q)
+    return _basis_vector(n, q, interval, x, np.array(values))
 
 
 def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     """Basis vectors at every point of xs, shape (m, n+1).
 
     Row j is bit-identical to basis_all_direct(n, xs[j], q, interval).values:
-    both take the same product chain, here on columns.  The interval is
-    certified and the q-binomial row built once per call.
+    both take the same product chain, here on columns, from the same plan.
     """
-    row = q_binomial_row(n, q)
+    plan = _plan(interval, q, n)
+    row = _checked_row(plan.row, plan.n, plan.q)
     values = np.empty((len(xs), n + 1))
     # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
-    values[:] = np.array(_product_chain(row, *kernel_tables(interval, xs, q, n), n, q)).T
+    values[:] = np.array(
+        _product_chain(row, *_tables(plan, interval, xs, q), plan.den, plan.den_in_range, n, q)).T
     return values
 
 
 def _recurrence(n, x, q, interval, second_form):
-    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
-    powers = q_powers(q, n + 1)
+    plan = _plan(interval, q, n)
+    d_ax, d_xb = _tables(plan, interval, x, q)
+    d_ab, powers = plan.d_ab, plan.powers
     row = [1.0]
     for m in range(1, n + 1):
         prev = row
@@ -111,7 +126,7 @@ def _recurrence(n, x, q, interval, second_form):
                 upper = d_xb[m - k - 1] / den * prev[k]
                 v += powers[k] * upper if second_form else upper
             row[k] = v
-    return BasisVector(degree=n, q=q, interval=interval, x=x, values=np.array(row))
+    return _basis_vector(n, q, interval, x, np.array(row))
 
 
 def basis_all_recurrence1(n: int, x: float, q: float, interval: Interval) -> BasisVector:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .basis import _product_chain, basis_all_direct, basis_matrix
 from .errors import FloatRangeError, IllConditionedFitError
-from .kernel import Interval, kernel_tables
-from .qcalc import q_binomial_row, q_powers, validate_q
+from .kernel import Interval, _den_product, _plan, _tables
+from .qcalc import q_binomial_row
 
 __all__ = [
     "ControlPolygon",
@@ -132,16 +132,15 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
     return _finite(bv.values @ polygon.points, "direct curve points")
 
 
-def _stages(work, d_ax, d_xb, d_ab, q, variant):
+def _stages(work, d_ax, d_xb, plan, variant):
     """Yield stages 0..n of the alg1/alg2 scheme, stage 0 being work itself.
 
-    work is (dim, n+1) with the kernel_tables of one x, or (dim, m, n+1)
-    with the kernel_tables of m points: the entries run along the last,
-    contiguous axis, and stage r has n+1-r of them.  evaluate_alg1 and
-    evaluate_alg2 state the step.
+    work is (dim, n+1) with the kernel tables of one x, or (dim, m, n+1)
+    with the kernel tables of m points, both from plan: the entries run
+    along the last, contiguous axis, and stage r has n+1-r of them.
+    evaluate_alg1 and evaluate_alg2 state the step.
     """
-    n = len(d_ab)
-    powers = np.array(q_powers(float(q), n))
+    n, d_ab, powers = plan.n, plan.d_ab, plan.power_array
     d_ax, d_xb = np.array(d_ax).T, np.array(d_xb).T  # (n,) or (m, n)
     yield work
     for r in range(n):
@@ -157,11 +156,11 @@ def _stages(work, d_ax, d_xb, d_ab, q, variant):
 
 
 def _tableau(polygon, x, q, interval, variant):
-    q = validate_q(q)
-    tables = kernel_tables(interval, x, q, polygon.degree)
-    rows = tuple(stage.T for stage in _stages(polygon.points.T.copy(), *tables, q, variant))
+    plan = _plan(interval, q, polygon.degree)
+    d_ax, d_xb = _tables(plan, interval, x, plan.q)
+    rows = tuple(stage.T for stage in _stages(polygon.points.T.copy(), d_ax, d_xb, plan, variant))
     _finite(rows[-1][0], f"{variant} curve points")  # inf and NaN reach the apex
-    return DeCasteljauTableau(variant=variant, x=x, q=q, interval=interval, rows=rows)
+    return DeCasteljauTableau(variant=variant, x=x, q=plan.q, interval=interval, rows=rows)
 
 
 def evaluate_alg1(polygon: ControlPolygon, x: float, q: float, interval: Interval) -> DeCasteljauTableau:
@@ -210,8 +209,9 @@ def intermediate_explicit(
     n = polygon.degree
     if r < 0 or r > n or k < 0 or k > n - r:
         raise IndexError(f"tableau entry (r={r}, k={k}) outside degree-{n} scheme")
-    q = validate_q(q)
-    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
+    plan = _plan(interval, q, n)
+    q = plan.q
+    d_ax, d_xb = _tables(plan, interval, x, q)
     alg1 = variant == "alg1"
     try:  # the prefactor times [r j]_q starts chain j
         start = [q ** (k * (r - j) if alg1 else j * (n - r - k)) * c
@@ -220,7 +220,8 @@ def intermediate_explicit(
         start = [math.inf]
     if not all(map(math.isfinite, start)):
         raise FloatRangeError(f"degree {n}, q={q!r}: a prefactor q^e [r j]_q overflows float64")
-    coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], d_ab[n - r:], n, q)
+    den, den_in_range = _den_product(plan.d_ab[n - r:n])
+    coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], den, den_in_range, n, q)
     acc = np.zeros(polygon.dim)
     for j, c in enumerate(coeffs):
         acc += c * polygon.points[k + j]
@@ -254,10 +255,11 @@ def sample_curve(
         # a plain basis @ points may round differently
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
-        tables = kernel_tables(interval, xs, q, polygon.degree)  # validates q
+        plan = _plan(interval, q, polygon.degree)
+        d_ax, d_xb = _tables(plan, interval, xs, q)
         dim, size = polygon.dim, polygon.degree + 1
         work = np.broadcast_to(polygon.points.T[:, None, :], (dim, len(xs), size))
-        for work in _stages(work, *tables, q, method):
+        for work in _stages(work, d_ax, d_xb, plan, method):
             pass  # only the last stage is kept; its one entry per x is the apex
         points = work[..., 0].T.copy()
     return CurveSamples(xs, points, method)

@@ -16,24 +16,33 @@ terms do not cancel there:
 
 A degree-n evaluation on [a, b] divides by d(a, b; q^i) for a range of i,
 so the kernel tables certify the interval before use: every such
-denominator must stay clear of zero in float64.  That scan depends on
-(a, b, q, n) only, so it is memoised per key: the last 128 scans are kept.
-Each holds the powers and the denominators, two tuples of n + 1 floats,
-and the sines and cosines of a and b, so the memo holds at most
-128 x (2 (n + 1) + 4) floats alive for degrees up to n, about 8 KiB per
-unit of n + 1 (8 MB at n = 1000).  A scan that meets an inf or NaN raises
-FloatRangeError on every call.
+denominator must stay clear of zero in float64.  That scan, like all the
+rest of an evaluation that does not depend on x, depends on (a, b, q, n)
+only, so it is built once per key into an evaluation plan: the powers q^i,
+the denominators and their certificate, the sines and cosines of a and b,
+the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
+the q-binomial row, the product of the denominators with its range verdict
+and a read-only array of the powers.  A call at one x then makes one plan
+lookup and does only its x-dependent work: four trig calls, 2n kernel
+entries and the product chain.  The last 128 plans are kept.  Each holds
+the powers, the denominators, n precomputed form terms, the power array
+and the row it shares with the row memo, about 147 bytes per unit of n + 1
+under tracemalloc, so the memo holds at most about 18 KiB per unit of
+n + 1 for degrees up to n (19 MB at n = 1000).  A failure is held as a
+marker, never as an exception: a plan whose denominators meet an inf or
+NaN raises FloatRangeError on every call, and an uncertified one
+InvalidIntervalError.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import FloatRangeError, InvalidIntervalError
-from .qcalc import _validate_degree, q_powers, validate_q
+from .qcalc import _q_binomial_row, _validate_degree, q_powers, validate_q
 
 __all__ = [
     "SINGULARITY_TOL",
@@ -49,15 +58,15 @@ __all__ = [
 SINGULARITY_TOL = 1e-12
 # Endpoint distance to the k*pi/2 grid for quarter-period detection.
 QUARTER_SNAP_TOL = 1e-12
-# Interval scans kept by the memo, least recently used out first.
-_SCAN_MEMO_SIZE = 128
+# Evaluation plans kept by the memo, least recently used out first.
+_PLAN_MEMO_SIZE = 128
 
 _HALF_PI = math.pi / 2
 
 
 def trig_kernel(x: float, y: float, q: float) -> float:
     """d(x, y; q) = (q+1)/2 sin(y-x) + (q-1)/2 sin(y+x), in the form of _kernel_row."""
-    return _kernel_row([q], math.sin(y - x), math.cos(y) * math.sin(x), math.sin(y) * math.cos(x))[0]
+    return _kernel_row(_forms([q]), math.sin(y - x), math.cos(y) * math.sin(x), math.sin(y) * math.cos(x))[0]
 
 
 @dataclass(frozen=True)
@@ -103,52 +112,120 @@ class ValidityCertificate:
     failing_index: Optional[int]
 
 
-def _kernel_row(powers, sin_diff, cos_y_sin_x, sin_y_cos_x):
-    """d(x, y; p) for each p in powers, from sin(y - x), cos y sin x and sin y cos x.
+def _kernel_row(forms, sin_diff, cos_y_sin_x, sin_y_cos_x):
+    """d(x, y; p) for each power p of forms, from sin(y - x), cos y sin x and sin y cos x.
 
-    p sin(y - x) - (1 - p) cos y sin x for |p| <= 1 and sin(y - x) + (p - 1) sin y cos x
-    for |p| > 1, on floats or (m,) columns alike.
+    forms is _forms(powers): p sin(y - x) - (1 - p) cos y sin x for the
+    leading powers with |p| <= 1, then sin(y - x) + (p - 1) sin y cos x for
+    the rest, on floats or (m,) columns alike.
     """
-    return [p * sin_diff - (1.0 - p) * cos_y_sin_x if -1.0 <= p <= 1.0 else sin_diff + (p - 1.0) * sin_y_cos_x
-            for p in powers]
+    inner, inner_c, outer_c = forms
+    row = []
+    append = row.append  # two plain loops: a comprehension costs a call, and most rows are short
+    for p, c in zip(inner, inner_c):
+        append(p * sin_diff - c * cos_y_sin_x)
+    for c in outer_c:
+        append(sin_diff + c * sin_y_cos_x)
+    return row
 
 
-@functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
-def _scan_interval(a: float, b: float, q: float, n: int):
-    """The one certification rule over i = 0..n, for plain floats a, b, q and a plain int n >= 0.
+def _forms(powers):
+    """powers split for _kernel_row: the leading p with |p| <= 1, 1 - p for each, p - 1 for the rest.
 
-    Returns the powers q^0..q^n and the denominators d(a, b; q^i), as tuples
-    that no caller can change, the smallest |d|, the first i with
-    |d| <= SINGULARITY_TOL (None if there is none) and the x-free factors
-    (sin a, cos a, sin b, cos b) of the kernel tables.  Returns None instead
-    when some d(a, b; q^i) is inf or NaN, as it is once a q-power overflows.
-    Index n belongs to certify_interval's contract; no evaluation route
-    divides by d(a, b; q^n).
+    |q^i| is monotone in i, so the powers of q with |p| <= 1 are a prefix,
+    and each power gets the form that a test of |p| <= 1 on it would give.
+    """
+    k = next((i for i, p in enumerate(powers) if not -1.0 <= p <= 1.0), len(powers))
+    inner = tuple(powers[:k])
+    return inner, tuple(1.0 - p for p in inner), tuple(p - 1.0 for p in powers[k:])
+
+
+def _den_product(d_ab):
+    """prod(d_ab), the divisor of the basis product chain, and whether it is nonzero and finite."""
+    den = math.prod(d_ab)
+    return den, den != 0.0 and math.isfinite(den)
+
+
+class _Plan(NamedTuple):
+    """Everything x-free that a degree-n evaluation at q on [a, b] reads.
+
+    A failure is held as a marker: d_ab is None when some d(a, b; q^i) is
+    inf or NaN, and row is None when the q-binomial row leaves float64.
+    """
+
+    q: float                    # the key's plain float q and plain int n
+    n: int
+    powers: tuple               # q^0..q^n
+    power_array: np.ndarray     # q^0..q^(n-1), read-only
+    trig: tuple                 # sin a, cos a, sin b, cos b
+    forms: tuple                # _forms of q^0..q^(n-1)
+    d_ab: Optional[tuple]       # d(a, b; q^i) for i = 0..n
+    min_abs: float              # the smallest |d(a, b; q^i)|
+    failing: Optional[int]      # the first i with |d(a, b; q^i)| <= SINGULARITY_TOL
+    certified: bool             # d_ab is finite and failing is None
+    row: Optional[tuple]        # row n of the q-binomial memo
+    den: float                  # prod of d(a, b; q^i) over i < n
+    den_in_range: bool          # den is nonzero and finite
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _evaluation_plan(a: float, b: float, q: float, n: int) -> _Plan:
+    """The _Plan of plain floats a, b, q and a plain int n >= 0.
+
+    Holds the one certification rule over i = 0..n.  Index n of d_ab
+    belongs to certify_interval's contract; no evaluation route divides by
+    d(a, b; q^n).
     """
     powers = tuple(q_powers(q, n + 1))
+    power_array = np.array(powers[:n])
+    power_array.flags.writeable = False
     trig = sin_a, cos_a, sin_b, cos_b = math.sin(a), math.cos(a), math.sin(b), math.cos(b)
-    d_ab = tuple(_kernel_row(powers, math.sin(b - a), cos_b * sin_a, sin_b * cos_a))
-    if not all(map(math.isfinite, d_ab)):
-        return None
-    magnitudes = list(map(abs, d_ab))
-    min_abs = min(magnitudes)
-    failing = None
-    if min_abs <= SINGULARITY_TOL:
-        failing = next(i for i, v in enumerate(magnitudes) if v <= SINGULARITY_TOL)
-    return powers, d_ab, min_abs, failing, trig
+    d_ab = tuple(_kernel_row(_forms(powers), math.sin(b - a), cos_b * sin_a, sin_b * cos_a))
+    min_abs, failing, den, den_in_range = math.nan, None, math.nan, False
+    if all(map(math.isfinite, d_ab)):
+        magnitudes = list(map(abs, d_ab))
+        min_abs = min(magnitudes)
+        if min_abs <= SINGULARITY_TOL:
+            failing = next(i for i, v in enumerate(magnitudes) if v <= SINGULARITY_TOL)
+        den, den_in_range = _den_product(d_ab[:n])
+    else:
+        d_ab = None
+    return _Plan(q, n, powers, power_array, trig, _forms(powers[:n]), d_ab, min_abs, failing,
+                 d_ab is not None and failing is None, _q_binomial_row(n, q), den, den_in_range)
 
 
-def _scan(interval: Interval, q: float, n: int):
-    """_scan_interval on the interval at a validated q, after checking n.
+def _plan(interval: Interval, q: float, n: int) -> _Plan:
+    """The memoised plan of (interval, q, n), after checking q and n."""
+    q, n = validate_q(q), _validate_degree(n)
+    return _evaluation_plan(float(interval.a), float(interval.b), q, n)
 
-    Raises FloatRangeError, on every call, where the scan met an inf or NaN.
+
+def _check_finite(plan: _Plan, interval: Interval) -> None:
+    """Raise FloatRangeError, naming the interval as given, where some d(a, b; q^i) is inf or NaN."""
+    if plan.d_ab is None:
+        a, b = interval.a, interval.b
+        raise FloatRangeError(f"degree {plan.n}, q={plan.q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+
+
+def _tables(plan: _Plan, interval: Interval, x, q) -> tuple[list, list]:
+    """d_ax and d_xb of kernel_tables, from the plan of (interval, q, n).
+
+    Raises where the plan's certificate fails; InvalidIntervalError names q
+    as the caller passed it.
     """
-    n_checked = _validate_degree(n)
+    if not plan.certified:
+        _check_finite(plan, interval)
+        raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
     a, b = interval.a, interval.b
-    scan = _scan_interval(float(a), float(b), q, n_checked)
-    if scan is None:
-        raise FloatRangeError(f"degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
-    return scan
+    if isinstance(x, (float, int)):
+        sin, cos = math.sin, math.cos
+    else:
+        sin, cos, x = np.sin, np.cos, np.asarray(x, dtype=float)
+    sin_a, cos_a, sin_b, cos_b = plan.trig
+    sin_x, cos_x = sin(x), cos(x)
+    forms = plan.forms
+    return (_kernel_row(forms, sin(x - a), cos_x * sin_a, sin_x * cos_a),
+            _kernel_row(forms, sin(b - x), cos_b * sin_x, sin_b * cos_x))
 
 
 def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificate:
@@ -159,14 +236,15 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     inf or NaN denominator raises FloatRangeError.
     """
     q = validate_q(q)
-    _, _, min_abs, failing, _ = _scan(interval, q, n)
+    plan = _plan(interval, q, n)
+    _check_finite(plan, interval)
     return ValidityCertificate(
         interval=interval,
         q=q,
         n=n,
-        valid=failing is None,
-        min_abs_denominator=min_abs,
-        failing_index=failing,
+        valid=plan.failing is None,
+        min_abs_denominator=plan.min_abs,
+        failing_index=plan.failing,
     )
 
 
@@ -177,18 +255,10 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
     for a float x, (m,) columns bit-identical to them for an array of m
     points, and x-free floats in d_ab.  The interval is certified first, as
     certify_interval(interval, q, n) would, and InvalidIntervalError raised
-    if it fails.  Every evaluator in the package shares these tables so that
-    identical subexpressions are bit-identical across methods.
+    if it fails.  Every evaluator in the package reads these tables from
+    the same plan so that identical subexpressions are bit-identical across
+    methods.
     """
-    a, b = interval.a, interval.b
-    powers, d_ab, _, failing, (sin_a, cos_a, sin_b, cos_b) = _scan(interval, validate_q(q), n)
-    if failing is not None:
-        raise InvalidIntervalError(a, b, q, failing, d_ab[failing])
-    if isinstance(x, (float, int)):
-        sin, cos = math.sin, math.cos
-    else:
-        sin, cos, x = np.sin, np.cos, np.asarray(x, dtype=float)
-    sin_x, cos_x = sin(x), cos(x)
-    d_ax = _kernel_row(powers[:n], sin(x - a), cos_x * sin_a, sin_x * cos_a)
-    d_xb = _kernel_row(powers[:n], sin(b - x), cos_b * sin_x, sin_b * cos_x)
-    return d_ax, d_xb, list(d_ab[:n])
+    plan = _plan(interval, q, n)
+    d_ax, d_xb = _tables(plan, interval, x, q)
+    return d_ax, d_xb, list(plan.d_ab[:plan.n])

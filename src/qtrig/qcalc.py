@@ -8,13 +8,14 @@ A q-binomial row depends on (n, q) only, and a table of single-x calls asks
 for the same row again and again, so rows are memoised per (n, q): the last
 128 rows built are kept, which holds at most 128 (n + 1) floats alive for
 rows of degree up to n, about 4 KiB per unit of n + 1.  Every call returns
-a fresh list, and a call that raises is not memoised, so it raises again
-the next time.
+a fresh list.  A row that overflows is memoised as a marker, not as an
+exception, and every call for it raises FloatRangeError.
 """
 
 import functools
 import math
 import operator
+from typing import Optional
 
 from .errors import FloatRangeError
 
@@ -46,7 +47,8 @@ def q_binomial_row(n: int, q: float) -> list[float]:
     is built once per (n, q) while it stays in the memo.
     """
     q = validate_q(q)
-    return list(_q_binomial_row(_validate_degree(n), q))
+    n = _validate_degree(n)
+    return list(_checked_row(_q_binomial_row(n, q), n, q))
 
 
 def _validate_degree(n: int) -> int:
@@ -56,9 +58,19 @@ def _validate_degree(n: int) -> int:
     return operator.index(n)
 
 
+def _checked_row(row, n: int, q: float):
+    """A row of _q_binomial_row(n, q), or FloatRangeError where it marks an overflow."""
+    if row is None:
+        raise FloatRangeError(f"q-binomial row {n} at q={q!r} overflows float64")
+    return row
+
+
 @functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
-def _q_binomial_row(n: int, q: float) -> tuple[float, ...]:
-    """q_binomial_row for a plain int n >= 0 and a plain float q, as a tuple."""
+def _q_binomial_row(n: int, q: float) -> Optional[tuple[float, ...]]:
+    """q_binomial_row for a plain int n >= 0 and a plain float q, as a tuple.
+
+    None marks a row that leaves float64.
+    """
     row = [1.0]
     try:
         for m in range(1, n + 1):
@@ -69,7 +81,7 @@ def _q_binomial_row(n: int, q: float) -> tuple[float, ...]:
     except OverflowError:  # raised by q ** (m - k); fails the test below
         row = [math.inf]
     if not all(map(math.isfinite, row)):
-        raise FloatRangeError(f"q-binomial row {n} at q={q!r} overflows float64")
+        return None
     return tuple(row)
 
 

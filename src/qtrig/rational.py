@@ -14,7 +14,7 @@ vanishes; no shape property is claimed for them.
 
 import numpy as np
 
-from .basis import BasisVector, basis_all_direct, basis_matrix
+from .basis import BasisVector, _basis_vector, basis_all_direct, basis_matrix
 from .curve import ControlPolygon, CurveSamples, _finite
 from .errors import SingularDenominatorError
 from .kernel import Interval
@@ -65,7 +65,7 @@ def rational_basis_all(n: int, x: float, q: float, interval: Interval, weights) 
     """All rational basis values R_k(x; q); they sum to one exactly up to roundoff."""
     basis = basis_all_direct(n, x, q, interval).values[None]
     terms, dens = _weighted_rows(_coerce_weights(weights, n), basis, [x])
-    return BasisVector(degree=n, q=q, interval=interval, x=x, values=terms[0] / dens[0])
+    return _basis_vector(n, q, interval, x, terms[0] / dens[0])
 
 
 def rational_evaluate(

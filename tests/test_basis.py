@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtrig import (
     BasisVector,
+    ControlPolygon,
     FloatRangeError,
     Interval,
     QTrigError,
@@ -18,9 +19,11 @@ from qtrig import (
     basis_matrix,
     certify_interval,
     classical_trig_basis,
+    evaluate_alg1,
     rational_basis_matrix,
 )
 from qtrig.basis import _product_chain
+from qtrig.kernel import _den_product
 from oracles import basis_direct_mp, basis_row_mp, d_mp, quarter_basis_mp
 
 ROOT2 = math.sqrt(2.0)
@@ -211,7 +214,7 @@ def test_product_chain_within_first_order_bound():
         n = int(rng.integers(1, 41))
         row = np.exp(rng.uniform(0.0, 20.0, n + 1)).tolist()
         d_ax, d_xb, d_ab = table(n, 2.3), table(n, 2.3), table(n, 2.3)
-        got = _product_chain(row, d_ax, d_xb, d_ab, n, 1.0)
+        got = _product_chain(row, d_ax, d_xb, *_den_product(d_ab), n, 1.0)
         with mp.workdps(50):
             den = mp.fprod(map(mp.mpf, d_ab))
             for j, value in enumerate(got):
@@ -268,3 +271,71 @@ def test_quarter_period_bases_have_small_relative_error():
                 continue
             err = max(abs((g - w) / w) for g, w in zip(got.tolist(), want))
             assert err <= tol, (name, n, x, q, iv, float(err))
+
+
+# float.hex of values taken before the evaluation plan existed.  The sweeps
+# are checked against these single-x routes, so bits that moved in every
+# route at once would pass tests/test_sweeps.py; they do not pass here.
+PINNED_DIRECT = [
+    ((3, 0.7, 0.5, Interval.quarter(0)), [
+        '0x1.ca287f9a31cf4p-2', '0x1.51a9e5a05ad8dp+1', '0x1.1c69016289a67p+1',
+        '0x1.11c70fdf36d16p-2',
+    ]),
+    ((30, 0.9, 1.3, Interval(0.3, 1.4)), [
+        '0x1.38341ae0bff20p-20', '0x1.37acd16dacf1dp-18', '0x1.7a1ba6de6a9dfp-17',
+        '0x1.6a2a346870f6ap-16', '0x1.2e304bc22fb32p-15', '0x1.cd75e9c2bf099p-15',
+        '0x1.4baf9daf1844ap-14', '0x1.c8e74f2f34948p-14', '0x1.311cda4d48314p-13',
+        '0x1.8e45e82380734p-13', '0x1.fef88bcad2d83p-13', '0x1.4371f3916e253p-12',
+        '0x1.95334a4327823p-12', '0x1.f7481f7337c96p-12', '0x1.3644b7d49c137p-11',
+        '0x1.7c05af0f15008p-11', '0x1.ce7746423c5f7p-11', '0x1.17827107c5dd8p-10',
+        '0x1.4f55998a61324p-10', '0x1.8ec0a629f1ccbp-10', '0x1.d50171ffb2dbfp-10',
+        '0x1.10028fb3b7332p-9', '0x1.35dc867794d9ap-9', '0x1.589de59d3bc7ap-9',
+        '0x1.730fad02ecb4fp-9', '0x1.7e1b9aad9a66dp-9', '0x1.71726e669679bp-9',
+        '0x1.45b2eeb9c2b0fp-9', '0x1.f1c6e7f121c91p-10', '0x1.2a39d5d251a70p-10',
+        '0x1.adced42f86521p-12',
+    ]),
+    ((3, 0.6, 1.0, Interval(math.pi / 8, math.pi / 4)), [
+        '0x1.c9cf3aa38b327p-4', '0x1.7f5e9dba5e362p-2', '0x1.ac0b7b5e1c780p-2',
+        '0x1.3e9e14b7ecedcp-3',
+    ]),
+    ((3, 2.0, -0.7, Interval.quarter(1)), [
+        '0x1.80ef761735b8dp-1', '0x1.1658ac081dabcp-2', '0x1.fd8c9df0c9724p-4',
+        '0x1.27304f30a1024p-4',
+    ]),
+    ((0, 0.3, 2.0, Interval.quarter(0)), [
+        '0x1.0000000000000p+0',
+    ]),
+    ((30, 4.0, 0.8, Interval.quarter(2)), [
+        '0x1.834b3f53e17e5p-19', '0x1.614d0525a9c4ap-7', '0x1.ca3a59ade4638p+3',
+        '0x1.187cad77b7362p+13', '0x1.6b1e08159f5c5p+21', '0x1.080a009658ff4p+29',
+        '0x1.bf8309f4060ebp+35', '0x1.c4ca45e81c981p+41', '0x1.1618a86a21fb6p+47',
+        '0x1.a3aef78d655acp+51', '0x1.886d89b145bd3p+55', '0x1.c995a3bf2e7dap+58',
+        '0x1.4e3384d806dc3p+61', '0x1.32c31b790c6c4p+63', '0x1.62a357418e978p+64',
+        '0x1.02805beb6a5cep+65', '0x1.db68fb17ce8abp+64', '0x1.13a3215a18d1ap+64',
+        '0x1.928e8ec2c8b47p+62', '0x1.71709073d1420p+60', '0x1.a8bb6eee87bc2p+57',
+        '0x1.3075c1115443dp+54', '0x1.0e73257e8386bp+50', '0x1.2726297b1fe7ap+45',
+        '0x1.870cc0b68d434p+39', '0x1.354c9789b2e25p+33', '0x1.1d1bd93448910p+26',
+        '0x1.273ab4055de1ap+18', '0x1.4348271557e2bp+9', '0x1.4e23a6c499660p-1',
+        '0x1.eb07421594fe6p-13',
+    ]),
+]
+
+
+def _hex(values):
+    return [v.hex() for v in np.asarray(values).tolist()]
+
+
+@pytest.mark.parametrize("case, want", PINNED_DIRECT)
+def test_direct_basis_bits_are_pinned(case, want):
+    n, x, q, interval = case
+    assert _hex(basis_all_direct(n, x, q, interval).values) == want
+
+
+def test_tableau_and_recurrence_bits_are_pinned():
+    poly = ControlPolygon([[0.0, 0.0], [1.0, 2.0], [2.5, 2.0], [3.0, -0.5], [4.0, 1.0], [5.0, 0.5], [6.0, 2.5]])
+    assert _hex(evaluate_alg1(poly, 0.9, 1.3, Interval(0.3, 1.4)).apex) == [
+        '0x1.63013d4846a3ep+2', '0x1.70ea84acf47e4p+0']
+    assert _hex(basis_all_recurrence1(6, 1.0, 0.6, Interval(0.3, 1.4)).values) == [
+        '-0x1.592bbddd39ed8p-6', '0x1.45f48bfca22aep-2', '-0x1.ffe29d5272632p+0',
+        '0x1.48f33398209ffp+3', '0x1.544685f740f17p+1', '-0x1.29098a28d1887p-1',
+        '0x1.f1858e7036820p-5']

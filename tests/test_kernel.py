@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtrig import (
+    ControlPolygon,
     FloatRangeError,
     Interval,
     InvalidIntervalError,
+    basis_all_direct,
+    basis_all_recurrence1,
     certify_interval,
     classical_trig_basis,
+    evaluate_alg1,
     trig_kernel,
     kernel_tables,
 )
-from qtrig.kernel import _scan_interval
+from qtrig.kernel import _evaluation_plan, _plan
 from oracles import d_mp
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -198,15 +202,87 @@ def test_failing_scans_raise_on_every_call():
 def test_equal_keys_of_other_types_give_the_same_plain_float_scan(order):
     # Interval(0, 1) of ints and of floats, and q as 2, 2.0 or np.float64(2.0),
     # are one memo key: whichever fills the entry, every caller gets plain floats
-    _scan_interval.cache_clear()
+    _evaluation_plan.cache_clear()
     keys = [(Interval(a, b), q) for a, b in ((0, 1), (0.0, 1.0), (np.float64(0.0), np.float64(1.0)))
             for q in (2, 2.0, np.float64(2.0))][::order]
     got = []
     for iv, q in keys:
         cert = certify_interval(iv, q, 4)
         d_ax, d_xb, d_ab = kernel_tables(iv, 0.25, q, 4)
+        plan = _plan(iv, q, 4)
         values = [cert.min_abs_denominator, *d_ax, *d_xb, *d_ab]
-        assert all(type(v) is float for v in values)
+        assert all(type(v) is float for v in values + [plan.q, plan.den, *plan.powers, *plan.d_ab, *plan.row])
         got.append([v.hex() for v in values])
     assert all(g == got[0] for g in got)
     assert float.fromhex(got[0][-1]) == trig_kernel(0.0, 1.0, 8.0)
+
+
+def test_a_float_degree_raises_without_reading_or_filling_its_plan():
+    iv = Interval(0.0, 1.0)
+    calls = (lambda n: basis_all_direct(n, 0.5, 1.3, iv), lambda n: basis_all_recurrence1(n, 0.5, 1.3, iv),
+             lambda n: kernel_tables(iv, 0.5, 1.3, n), lambda n: certify_interval(iv, 1.3, n))
+    _evaluation_plan.cache_clear()
+    for filled in (False, True):
+        if filled:
+            basis_all_direct(3, 0.5, 1.3, iv)  # entry 3 exists from here on
+        before = _evaluation_plan.cache_info()
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(3.0)
+        assert _evaluation_plan.cache_info() == before
+
+
+def test_plan_power_array_is_read_only():
+    plan = _plan(Interval(0.0, 1.0), 1.3, 4)
+    assert plan.power_array.tolist() == list(plan.powers[:4])
+    with pytest.raises(ValueError):
+        plan.power_array[0] = 2.0
+    assert plan.power_array[0] == 1.0
+
+
+_POLYGON = {n: ControlPolygon(np.arange(n + 1, dtype=float)) for n in (3, 150, 700)}
+_FAILURE_ROUTES = {
+    "basis_all_direct": lambda n, q, iv: basis_all_direct(n, 0.5, q, iv).values,
+    "basis_all_recurrence1": lambda n, q, iv: basis_all_recurrence1(n, 0.5, q, iv).values,
+    "evaluate_alg1": lambda n, q, iv: evaluate_alg1(_POLYGON[n], 0.5, q, iv).apex,
+}
+_LEAVES = "degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [0.0, 1.0]"
+_NO_CERTIFICATE = "interval [0.0, 3.141592653589793] invalid for q=1.0: |d(a,b;q^0)| = 1.225e-16 <= 1e-12"
+# (n, q, interval) of each failure kind, and what each route gave before the
+# evaluation plan: the error type and message, or None where it returned values
+_FAILURE_KINDS = {
+    "row overflow": ((3, 1e308, Interval(0.0, 1.0)), {
+        "basis_all_direct": (FloatRangeError, "q-binomial row 3 at q=1e+308 overflows float64"),
+        "basis_all_recurrence1": (FloatRangeError, _LEAVES.format(n=3, q=1e308)),
+        "evaluate_alg1": (FloatRangeError, _LEAVES.format(n=3, q=1e308)),
+    }),
+    "inf d(a,b)": ((700, 3.0, Interval(0.0, 1.0)), {
+        "basis_all_direct": (FloatRangeError, "q-binomial row 700 at q=3.0 overflows float64"),
+        "basis_all_recurrence1": (FloatRangeError, _LEAVES.format(n=700, q=3.0)),
+        "evaluate_alg1": (FloatRangeError, _LEAVES.format(n=700, q=3.0)),
+    }),
+    "failed certificate": ((3, 1.0, Interval(0.0, math.pi)), dict.fromkeys(
+        _FAILURE_ROUTES, (InvalidIntervalError, _NO_CERTIFICATE))),
+    "denominator product": ((150, 0.9, Interval(0.0, math.pi / 2)), {
+        "basis_all_direct": (FloatRangeError, "degree 150, q=0.9: prod d(a,b;q^i) = 0.0 is outside float64"),
+        "basis_all_recurrence1": None,  # the product's range verdict is not theirs
+        "evaluate_alg1": None,
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", _FAILURE_KINDS)
+def test_each_failure_kind_gives_the_same_outcome_on_every_call(kind):
+    (n, q, iv), outcomes = _FAILURE_KINDS[kind]
+    _evaluation_plan.cache_clear()
+    for _ in range(2):  # the first call fills the plan, the second reads it
+        for name, route in _FAILURE_ROUTES.items():
+            if outcomes[name] is None:
+                assert np.all(np.isfinite(route(n, q, iv))), (kind, name)
+                continue
+            error, message = outcomes[name]
+            with pytest.raises(error) as raised:
+                route(n, q, iv)
+            assert str(raised.value) == message, (kind, name)
+    plan = _plan(iv, q, n)
+    assert not any(isinstance(field, BaseException) for field in plan)  # markers, not exceptions

@@ -157,7 +157,7 @@ def test_row_outside_float_range_raises():
     # q ** (m - k) itself overflows at (700, 3); at (60, 3) the entries near
     # the middle pass 1e308 while every power stays finite
     for n, q in ((700, 3.0), (700, -3.0), (60, 3.0)):
-        for _ in range(2):  # a row that raises is not memoised
+        for _ in range(2):  # the memo keeps a marker, so the second call raises too
             with pytest.raises(FloatRangeError, match=f"q-binomial row {n} "):
                 q_binomial_row(n, q)
     assert all(map(math.isfinite, q_binomial_row(40, 3.0)))
