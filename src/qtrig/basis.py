@@ -62,7 +62,12 @@ class BasisVector:
 def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
     """A BasisVector of the (n + 1,) float array a route has just built, not checked again."""
     bv = object.__new__(BasisVector)
-    bv.__dict__.update(degree=n, q=q, interval=interval, x=x, values=values)
+    fields = bv.__dict__  # filled in field order, so it keeps the keys every BasisVector shares
+    fields["degree"] = n
+    fields["q"] = q
+    fields["interval"] = interval
+    fields["x"] = x
+    fields["values"] = values
     return bv
 
 
@@ -80,15 +85,16 @@ def _product_chain(row, d_ax, d_xb, den, den_in_range, n, q):
     """
     if not den_in_range:
         raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
-    pb = list(accumulate(d_xb, mul, initial=1.0))
-    return [c * pa * pb.pop() / den for c, pa in zip(row, accumulate(d_ax, mul, initial=1.0))]
+    pop = list(accumulate(d_xb, mul, initial=1.0)).pop
+    return [c * pa * pop() / den for c, pa in zip(row, accumulate(d_ax, mul, initial=1.0))]
 
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
     plan = _plan(interval, q, n)
     row = _checked_row(plan.row, plan.n, plan.q)  # first: it overflows before any q-power of the tables
-    values = _product_chain(row, *_tables(plan, interval, x, q), plan.den, plan.den_in_range, n, q)
+    d_ax, d_xb = _tables(plan, interval, x, q)
+    values = _product_chain(row, d_ax, d_xb, plan.den, plan.den_in_range, n, q)
     return _basis_vector(n, q, interval, x, np.array(values))
 
 

@@ -20,6 +20,7 @@ from qtrig import (
     certify_interval,
     classical_trig_basis,
     evaluate_alg1,
+    rational_basis_all,
     rational_basis_matrix,
 )
 from qtrig.basis import _product_chain
@@ -162,6 +163,16 @@ def test_invalid_interval_raises_everywhere():
 def test_basis_vector_shape_validation(quarter):
     with pytest.raises(ValueError):
         BasisVector(degree=2, q=1.0, interval=quarter, x=0.3, values=np.zeros(2))
+
+
+def test_routes_build_the_basis_vector_the_constructor_builds(quarter):
+    # the routes skip the constructor's check of the array they have just made
+    for bv in (basis_all_direct(3, 0.4, 1.3, quarter), basis_all_recurrence2(3, 0.4, 1.3, quarter),
+               rational_basis_all(3, 0.4, 1.3, quarter, [1.0, 2.0, 2.0, 1.0])):
+        built = BasisVector(bv.degree, bv.q, bv.interval, bv.x, bv.values)
+        assert type(bv) is BasisVector
+        assert list(vars(bv)) == list(vars(built))
+        assert repr(bv) == repr(built)
 
 
 @settings(max_examples=60)
