@@ -235,12 +235,11 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     kernel_tables applies the same rule and raises where this reports.  An
     inf or NaN denominator raises FloatRangeError.
     """
-    q = validate_q(q)
     plan = _plan(interval, q, n)
     _check_finite(plan, interval)
     return ValidityCertificate(
         interval=interval,
-        q=q,
+        q=plan.q,
         n=n,
         valid=plan.failing is None,
         min_abs_denominator=plan.min_abs,
