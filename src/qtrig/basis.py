@@ -106,10 +106,10 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     """
     plan = _plan(interval, q, n)
     row = _checked_row(plan.row, plan.n, plan.q)
+    d_ax, d_xb = _tables(plan, interval, xs, q, columns=True)
     values = np.empty((len(xs), n + 1))
     # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
-    values[:] = np.array(
-        _product_chain(row, *_tables(plan, interval, xs, q), plan.den, plan.den_in_range, n, q)).T
+    values[:] = np.array(_product_chain(row, d_ax, d_xb, plan.den, plan.den_in_range, n, q)).T
     return values
 
 

@@ -256,7 +256,7 @@ def sample_curve(
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
         plan = _plan(interval, q, polygon.degree)
-        d_ax, d_xb = _tables(plan, interval, xs, q)
+        d_ax, d_xb = _tables(plan, interval, xs, q, columns=True)
         dim, size = polygon.dim, polygon.degree + 1
         work = np.broadcast_to(polygon.points.T[:, None, :], (dim, len(xs), size))
         for work in _stages(work, d_ax, d_xb, plan, method):

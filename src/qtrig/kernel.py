@@ -24,14 +24,18 @@ the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
 the q-binomial row, the product of the denominators with its range verdict
 and a read-only array of the powers.  A call at one x then makes one plan
 lookup and does only its x-dependent work: four trig calls, 2n kernel
-entries and the product chain.  The last 128 plans are kept.  Each holds
-the powers, the denominators, n precomputed form terms, the power array
-and the row it shares with the row memo, about 147 bytes per unit of n + 1
-under tracemalloc, so the memo holds at most about 18 KiB per unit of
-n + 1 for degrees up to n (19 MB at n = 1000).  A failure is held as a
-marker, never as an exception: a plan whose denominators meet an inf or
-NaN raises FloatRangeError on every call, and an uncertified one
-InvalidIntervalError.
+entries and the product chain.  The last 128 plans are kept; this memo is
+the package's only cache.  Each plan holds the powers, the denominators,
+n precomputed form terms, the power array and the row, about 147 bytes
+per unit of n + 1 under tracemalloc, so the memo holds at most about
+18 KiB per unit of n + 1 for degrees up to n (19 MB at n = 1000).  A
+failure is held as a marker, never as an exception: a plan whose
+denominators meet an inf or NaN raises FloatRangeError on every call, and
+an uncertified one InvalidIntervalError.
+
+Every route takes its x through the tables, which refuse an x that is inf
+or NaN with ValueError; a single-x route also refuses a sequence of x with
+TypeError.
 """
 
 import functools
@@ -163,7 +167,7 @@ class _Plan(NamedTuple):
     min_abs: float              # the smallest |d(a, b; q^i)|
     failing: Optional[int]      # the first i with |d(a, b; q^i)| <= SINGULARITY_TOL
     certified: bool             # d_ab is finite and failing is None
-    row: Optional[tuple]        # row n of the q-binomial memo
+    row: Optional[tuple]        # q-binomial row n
     den: float                  # prod of d(a, b; q^i) over i < n
     den_in_range: bool          # den is nonzero and finite
 
@@ -207,20 +211,28 @@ def _check_finite(plan: _Plan, interval: Interval) -> None:
         raise FloatRangeError(f"degree {plan.n}, q={plan.q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
 
 
-def _tables(plan: _Plan, interval: Interval, x, q) -> tuple[list, list]:
+def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple[list, list]:
     """d_ax and d_xb of kernel_tables, from the plan of (interval, q, n).
 
     Raises where the plan's certificate fails; InvalidIntervalError names q
-    as the caller passed it.
+    as the caller passed it.  x is one point, or with columns an array of
+    points too; an x that is not finite raises ValueError, and an array
+    without columns TypeError.
     """
     if not plan.certified:
         _check_finite(plan, interval)
         raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
     a, b = interval.a, interval.b
     if isinstance(x, (float, int)):
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
         sin, cos = math.sin, math.cos
     else:
         sin, cos, x = np.sin, np.cos, np.asarray(x, dtype=float)
+        if x.ndim and not columns:
+            raise TypeError(f"x must be one point, got an array of shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
     forms = plan.forms
@@ -254,10 +266,10 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
     for a float x, (m,) columns bit-identical to them for an array of m
     points, and x-free floats in d_ab.  The interval is certified first, as
     certify_interval(interval, q, n) would, and InvalidIntervalError raised
-    if it fails.  Every evaluator in the package reads these tables from
-    the same plan so that identical subexpressions are bit-identical across
-    methods.
+    if it fails; an x that is inf or NaN raises ValueError.  Every evaluator
+    in the package reads these tables from the same plan so that identical
+    subexpressions are bit-identical across methods.
     """
     plan = _plan(interval, q, n)
-    d_ax, d_xb = _tables(plan, interval, x, q)
+    d_ax, d_xb = _tables(plan, interval, x, q, columns=True)
     return d_ax, d_xb, list(plan.d_ab[:plan.n])

@@ -4,15 +4,11 @@ The deformation parameter q is any finite nonzero real.  Everything here is
 continuous in q, including at q = 1 where the classical binomial
 coefficients are recovered.  The q-integer [k]_q is q_binomial_row(k, q)[1].
 
-A q-binomial row depends on (n, q) only, and a table of single-x calls asks
-for the same row again and again, so rows are memoised per (n, q): the last
-128 rows built are kept, which holds at most 128 (n + 1) floats alive for
-rows of degree up to n, about 4 KiB per unit of n + 1.  Every call returns
-a fresh list.  A row that overflows is memoised as a marker, not as an
-exception, and every call for it raises FloatRangeError.
+Nothing here is memoised: every call builds the row it is asked for.  An
+evaluation needs the row of its degree once, and kernel's evaluation plan
+keeps it for as long as it keeps the plan.
 """
 
-import functools
 import math
 import operator
 from typing import Optional
@@ -24,9 +20,6 @@ __all__ = [
     "q_binomial_row",
     "q_powers",
 ]
-
-# Rows kept by the q-binomial memo, least recently used out first.
-_ROW_MEMO_SIZE = 128
 
 
 def validate_q(q: float) -> float:
@@ -43,8 +36,7 @@ def q_binomial_row(n: int, q: float) -> list[float]:
     Built by the Pascal-type recurrence
         C(m, k) = C(m-1, k) + q^(m-k) C(m-1, k-1),
     which stays continuous through q = 1, unlike the quotient of
-    q-factorials.  Raises FloatRangeError past the float64 range.  The row
-    is built once per (n, q) while it stays in the memo.
+    q-factorials.  Raises FloatRangeError past the float64 range.
     """
     q = validate_q(q)
     n = _validate_degree(n)
@@ -65,11 +57,13 @@ def _checked_row(row, n: int, q: float):
     return row
 
 
-@functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
 def _q_binomial_row(n: int, q: float) -> Optional[tuple[float, ...]]:
     """q_binomial_row for a plain int n >= 0 and a plain float q, as a tuple.
 
-    None marks a row that leaves float64.
+    None marks a row that leaves float64.  Entry k of row m is entry k of
+    row m - 1 plus a term, and inf or NaN plus anything stays inf or NaN,
+    so once a row has left float64 every later row has too: the loop stops
+    at the first such row, after O(m^2) work rather than O(n^2).
     """
     row = [1.0]
     try:
@@ -78,9 +72,9 @@ def _q_binomial_row(n: int, q: float) -> Optional[tuple[float, ...]]:
             row = [1.0] * (m + 1)
             for k in range(1, m):
                 row[k] = prev[k] + q ** (m - k) * prev[k - 1]
-    except OverflowError:  # raised by q ** (m - k); fails the test below
-        row = [math.inf]
-    if not all(map(math.isfinite, row)):
+            if not all(map(math.isfinite, row)):
+                return None
+    except OverflowError:  # raised by q ** (m - k)
         return None
     return tuple(row)
 

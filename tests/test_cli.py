@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,21 @@ def test_basis_outside_float_range_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("qtrig: error:") and "float64" in err
         assert "Traceback" not in err
+
+
+def test_a_huge_overflowing_degree_fails_fast():
+    # the row leaves float64 near degree 1030 at q = 1; building all 200000
+    # rows would take about an hour
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtrig", "basis", "--degree", "200000", "--q", "1",
+         "--interval", "0,pi/2"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "qtrig: error: q-binomial row 200000 at q=1.0 overflows float64\n"
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):

@@ -11,9 +11,17 @@ from qtrig import (
     InvalidIntervalError,
     basis_all_direct,
     basis_all_recurrence1,
+    basis_all_recurrence2,
+    basis_matrix,
     certify_interval,
     classical_trig_basis,
+    collocation,
     evaluate_alg1,
+    evaluate_alg2,
+    evaluate_direct,
+    intermediate_explicit,
+    rational_basis_all,
+    rational_evaluate,
     trig_kernel,
     kernel_tables,
 )
@@ -286,3 +294,47 @@ def test_each_failure_kind_gives_the_same_outcome_on_every_call(kind):
             assert str(raised.value) == message, (kind, name)
     plan = _plan(iv, q, n)
     assert not any(isinstance(field, BaseException) for field in plan)  # markers, not exceptions
+
+
+_IV = Interval(0.3, 1.4)
+_PLANAR = ControlPolygon(np.array([[0.0, 0.0], [1.0, 2.0]]))  # two points of dimension 2
+# every route that takes x, as a function of one x; a route for arrays gets
+# it among finite points
+_X_ROUTES = {
+    "basis_all_direct": lambda x: basis_all_direct(3, x, 1.3, _IV).values,
+    "basis_all_recurrence1": lambda x: basis_all_recurrence1(3, x, 1.3, _IV).values,
+    "basis_all_recurrence2": lambda x: basis_all_recurrence2(3, x, 1.3, _IV).values,
+    "basis_matrix": lambda x: basis_matrix(3, [0.5, x, 0.9], 1.3, _IV),
+    "kernel_tables": lambda x: kernel_tables(_IV, x, 1.3, 3),
+    "kernel_tables columns": lambda x: kernel_tables(_IV, [0.5, x], 1.3, 3),
+    "classical_trig_basis": lambda x: classical_trig_basis(3, 1, x, _IV),
+    "evaluate_direct": lambda x: evaluate_direct(_PLANAR, x, 1.3, _IV),
+    "evaluate_alg1": lambda x: evaluate_alg1(_PLANAR, x, 1.3, _IV).apex,
+    "evaluate_alg2": lambda x: evaluate_alg2(_PLANAR, x, 1.3, _IV).apex,
+    "intermediate_explicit": lambda x: intermediate_explicit("alg1", 1, 0, x, _PLANAR, 1.3, _IV),
+    "rational_basis_all": lambda x: rational_basis_all(1, x, 1.3, _IV, [1.0, 2.0]).values,
+    "rational_evaluate": lambda x: rational_evaluate(_PLANAR, [1.0, 2.0], x, 1.3, _IV),
+}
+# the routes that take an array of x too, one column or value per point
+_ARRAY_ROUTES = ("basis_matrix", "kernel_tables", "kernel_tables columns", "classical_trig_basis")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_every_route_refuses_a_non_finite_x(x):
+    for route in _X_ROUTES.values():
+        with pytest.raises(ValueError, match="x must be finite"):
+            route(x)
+    with pytest.raises(ValueError, match="x must be finite"):
+        collocation("quantum", 3, 1.3, _IV, [0.5, math.nan, 0.9])
+
+
+def test_single_x_routes_refuse_a_sequence_of_x():
+    # two points match the polygon's dimension, so a broadcast would pass unseen
+    for name, route in _X_ROUTES.items():
+        if name in _ARRAY_ROUTES:
+            continue
+        for xs in ([0.5, 0.6], np.array([0.5, 0.6]), [0.5]):
+            with pytest.raises(TypeError, match="x must be one point"):
+                route(xs)
+        assert np.all(np.isfinite(route(np.float32(0.5)))), name  # one point of another type
+

@@ -32,8 +32,8 @@ def test_python_m_qtrig_runs_the_cli():
 
 
 def test_public_functions_stay_plain_functions():
-    # memos wrap private helpers only, so a public function can still be
-    # told apart, and wrapped, as a plain function
+    # the one memo wraps a private helper, so a public function can still
+    # be told apart, and wrapped, as a plain function
     for name in qtrig.__all__:
         obj = getattr(qtrig, name)
         if callable(obj) and not isinstance(obj, type):

@@ -13,7 +13,6 @@ from qtrig import (
     q_powers,
     validate_q,
 )
-from qtrig.qcalc import _q_binomial_row
 from oracles import qbinom_exact, qfact_exact, qint_exact
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -157,7 +156,7 @@ def test_row_outside_float_range_raises():
     # q ** (m - k) itself overflows at (700, 3); at (60, 3) the entries near
     # the middle pass 1e308 while every power stays finite
     for n, q in ((700, 3.0), (700, -3.0), (60, 3.0)):
-        for _ in range(2):  # the memo keeps a marker, so the second call raises too
+        for _ in range(2):
             with pytest.raises(FloatRangeError, match=f"q-binomial row {n} "):
                 q_binomial_row(n, q)
     assert all(map(math.isfinite, q_binomial_row(40, 3.0)))
@@ -176,9 +175,8 @@ def test_changing_a_returned_row_changes_no_later_row_or_basis():
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_equal_keys_of_other_types_give_the_same_plain_float_row(order):
-    # 2, 2.0 and np.float64(2.0) are one memo key: whichever fills the entry,
-    # every caller gets the plain floats the loop makes
-    _q_binomial_row.cache_clear()
+    # 2, 2.0 and np.float64(2.0) give one row: whichever comes first, every
+    # caller gets the plain floats the loop makes
     rows = [q_binomial_row(n, q) for n, q in [(5, 2), (5, 2.0), (np.int64(5), np.float64(2.0))][::order]]
     want = [float(qbinom_exact(5, k, Fraction(2))) for k in range(6)]
     for row in rows:
