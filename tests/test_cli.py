@@ -267,7 +267,7 @@ def test_basis_outside_float_range_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_huge_overflowing_degree_fails_fast():
-    # the row leaves float64 near degree 1030 at q = 1; building all 200000
+    # at q = 1 row 1030 is the first to leave float64; building all 200000
     # rows would take about an hour
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

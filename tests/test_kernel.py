@@ -337,4 +337,3 @@ def test_single_x_routes_refuse_a_sequence_of_x():
             with pytest.raises(TypeError, match="x must be one point"):
                 route(xs)
         assert np.all(np.isfinite(route(np.float32(0.5)))), name  # one point of another type
-
