@@ -133,15 +133,16 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
 
 
 def _stages(work, d_ax, d_xb, plan, variant):
-    """Yield stages 0..n of the alg1/alg2 scheme, stage 0 being work itself.
+    """Yield stages 0..n of the alg1/alg2 scheme at m points, stage 0 being work itself.
 
-    work is (dim, n+1) with the kernel tables of one x, or (dim, m, n+1)
-    with the kernel tables of m points, both from plan: the entries run
-    along the last, contiguous axis, and stage r has n+1-r of them.
-    evaluate_alg1 and evaluate_alg2 state the step.
+    work is (dim, m, n+1) and d_ax, d_xb hold the (m,) columns of the kernel
+    tables of the m points, both from plan: the entries run along the last,
+    contiguous axis, and stage r has n+1-r of them.  sample_curve runs it;
+    a single x is stepped in floats by _tableau, with the same operations
+    in the same order.  evaluate_alg1 and evaluate_alg2 state the step.
     """
     n, d_ab, powers = plan.n, plan.d_ab, plan.power_array
-    d_ax, d_xb = np.array(d_ax).T, np.array(d_xb).T  # (n,) or (m, n)
+    d_ax, d_xb = np.array(d_ax).T, np.array(d_xb).T  # (m, n)
     yield work
     for r in range(n):
         den = d_ab[n - r - 1]
@@ -156,11 +157,43 @@ def _stages(work, d_ax, d_xb, plan, variant):
 
 
 def _tableau(polygon, x, q, interval, variant):
+    """The alg1/alg2 tableau at one x, stepped entry by entry in Python floats.
+
+    Entry k of stage r+1 is lower * b_k + upper * b_(k+1) per coordinate,
+    with lower = d(x,b;q^(n-r-1-k)) / d(a,b;q^(n-r-1)) and
+    upper = d(a,x;q^k) / d(a,b;q^(n-r-1)), and the q-power multiplying lower
+    (alg1) or upper (alg2) from the left: the operations of _stages in the
+    same order, so the rows are bit-identical to a sweep's.  Numpy would
+    cost more per call than the at most few dozen entries of a short
+    scheme.  The entries of all stages fill one (N, dim) array, and
+    rows[r] is a view of its stage-r block.
+    """
     plan = _plan(interval, q, polygon.degree)
     d_ax, d_xb = _tables(plan, interval, x, plan.q)
-    rows = tuple(stage.T for stage in _stages(polygon.points.T.copy(), d_ax, d_xb, plan, variant))
-    _finite(rows[-1][0], f"{variant} curve points")  # inf and NaN reach the apex
-    return DeCasteljauTableau(variant=variant, x=x, q=plan.q, interval=interval, rows=rows)
+    n, d_ab, powers = plan.n, plan.d_ab, plan.powers
+    alg1 = variant == "alg1"
+    stage = polygon.points.tolist()
+    entries = stage[:]
+    for size in range(n, 0, -1):  # stage n + 1 - size has size entries
+        den = d_ab[size - 1]
+        nxt = []
+        for k in range(size):
+            lower = d_xb[size - 1 - k] / den
+            upper = d_ax[k] / den
+            if alg1:
+                lower = powers[k] * lower
+            else:
+                upper = powers[size - 1 - k] * upper
+            nxt.append([lower * u + upper * v for u, v in zip(stage[k], stage[k + 1])])
+        entries += nxt
+        stage = nxt
+    flat = np.array(entries)
+    rows, start = [], 0
+    for size in range(n + 1, 0, -1):
+        rows.append(flat[start:start + size])
+        start += size
+    _finite(flat[-1], f"{variant} curve points")  # inf and NaN reach the apex
+    return DeCasteljauTableau(variant=variant, x=x, q=plan.q, interval=interval, rows=tuple(rows))
 
 
 def evaluate_alg1(polygon: ControlPolygon, x: float, q: float, interval: Interval) -> DeCasteljauTableau:
@@ -222,10 +255,10 @@ def intermediate_explicit(
         raise FloatRangeError(f"degree {n}, q={q!r}: a prefactor q^e [r j]_q overflows float64")
     den, den_in_range = _den_product(plan.d_ab[n - r:n])
     coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], den, den_in_range, n, q)
-    acc = np.zeros(polygon.dim)
-    for j, c in enumerate(coeffs):
-        acc += c * polygon.points[k + j]
-    return _finite(acc, f"{variant} tableau points")
+    acc = [0.0] * polygon.dim  # summed in floats, coordinate by coordinate, in the order of j
+    for c, point in zip(coeffs, polygon.points[k:k + r + 1].tolist()):
+        acc = [s + c * v for s, v in zip(acc, point)]
+    return _finite(np.array(acc), f"{variant} tableau points")
 
 
 _METHODS = ("direct", "alg1", "alg2")

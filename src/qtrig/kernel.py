@@ -34,8 +34,8 @@ denominators meet an inf or NaN raises FloatRangeError on every call, and
 an uncertified one InvalidIntervalError.
 
 Every route takes its x through the tables, which refuse an x that is inf
-or NaN with ValueError; a single-x route also refuses a sequence of x with
-TypeError.
+or NaN, or an int beyond the float range, with ValueError; a single-x
+route also refuses a sequence of x with TypeError.
 """
 
 import functools
@@ -81,7 +81,11 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        try:
+            finite = math.isfinite(self.a) and math.isfinite(self.b)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"interval endpoints must be finite: [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
@@ -224,11 +228,19 @@ def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tup
         raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
     a, b = interval.a, interval.b
     if isinstance(x, (float, int)):
-        if not math.isfinite(x):
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"x must be finite, got {x!r}")
         sin, cos = math.sin, math.cos
     else:
-        sin, cos, x = np.sin, np.cos, np.asarray(x, dtype=float)
+        try:
+            x = np.asarray(x, dtype=float)
+        except OverflowError:  # an int beyond the float range among the points
+            raise ValueError("x must be finite") from None
+        sin, cos = np.sin, np.cos
         if x.ndim and not columns:
             raise TypeError(f"x must be one point, got an array of shape {x.shape}")
         if not np.isfinite(x).all():

@@ -24,7 +24,10 @@ __all__ = [
 
 def validate_q(q: float) -> float:
     """Check the deformation parameter: finite and nonzero."""
-    q = float(q)
+    try:
+        q = float(q)
+    except OverflowError:  # an int beyond the float range
+        q = math.inf if q > 0 else -math.inf
     if not math.isfinite(q) or q == 0.0:
         raise ValueError(f"q must be finite and nonzero, got {q!r}")
     return q

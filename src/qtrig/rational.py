@@ -12,6 +12,8 @@ plain evaluation only, after a grid certificate that the denominator never
 vanishes; no shape property is claimed for them.
 """
 
+import math
+
 import numpy as np
 
 from .basis import BasisVector, _basis_vector, basis_all_direct, basis_matrix
@@ -39,7 +41,7 @@ def _coerce_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     return w
 
@@ -50,6 +52,7 @@ def _weighted_rows(w: np.ndarray, basis: np.ndarray, xs) -> tuple[np.ndarray, np
     Raises SingularDenominatorError at the first x whose sum is not finite or
     not clear of DENOMINATOR_REL_TOL times the row's largest term magnitude:
     rows of zeros, NaN or inf fail, as do rows whose product or sum overflows.
+    rational_basis_all applies the same rule to its one row.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
         terms = w * basis
@@ -62,10 +65,21 @@ def _weighted_rows(w: np.ndarray, basis: np.ndarray, xs) -> tuple[np.ndarray, np
 
 
 def rational_basis_all(n: int, x: float, q: float, interval: Interval, weights) -> BasisVector:
-    """All rational basis values R_k(x; q); they sum to one exactly up to roundoff."""
-    basis = basis_all_direct(n, x, q, interval).values[None]
-    terms, dens = _weighted_rows(_coerce_weights(weights, n), basis, [x])
-    return _basis_vector(n, q, interval, x, terms[0] / dens[0])
+    """All rational basis values R_k(x; q); they sum to one exactly up to roundoff.
+
+    Works on the one row of terms w_k B_k: its numpy sum is the row sum of
+    rational_basis_matrix, so the two are bit-identical, and the singularity
+    rule of _weighted_rows is one scalar test here.  A finite sum has only
+    finite terms, so their largest magnitude is taken in floats.
+    """
+    w = _coerce_weights(weights, n)
+    basis = basis_all_direct(n, x, q, interval).values
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
+        terms = w * basis
+        den = float(terms.sum())
+    if not (math.isfinite(den) and abs(den) > DENOMINATOR_REL_TOL * max(map(abs, terms.tolist()))):
+        raise SingularDenominatorError(float(x), den)
+    return _basis_vector(n, q, interval, x, terms / den)
 
 
 def rational_evaluate(

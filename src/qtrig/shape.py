@@ -82,9 +82,14 @@ def collocation(
     """Collocation matrix of a basis family at strictly increasing points."""
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("points must be finite") from None
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("points must be a non-empty 1-d array")
+    if not np.isfinite(pts).all():  # NaN would pass the order and bounds checks below
+        raise ValueError("points must be finite")
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("points must be strictly increasing")
     if pts[0] < interval.a or pts[-1] > interval.b:

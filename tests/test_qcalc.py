@@ -126,6 +126,9 @@ def test_validate_q_rejections():
         validate_q(float("inf"))
     with pytest.raises(ValueError):
         validate_q(float("nan"))
+    for q in (10**400, -10**400):  # ints beyond the float range
+        with pytest.raises(ValueError, match="q must be finite and nonzero"):
+            validate_q(q)
     assert validate_q(-0.5) == -0.5
 
 

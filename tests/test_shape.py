@@ -63,6 +63,10 @@ def test_collocation_input_validation(quarter):
         collocation("quantum", 2, 1.0, quarter, [-0.5, 0.3])
     with pytest.raises(ValueError):
         collocation("rational", 2, 1.0, quarter, [0.3, 0.6])
+    # NaN fails neither the order nor the bounds test, so finiteness is checked first
+    for bad in (math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="points must be finite"):
+            collocation("quantum", 3, 1.3, Interval(0.3, 1.4), [0.5, bad, 0.9])
 
 
 def test_minor_count_small_cases():

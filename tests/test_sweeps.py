@@ -139,6 +139,29 @@ def test_singular_denominator_raises_at_the_same_x():
     assert colloc_err.value.x == want
 
 
+# the singular kinds of tests/test_rational.py: (n, x, q, interval, weights)
+_SINGULAR_ROWS = {
+    "zero row at x = a": (3, 0.0, 1.5, Interval(0.0, math.pi / 2), [0.0, 1.0, 1.0, 1.0]),
+    "NaN row at n = 200": (200, -1.5, 1.0, Interval(0.0, 0.05), np.ones(201)),
+    "overflowing sum": (1, 0.7, 1.0, Interval(0.0, math.pi / 2), [1.7e308, 1.7e308]),
+    "touching zero at pi/4": (2, math.pi / 4, 1.0, Interval(0.0, math.pi / 2), [1.0, -1.0, 1.0]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the degree-200 basis overflows there
+@pytest.mark.parametrize("kind", sorted(_SINGULAR_ROWS))
+def test_singular_rows_raise_the_same_error_at_one_x_and_in_a_sweep(kind):
+    n, x, q, iv, w = _SINGULAR_ROWS[kind]
+    with pytest.raises(SingularDenominatorError) as point_err:
+        rational_basis_all(n, x, q, iv, w)
+    with pytest.raises(SingularDenominatorError) as sweep_err:
+        rational_basis_matrix(n, [x], q, iv, w)
+    point, sweep = point_err.value, sweep_err.value
+    assert point.x == sweep.x == x
+    assert np.float64(point.denominator).tobytes() == np.float64(sweep.denominator).tobytes()
+    assert str(point) == str(sweep)
+
+
 def test_invalid_interval_raises_the_same_error():
     bad = Interval(0.0, math.pi)
     poly = ControlPolygon([[0.0, 0.0], [1.0, 2.0], [3.0, 0.0]])
