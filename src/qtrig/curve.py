@@ -12,6 +12,13 @@ Sampled curves can be tested for membership in the trigonometric space
         = span{cos x, sin x, cos 3x, sin 3x, ..., cos nx, sin nx}  (n odd)
 
 by a least-squares fit; the curve coordinates always live in T_n.
+
+The schemes run on two stage paths with the same operations in the same
+order, so their results are bit-identical: _tableau steps one x in Python
+floats, entry by entry, and _stages steps the numpy arrays of a sample_curve
+sweep, one stage at a time for all points.  Numpy's per-call overhead
+dominates on the few entries of one x, and a Python loop over entries
+would slow the sweeps.
 """
 
 import math
@@ -163,10 +170,9 @@ def _tableau(polygon, x, q, interval, variant):
     with lower = d(x,b;q^(n-r-1-k)) / d(a,b;q^(n-r-1)) and
     upper = d(a,x;q^k) / d(a,b;q^(n-r-1)), and the q-power multiplying lower
     (alg1) or upper (alg2) from the left: the operations of _stages in the
-    same order, so the rows are bit-identical to a sweep's.  Numpy would
-    cost more per call than the at most few dozen entries of a short
-    scheme.  The entries of all stages fill one (N, dim) array, and
-    rows[r] is a view of its stage-r block.
+    same order, so the rows are bit-identical to a sweep's.  The entries of
+    all stages fill one (N, dim) array, and rows[r] is a view of its
+    stage-r block.
     """
     plan = _plan(interval, q, polygon.degree)
     d_ax, d_xb = _tables(plan, interval, x, plan.q)
