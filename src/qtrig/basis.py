@@ -71,19 +71,19 @@ def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
     return bv
 
 
-def _product_chain(row, d_ax, d_xb, den, den_in_range, n, q):
+def _product_chain(row, d_ax, d_xb, den, n, q):
     """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / den for j = 0..r = len(row) - 1.
 
     d_ax and d_xb hold r values each, and den is the product of the r
-    denominators d(a, b; q^i) with its verdict from kernel._den_product.  The
-    two products are running prefix products of d_ax and d_xb, so all r + 1
-    entries cost O(r) multiplications, on floats or (m,) columns alike.
+    denominators d(a, b; q^i).  The two products are running prefix
+    products of d_ax and d_xb, so all r + 1 entries cost O(r)
+    multiplications, on floats or (m,) columns alike.
     Entry j takes the j-th prefix of d_ax as it is formed and pops the
     (r-j)-th of d_xb, so no more than r + 2 prefixes are held at once.
     Raises FloatRangeError, naming degree n and q, when den is 0 or not
     finite.
     """
-    if not den_in_range:
+    if den == 0.0 or not math.isfinite(den):
         raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
     pop = list(accumulate(d_xb, mul, initial=1.0)).pop
     return [c * pa * pop() / den for c, pa in zip(row, accumulate(d_ax, mul, initial=1.0))]
@@ -94,7 +94,7 @@ def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVec
     plan = _plan(interval, q, n)
     row = _checked_row(plan.row, plan.n, plan.q)  # first: it overflows before any q-power of the tables
     d_ax, d_xb = _tables(plan, interval, x, q)
-    values = _product_chain(row, d_ax, d_xb, plan.den, plan.den_in_range, n, q)
+    values = _product_chain(row, d_ax, d_xb, plan.den, n, q)
     return _basis_vector(n, q, interval, x, np.array(values))
 
 
@@ -109,7 +109,7 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     d_ax, d_xb = _tables(plan, interval, xs, q, columns=True)
     values = np.empty((len(xs), n + 1))
     # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
-    values[:] = np.array(_product_chain(row, d_ax, d_xb, plan.den, plan.den_in_range, n, q)).T
+    values[:] = np.array(_product_chain(row, d_ax, d_xb, plan.den, n, q)).T
     return values
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _product_chain, basis_all_direct, basis_matrix
-from .errors import FloatRangeError, IllConditionedFitError
-from .kernel import Interval, _den_product, _plan, _tables
+from .errors import FloatRangeError, IllConditionedFitError, _finite_input
+from .kernel import Interval, _plan, _tables
 from .qcalc import q_binomial_row
 
 __all__ = [
@@ -55,13 +55,11 @@ class ControlPolygon:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _finite_input(self.points, "control points must be finite")
         if pts.ndim == 1:  # scalar controls are allowed as a flat list
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"control points must be (n+1, dim), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("control points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -148,7 +146,8 @@ def _stages(work, d_ax, d_xb, plan, variant):
     a single x is stepped in floats by _tableau, with the same operations
     in the same order.  evaluate_alg1 and evaluate_alg2 state the step.
     """
-    n, d_ab, powers = plan.n, plan.d_ab, plan.power_array
+    n, d_ab = plan.n, plan.d_ab
+    powers = np.array(plan.powers[:n])
     d_ax, d_xb = np.array(d_ax).T, np.array(d_xb).T  # (m, n)
     yield work
     for r in range(n):
@@ -259,8 +258,8 @@ def intermediate_explicit(
         start = [math.inf]
     if not all(map(math.isfinite, start)):
         raise FloatRangeError(f"degree {n}, q={q!r}: a prefactor q^e [r j]_q overflows float64")
-    den, den_in_range = _den_product(plan.d_ab[n - r:n])
-    coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], den, den_in_range, n, q)
+    den = math.prod(plan.d_ab[n - r:n])
+    coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], den, n, q)
     acc = [0.0] * polygon.dim  # summed in floats, coordinate by coordinate, in the order of j
     for c, point in zip(coeffs, polygon.points[k:k + r + 1].tolist()):
         acc = [s + c * v for s, v in zip(acc, point)]
@@ -306,7 +305,7 @@ def sample_curve(
 
 def tn_design_matrix(xs: np.ndarray, n: int) -> np.ndarray:
     """Columns of the order-n trigonometric space evaluated at xs."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _finite_input(xs, "xs must be finite")
     cols = []
     if n % 2 == 0:
         cols.append(np.ones_like(xs))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one finite-input check."""
+
+import numpy as np
 
 __all__ = [
     "QTrigError",
@@ -66,3 +68,18 @@ class IllConditionedFitError(QTrigError):
         super().__init__(
             f"normal-equation condition number {condition:.3e} exceeds {limit:.1e}"
         )
+
+
+def _finite_input(values, message: str) -> np.ndarray:
+    """values as a float64 array; ValueError(message) if one is inf, NaN or an int beyond the float range.
+
+    numpy's own TypeError or ValueError for values that are not numeric, or
+    ragged, passes through.
+    """
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(message) from None
+    if not np.isfinite(array).all():
+        raise ValueError(message)
+    return array

@@ -11,6 +11,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import _finite_input
+
 __all__ = [
     "sig_str",
     "round_sig",
@@ -120,24 +122,28 @@ def read_polygon_json(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     raw = data["points"]
     if not isinstance(raw, list) or not raw:
         raise ValueError(f'{path}: "points" must be a non-empty array')
-    try:
-        points = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: points are not numeric rows of equal length") from exc
+    points = _numeric(raw, f"{path}: points must be finite rows of equal length",
+                      f"{path}: points are not numeric rows of equal length")
     if points.ndim == 1:
         points = points[:, None]
-    if points.ndim != 2 or not np.all(np.isfinite(points)):
+    if points.ndim != 2:
         raise ValueError(f"{path}: points must be finite rows of equal length")
     weights = None
     if data.get("weights") is not None:
-        try:
-            weights = np.asarray(data["weights"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: weights are not a numeric array") from exc
+        weights = _numeric(data["weights"], f"{path}: weights must be finite",
+                           f"{path}: weights are not a numeric array")
         if weights.shape != (points.shape[0],):
             raise ValueError(
                 f"{path}: expected {points.shape[0]} weights, got {weights.shape}"
             )
-        if not np.all(np.isfinite(weights)):
-            raise ValueError(f"{path}: weights must be finite")
     return points, weights
+
+
+def _numeric(values, not_finite: str, not_numeric: str) -> np.ndarray:
+    """values through _finite_input; numpy's error for ragged or non-numeric values becomes not_numeric."""
+    try:
+        return _finite_input(values, not_finite)
+    except (TypeError, ValueError) as exc:
+        if exc.args == (not_finite,):
+            raise
+        raise ValueError(not_numeric) from exc

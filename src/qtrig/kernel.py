@@ -21,14 +21,13 @@ rest of an evaluation that does not depend on x, depends on (a, b, q, n)
 only, so it is built once per key into an evaluation plan: the powers q^i,
 the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
-the q-binomial row, the product of the denominators with its range verdict
-and a read-only array of the powers.  A call at one x then makes one plan
-lookup and does only its x-dependent work: four trig calls, 2n kernel
-entries and the product chain.  The last 128 plans are kept; this memo is
-the package's only cache.  Each plan holds the powers, the denominators,
-n precomputed form terms, the power array and the row, about 147 bytes
+the q-binomial row and the product of the denominators.  A call at one x
+then makes one plan lookup and does only its x-dependent work: four trig
+calls, 2n kernel entries and the product chain.  The last 128 plans are
+kept; this memo is the package's only cache.  Each plan holds the powers,
+the denominators, n precomputed form terms and the row, about 136 bytes
 per unit of n + 1 under tracemalloc, so the memo holds at most about
-18 KiB per unit of n + 1 for degrees up to n (19 MB at n = 1000).  A
+17 KiB per unit of n + 1 for degrees up to n (17 MB at n = 1000).  A
 failure is held as a marker, never as an exception: a plan whose
 denominators meet an inf or NaN raises FloatRangeError on every call, and
 an uncertified one InvalidIntervalError.
@@ -45,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import FloatRangeError, InvalidIntervalError
+from .errors import FloatRangeError, InvalidIntervalError, _finite_input
 from .qcalc import _q_binomial_row, _validate_degree, q_powers, validate_q
 
 __all__ = [
@@ -148,12 +147,6 @@ def _forms(powers):
     return inner, tuple(1.0 - p for p in inner), tuple(p - 1.0 for p in powers[k:])
 
 
-def _den_product(d_ab):
-    """prod(d_ab), the divisor of the basis product chain, and whether it is nonzero and finite."""
-    den = math.prod(d_ab)
-    return den, den != 0.0 and math.isfinite(den)
-
-
 class _Plan(NamedTuple):
     """Everything x-free that a degree-n evaluation at q on [a, b] reads.
 
@@ -164,7 +157,6 @@ class _Plan(NamedTuple):
     q: float                    # the key's plain float q and plain int n
     n: int
     powers: tuple               # q^0..q^n
-    power_array: np.ndarray     # q^0..q^(n-1), read-only
     trig: tuple                 # sin a, cos a, sin b, cos b
     forms: tuple                # _forms of q^0..q^(n-1)
     d_ab: Optional[tuple]       # d(a, b; q^i) for i = 0..n
@@ -173,7 +165,6 @@ class _Plan(NamedTuple):
     certified: bool             # d_ab is finite and failing is None
     row: Optional[tuple]        # q-binomial row n
     den: float                  # prod of d(a, b; q^i) over i < n
-    den_in_range: bool          # den is nonzero and finite
 
 
 @functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
@@ -185,21 +176,19 @@ def _evaluation_plan(a: float, b: float, q: float, n: int) -> _Plan:
     d(a, b; q^n).
     """
     powers = tuple(q_powers(q, n + 1))
-    power_array = np.array(powers[:n])
-    power_array.flags.writeable = False
     trig = sin_a, cos_a, sin_b, cos_b = math.sin(a), math.cos(a), math.sin(b), math.cos(b)
     d_ab = tuple(_kernel_row(_forms(powers), math.sin(b - a), cos_b * sin_a, sin_b * cos_a))
-    min_abs, failing, den, den_in_range = math.nan, None, math.nan, False
+    min_abs, failing, den = math.nan, None, math.nan
     if all(map(math.isfinite, d_ab)):
         magnitudes = list(map(abs, d_ab))
         min_abs = min(magnitudes)
         if min_abs <= SINGULARITY_TOL:
             failing = next(i for i, v in enumerate(magnitudes) if v <= SINGULARITY_TOL)
-        den, den_in_range = _den_product(d_ab[:n])
+        den = math.prod(d_ab[:n])
     else:
         d_ab = None
-    return _Plan(q, n, powers, power_array, trig, _forms(powers[:n]), d_ab, min_abs, failing,
-                 d_ab is not None and failing is None, _q_binomial_row(n, q), den, den_in_range)
+    return _Plan(q, n, powers, trig, _forms(powers[:n]), d_ab, min_abs, failing,
+                 d_ab is not None and failing is None, _q_binomial_row(n, q), den)
 
 
 def _plan(interval: Interval, q: float, n: int) -> _Plan:
@@ -236,15 +225,10 @@ def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tup
             raise ValueError(f"x must be finite, got {x!r}")
         sin, cos = math.sin, math.cos
     else:
-        try:
-            x = np.asarray(x, dtype=float)
-        except OverflowError:  # an int beyond the float range among the points
-            raise ValueError("x must be finite") from None
+        if not columns and np.ndim(x):  # before conversion: any sequence, whatever it holds
+            raise TypeError(f"x must be one point, got an array of shape {np.shape(x)}")
+        x = _finite_input(x, "x must be finite")
         sin, cos = np.sin, np.cos
-        if x.ndim and not columns:
-            raise TypeError(f"x must be one point, got an array of shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("x must be finite")
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
     forms = plan.forms

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import BasisVector, _basis_vector, basis_all_direct, basis_matrix
 from .curve import ControlPolygon, CurveSamples, _finite
-from .errors import SingularDenominatorError
+from .errors import SingularDenominatorError, _finite_input
 from .kernel import Interval
 
 __all__ = [
@@ -38,11 +38,9 @@ CERTIFICATE_GRID = 1024
 
 def _coerce_weights(weights, n: int) -> np.ndarray:
     """Weights w_0..w_n as a finite float vector; shape guarantees need w > 0."""
-    w = np.asarray(weights, dtype=float)
+    w = _finite_input(weights, "weights must be finite")
     if w.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} weights, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
     return w
 
 
@@ -154,10 +152,11 @@ def rational_sample(
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
+    w = _coerce_weights(weights, polygon.degree)
     xs = np.linspace(interval.a, interval.b, count)
-    basis = rational_basis_matrix(polygon.degree, xs, q, interval, weights)
+    basis = rational_basis_matrix(polygon.degree, xs, q, interval, w)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
-    shaped = interval.quarter_period and q > 0 and bool(np.all(np.asarray(weights, dtype=float) > 0.0))
+    shaped = interval.quarter_period and q > 0 and bool(np.all(w > 0.0))
     return CurveSamples(xs, points, "rational" if shaped else "rational-no-shape-guarantee")
 
 
@@ -167,9 +166,8 @@ def point_segment_distance(p, s0, s1):
     p is one point, giving a float, or an (m, dim) array of points, giving
     one distance per row.
     """
-    p = np.asarray(p, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
+    message = "point and segment ends must be finite"
+    p, s0, s1 = (_finite_input(v, message) for v in (p, s0, s1))
     seg = s1 - s0
     denom = float(seg @ seg)
     t = 0.0 if denom == 0.0 else np.clip((p - s0) @ seg / denom, 0.0, 1.0)[..., None]
@@ -182,8 +180,7 @@ def chord_distance_profile(samples: CurveSamples, b_first, b_last) -> float:
 
     Planar curves only.
     """
-    b_first = np.asarray(b_first, dtype=float)
-    b_last = np.asarray(b_last, dtype=float)
+    b_first, b_last = (_finite_input(b, "chord endpoints must be finite") for b in (b_first, b_last))
     if b_first.shape != (2,) or b_last.shape != (2,):
         raise ValueError("chord endpoints must be 2-d points")
     if samples.points.shape[1:] != (2,):

@@ -15,6 +15,7 @@ two.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import basis_matrix
-from .errors import MinorCapExceededError
+from .errors import MinorCapExceededError, _finite_input
 from .kernel import Interval
 from .rational import point_segment_distance, rational_basis_matrix
 
@@ -82,14 +83,9 @@ def collocation(
     """Collocation matrix of a basis family at strictly increasing points."""
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    try:
-        pts = np.asarray(points, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("points must be finite") from None
+    pts = _finite_input(points, "points must be finite")  # NaN would pass the order and bounds checks below
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("points must be a non-empty 1-d array")
-    if not np.isfinite(pts).all():  # NaN would pass the order and bounds checks below
-        raise ValueError("points must be finite")
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("points must be strictly increasing")
     if pts[0] < interval.a or pts[-1] > interval.b:
@@ -180,13 +176,12 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     witness is the first worst minor in the order (size, row set, column
     set), sets in lexicographic order.
     """
-    if not 0.0 <= tolerance < math.inf:
+    if not 0.0 <= tolerance <= sys.float_info.max:  # refuses an int beyond the float range too
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    entries = matrix.entries if isinstance(matrix, CollocationMatrix) else np.asarray(matrix, dtype=float)
+    entries = _finite_input(matrix.entries if isinstance(matrix, CollocationMatrix) else matrix,
+                            "matrix entries must be finite")  # a NaN minor never compares below the worst
     if entries.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {entries.shape}")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("matrix entries must be finite")  # a NaN minor never compares below the worst
     n_rows, n_cols = entries.shape
     total = _refuse_over_cap(n_rows, n_cols)
     if total == 0:
@@ -238,9 +233,7 @@ def sign_changes_seq(seq) -> int:
 
     Entries within SIGN_ZERO_REL_TOL of the largest magnitude count as zero.
     """
-    values = np.asarray(seq, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("sequence entries must be finite")
+    values = _finite_input(seq, "sequence entries must be finite")
     if values.size < 2:
         return 0
     floor = SIGN_ZERO_REL_TOL * float(np.abs(values).max())
@@ -265,11 +258,9 @@ def convex_hull(points) -> np.ndarray:
     Collinear input degenerates to the two extreme points.  The vertices
     are input points, bit for bit.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _finite_input(points, "hull points must be finite")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (m, 2) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("hull points must be finite")
     uniq = sorted(set(map(tuple, pts.tolist())))
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float)
@@ -300,12 +291,10 @@ def point_in_hull(point, hull: np.ndarray):
     point is one 2-d point, giving a bool, or an (m, 2) array of points,
     giving one verdict per row.  Points and hull vertices must be finite.
     """
-    p = np.asarray(point, dtype=float)
-    hull = np.asarray(hull, dtype=float)
+    message = "points and hull vertices must be finite"
+    p, hull = _finite_input(point, message), _finite_input(hull, message)
     if hull.ndim != 2 or hull.shape[1] != 2:
         raise ValueError(f"expected (h, 2) hull, got shape {hull.shape}")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(hull))):
-        raise ValueError("points and hull vertices must be finite")
     e, (p, hull) = _rescaled(hull, p, hull)  # the same verdicts, and no overflow below
     diffs = hull[:, None, :] - hull[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2)).max())

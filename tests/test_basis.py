@@ -24,7 +24,6 @@ from qtrig import (
     rational_basis_matrix,
 )
 from qtrig.basis import _product_chain
-from qtrig.kernel import _den_product
 from oracles import basis_direct_mp, basis_row_mp, d_mp, quarter_basis_mp
 
 ROOT2 = math.sqrt(2.0)
@@ -225,7 +224,7 @@ def test_product_chain_within_first_order_bound():
         n = int(rng.integers(1, 41))
         row = np.exp(rng.uniform(0.0, 20.0, n + 1)).tolist()
         d_ax, d_xb, d_ab = table(n, 2.3), table(n, 2.3), table(n, 2.3)
-        got = _product_chain(row, d_ax, d_xb, *_den_product(d_ab), n, 1.0)
+        got = _product_chain(row, d_ax, d_xb, math.prod(d_ab), n, 1.0)
         with mp.workdps(50):
             den = mp.fprod(map(mp.mpf, d_ab))
             for j, value in enumerate(got):

@@ -423,6 +423,25 @@ def test_polygon_file_errors(tmp_path, capsys):
     assert main(["curve", "--polygon", keyed, "--q", "1", "--interval", "0,pi/2"]) == 1
     assert capsys.readouterr().err.endswith("weights are not a numeric array\n")
 
+    for name, points in (("ragged.json", [[0, 1], [2]]), ("string.json", [["a"], ["b"]])):
+        assert main(["curve", "--polygon", write_polygon(tmp_path, {"points": points}, name),
+                     "--q", "1", "--interval", "0,pi/2"]) == 1
+        assert capsys.readouterr().err.endswith(f"{name}: points are not numeric rows of equal length\n")
+
+
+def test_polygon_file_ints_beyond_float_range(tmp_path, capsys):
+    # json reads them as Python ints, which numpy cannot turn into floats
+    huge = 10**400
+    for name, data, tail in (("point.json", {"points": [[huge, 0], [1, 2]]}, "points must be finite rows"),
+                             ("weight.json", {"points": [[0, 0], [1, 2]], "weights": [1, -huge]},
+                              "weights must be finite")):
+        poly = write_polygon(tmp_path, data, name)
+        for command in ("curve", "rational"):
+            assert main([command, "--polygon", poly, "--q", "2", "--interval", "0,pi/2"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("qtrig: error:") and "Traceback" not in err
+            assert f"{name}: {tail}" in err
+
 
 def test_svg_requires_planar_polygon(tmp_path, capsys):
     scalar = write_polygon(tmp_path, {"points": [[0.5], [1.0]]}, "s.json")

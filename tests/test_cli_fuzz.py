@@ -39,6 +39,8 @@ MALFORMED = [
     '{"points": [[1e400], [1]]}', '{"points": [[[0]]]}', '{"points": [null]}',
     '{"points": [[0], [1]], "weights": {"w": 1}}', '{"points": [[0], [1]], "weights": [1]}',
     '{"points": [[0], [1]], "weights": "ab"}', '{"points": [[0], [1]], "weights": [1, NaN]}',
+    # ints beyond the float range, which json reads exactly
+    '{"points": [[1%s], [1]]}' % ("0" * 400), '{"points": [[0], [1]], "weights": [1, 1%s]}' % ("0" * 400),
 ]
 
 

@@ -132,6 +132,8 @@ def test_control_polygon_properties(arch_polygon):
     assert flat.points.shape == (3, 1)
     with pytest.raises(ValueError):
         ControlPolygon(np.array([[1.0, float("nan")]]))
+    with pytest.raises(ValueError, match="control points must be finite"):  # an int beyond the float range
+        ControlPolygon([[10**400, 0.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
         ControlPolygon(np.zeros((2, 2, 2)))
 
@@ -214,6 +216,9 @@ def test_design_matrix_shapes():
     assert tn_design_matrix(xs, 2).shape == (7, 3)  # 1, cos 2x, sin 2x
     assert tn_design_matrix(xs, 3).shape == (7, 4)  # cos x, sin x, cos 3x, sin 3x
     assert np.allclose(tn_design_matrix(xs, 3)[:, 2], np.cos(3 * xs))
+    for bad in (math.nan, math.inf, 10**400):  # NaN columns, or an OverflowError, before
+        with pytest.raises(ValueError, match="xs must be finite"):
+            tn_design_matrix([bad, 0.5], 2)
 
 
 def test_curve_coordinates_live_in_tn(quarter, arch_polygon):

@@ -242,14 +242,6 @@ def test_a_float_degree_raises_without_reading_or_filling_its_plan():
         assert _evaluation_plan.cache_info() == before
 
 
-def test_plan_power_array_is_read_only():
-    plan = _plan(Interval(0.0, 1.0), 1.3, 4)
-    assert plan.power_array.tolist() == list(plan.powers[:4])
-    with pytest.raises(ValueError):
-        plan.power_array[0] = 2.0
-    assert plan.power_array[0] == 1.0
-
-
 _POLYGON = {n: ControlPolygon(np.arange(n + 1, dtype=float)) for n in (3, 150, 700)}
 _FAILURE_ROUTES = {
     "basis_all_direct": lambda n, q, iv: basis_all_direct(n, 0.5, q, iv).values,

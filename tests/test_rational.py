@@ -137,6 +137,20 @@ def test_point_segment_distance_rows():
     assert point_segment_distance(pts, [2.0, 2.0], [2.0, 2.0]).shape == (3,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_distance_inputs_must_be_finite(bad):
+    # NaN and inf gave a NaN distance, and an int beyond the float range an OverflowError
+    for args in (([bad, 0.0], [0.0, 0.0], [1.0, 0.0]), ([[0.5, 1.0], [bad, 0.0]], [0.0, 0.0], [1.0, 0.0]),
+                 ([0.5, 1.0], [bad, 0.0], [1.0, 0.0]), ([0.5, 1.0], [0.0, 0.0], [1.0, bad])):
+        with pytest.raises(ValueError, match="point and segment ends must be finite"):
+            point_segment_distance(*args)
+    single = CurveSamples(np.array([0.5]), np.array([[1.0, 2.0]]), "rational")
+    for ends in (([bad, 0.0], [3.0, 0.0]), ([0.0, 0.0], [3.0, bad])):
+        with pytest.raises(ValueError, match="chord endpoints must be finite"):
+            chord_distance_profile(single, *ends)
+
+
 def test_singular_denominator_raises(quarter):
     # w = (1, -1) at q = 1 on the quarter period: cos x - sin x vanishes at pi/4
     with pytest.raises(SingularDenominatorError):
@@ -238,6 +252,11 @@ def test_weight_vector_validation():
         rational_basis_all(1, 0.3, 2.0, quarter, np.array([1.0, float("inf")]))
     with pytest.raises(ValueError):
         rational_basis_all(3, 0.3, 2.0, quarter, np.ones(3))
+    # ints beyond the float range, through the single-x route and the sweep
+    with pytest.raises(ValueError, match="weights must be finite"):
+        rational_basis_all(1, 0.5, 1.3, Interval(0.3, 1.4), [1, 10**400])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        rational_sample(ControlPolygon([0.0, 1.0]), [1, -10**400], 1.3, quarter, 5)
 
 
 @settings(max_examples=60)

@@ -100,11 +100,13 @@ def test_tp_check_rejects_non_finite_entries():
     for bad in ([[math.nan, 1.0], [1.0, 2.0]], [[1.0, math.inf], [0.5, 2.0]]):
         with pytest.raises(ValueError, match="finite"):
             total_positivity_check(np.array(bad))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):  # an int beyond the float range
+        total_positivity_check([[10**400]])
 
 
 def test_tp_check_rejects_unusable_tolerances():
     # a NaN tolerance failed every matrix and an infinite one passed any
-    for tolerance in (math.nan, math.inf, -1e-9):
+    for tolerance in (math.nan, math.inf, -1e-9, 10**400):
         with pytest.raises(ValueError, match="tolerance"):
             total_positivity_check(np.eye(2), tolerance)
 
@@ -298,7 +300,7 @@ def test_sign_changes_sequences():
 def test_sign_changes_reject_non_finite_entries():
     # a NaN or inf entry turned the relative zero floor into NaN or inf,
     # which dropped every entry and reported 0 changes
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(ValueError, match="finite"):
             sign_changes_seq([1.0, -1.0, bad])
 
@@ -362,6 +364,13 @@ def test_hull_functions_reject_non_finite_points():
         point_in_hull(np.array([[0.1, 0.1], [math.inf, 0.0]]), triangle)
     with pytest.raises(ValueError, match="finite"):
         point_in_hull([0.1, 0.1], np.vstack([triangle[:2], [math.nan, 1.0]]))
+    # ints beyond the float range
+    with pytest.raises(ValueError, match="hull points must be finite"):
+        convex_hull([[0, 0], [10**400, 0], [0, 1]])
+    with pytest.raises(ValueError, match="points and hull vertices must be finite"):
+        point_in_hull([10**400, 0], triangle)
+    with pytest.raises(ValueError, match="points and hull vertices must be finite"):
+        point_in_hull([0.1, 0.1], [[0, 0], [-10**400, 0], [0, 1]])
 
 
 def test_point_in_hull_array_matches_per_point():
