@@ -212,6 +212,7 @@ def _check_tp(cfg: argparse.Namespace) -> dict:
         "worst_scaled": rep.worst_scaled,
         "tolerance": rep.tolerance,
         "is_tp": rep.is_tp,
+        "route": rep.route,
         "pass": rep.is_tp,
     }
 

@@ -1,8 +1,32 @@
-"""Brute-force shape analysis: total positivity, sign changes, hulls.
+"""Shape analysis: total positivity, sign changes, hulls.
 
 A system of functions is totally positive on an interval when every minor
 of every collocation matrix (phi_i(x_j) with increasing x_j) is nonnegative.
-This module checks single matrices exhaustively: it enumerates all square
+total_positivity_check decides a matrix by one of two routes, and names it
+in the report.
+
+The quarter-period Vandermonde route checks no minor: it applies a
+theorem.  On a quarter period [k pi/2, (k+1) pi/2] with q > 0 each basis
+function is c_k sin^k(x - a) cos^(n-k)(x - a) with c_k > 0, so a
+collocation matrix is D1 V(tan(x_j - a)) D2: a Vandermonde matrix on
+increasing nonnegative nodes between positive diagonals, which is totally
+positive (Gantmacher & Krein; Gasca & Pena, Linear Algebra Appl. 165,
+1992).  Positive rational weights only add two more positive diagonals.
+The route is taken for a CollocationMatrix that collocation() built on such
+an interval at q > 0 (the classical family collocates at q = 1), with every
+weight > 0 for the rational family, and whose points increase strictly
+inside [a, b].  One more condition covers floats: an endpoint off the grid
+by delta moves the zeros of the kernel factors d(a, x; q^i) and d(x, b; q^i)
+off the endpoint by about delta |q^(+-i) - 1|.  The n - 1 factors that move
+(q^0 gives sin(y - x), which does not) then change an entry at distance h
+from the nearer endpoint by a relative (n - 1) delta (max(q, 1/q)^(n-1) - 1)
+/ h at most, to first order; the route needs that within QUARTER_SHIFT_TOL
+at every point strictly inside.  On Interval.quarter(k) for k = -1..2,
+delta is below 2e-16, and only points very near an endpoint at q far from
+1 fall outside.  At q = 1000 on [-pi/2, 0], degree 8, the shift covers the whole
+interval and the entries reach -5.8e21.
+
+The exhaustive route decides every other matrix.  It enumerates all square
 submatrices up to a hard cap, evaluates determinants by partially pivoted
 elimination (LU), and compares against a tolerance scaled per minor by the
 product of its row max-norms.  That is a certificate for the sampled grid,
@@ -11,7 +35,7 @@ r x r minors are gathered, in enumeration order, into stacks of at most
 MINOR_BLOCK entries, and each stack takes one determinant call.  The minors
 of a stack whose determinant or scale leaves float range are taken again,
 in one more determinant call, with each row rescaled exactly by a power of
-two.
+two.  Both routes refuse a matrix over MINOR_CAP alike.
 """
 
 import math
@@ -25,7 +49,7 @@ import numpy as np
 from .basis import basis_matrix
 from .errors import MinorCapExceededError, _finite_input
 from .kernel import Interval
-from .rational import point_segment_distance, rational_basis_matrix
+from .rational import _coerce_weights, point_segment_distance, rational_basis_matrix
 
 __all__ = [
     "MINOR_CAP",
@@ -44,6 +68,10 @@ MINOR_CAP = 1_000_000
 # check's working memory whatever the matrix shape.
 MINOR_BLOCK = 1 << 14
 DEFAULT_TP_TOL = 1e-9
+# Largest first-order relative distance from a quarter-period collocation's
+# entries to the exact quarter period's at which the Vandermonde route decides.
+QUARTER_SHIFT_TOL = 1e-6
+QUARTER_PERIOD_VANDERMONDE = "quarter-period Vandermonde"
 _SMALLEST_NORMAL = np.finfo(float).tiny
 # Relative floor below which sequence entries count as zero.
 SIGN_ZERO_REL_TOL = 1e-12
@@ -55,21 +83,37 @@ _FAMILIES = ("quantum", "classical", "rational")
 
 @dataclass(frozen=True)
 class CollocationMatrix:
-    """entries[i, j] = phi_i(x_j) for basis index i and increasing points x_j."""
+    """entries[i, j] = phi_i(x_j) for basis index i and increasing points x_j.
+
+    collocation() also records the interval, the q it evaluated the basis at
+    (1.0 for the classical family) and, for the rational family, the weights;
+    they stay None on a matrix built by hand, which takes the exhaustive check.
+    """
 
     entries: np.ndarray
     points: np.ndarray
     family: str
+    interval: Optional[Interval] = None
+    q: Optional[float] = None
+    weights: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class TPReport:
+    """Verdict of total_positivity_check and the route that decided it.
+
+    route is "exhaustive" or "quarter-period Vandermonde".  The structural
+    route checks no minor: minors_checked is 0, and worst_minor and
+    worst_scaled are None.
+    """
+
     is_tp: bool
     minors_checked: int
-    worst_minor: float            # raw determinant of the worst minor
-    worst_scaled: float           # same minor divided by its row-max scale
+    worst_minor: Optional[float]  # raw determinant of the worst minor
+    worst_scaled: Optional[float]  # same minor divided by its row-max scale
     tolerance: float
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
+    route: str = "exhaustive"
 
 
 def collocation(
@@ -91,11 +135,14 @@ def collocation(
     if pts[0] < interval.a or pts[-1] > interval.b:
         raise ValueError(f"points must lie inside [{interval.a}, {interval.b}]")
 
+    w = None
     if family == "rational":  # mixed-sign weights pass the denominator certificate first
-        rows = rational_basis_matrix(n, pts, q, interval, weights)
+        w = _coerce_weights(weights, n)
+        rows = rational_basis_matrix(n, pts, q, interval, w)
     else:
-        rows = basis_matrix(n, pts, 1.0 if family == "classical" else q, interval)
-    return CollocationMatrix(entries=rows.T, points=pts, family=family)
+        q = 1.0 if family == "classical" else q
+        rows = basis_matrix(n, pts, q, interval)
+    return CollocationMatrix(entries=rows.T, points=pts, family=family, interval=interval, q=q, weights=w)
 
 
 def minor_count(rows: int, cols: int) -> int:
@@ -117,6 +164,35 @@ def _refuse_over_cap(rows: int, cols: int) -> int:
     if total > MINOR_CAP:
         raise MinorCapExceededError(total, MINOR_CAP)
     return total
+
+
+def _quarter_period_vandermonde(matrix: CollocationMatrix, n_rows: int, n_cols: int) -> bool:
+    """Does the quarter-period Vandermonde factorisation decide this collocation?
+
+    The conditions are those of the module docstring; the points must also
+    number one per column.
+    """
+    iv, q = matrix.interval, matrix.q
+    if iv is None or q is None or not iv.quarter_period or not q > 0.0:
+        return False
+    if matrix.family == "rational" and (matrix.weights is None or not (np.asarray(matrix.weights) > 0.0).all()):
+        return False
+    pts = np.asarray(matrix.points, dtype=float)
+    if pts.shape != (n_cols,):
+        return False
+    a, b = iv.a, iv.b
+    pts = pts.tolist()  # a dozen points: Python floats beat numpy calls
+    if not (a <= pts[0] and pts[-1] <= b and all(x < y for x, y in zip(pts, pts[1:]))):
+        return False
+    inner = [x for x in pts if a < x < b]
+    if n_rows <= 2 or not inner:
+        return True
+    delta = max(min(abs(math.sin(v)), abs(math.cos(v))) for v in (a, b))
+    try:  # q^(n-1) beyond the float range
+        shift = (n_rows - 2) * delta * math.expm1((n_rows - 2) * abs(math.log(q)))
+    except OverflowError:
+        return False
+    return shift <= QUARTER_SHIFT_TOL * min(inner[0] - a, b - inner[-1])
 
 
 def _subsets(n: int, r: int):
@@ -165,20 +241,27 @@ def _minor_values(subs: np.ndarray):
 # scale overflows or underflows are taken again with rescaled rows
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPReport:
-    """Exhaustively test all minors of a matrix for nonnegativity.
+    """Decide whether every minor of a matrix is nonnegative.
 
-    Accepts a CollocationMatrix or anything array-like.  A minor with
-    determinant det and row-max-norm product scale fails when
-    det < -tolerance * scale; a minor whose det or scale leaves float range
-    is taken again with its rows rescaled by powers of two.  Refuses
-    matrices with more than MINOR_CAP square submatrices, matrices with NaN
-    or inf entries, and a tolerance that is NaN, infinite or negative.  The
+    Accepts a CollocationMatrix or anything array-like.  Refuses a tolerance
+    that is NaN, infinite or negative, matrices with NaN or inf entries, and
+    matrices with more than MINOR_CAP square submatrices, whichever route
+    would decide them.  A collocation() matrix on a quarter period with
+    q > 0 and positive weights is then totally positive by the Vandermonde
+    factorisation of the module docstring: the report has route
+    "quarter-period Vandermonde", minors_checked 0, no witness, and None for
+    worst_minor and worst_scaled.  Every other matrix takes the exhaustive
+    route: a minor with determinant det and row-max-norm product scale fails
+    when det < -tolerance * scale; a minor whose det or scale leaves float
+    range is taken again with its rows rescaled by powers of two.  The
     witness is the first worst minor in the order (size, row set, column
-    set), sets in lexicographic order.
+    set), sets in lexicographic order.  The tolerance is reported as a float.
     """
     if not 0.0 <= tolerance <= sys.float_info.max:  # refuses an int beyond the float range too
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    entries = _finite_input(matrix.entries if isinstance(matrix, CollocationMatrix) else matrix,
+    tolerance = float(tolerance)
+    collocated = isinstance(matrix, CollocationMatrix)
+    entries = _finite_input(matrix.entries if collocated else matrix,
                             "matrix entries must be finite")  # a NaN minor never compares below the worst
     if entries.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {entries.shape}")
@@ -186,6 +269,9 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     total = _refuse_over_cap(n_rows, n_cols)
     if total == 0:
         raise ValueError("matrix has no minors")
+    if collocated and _quarter_period_vandermonde(matrix, n_rows, n_cols):
+        return TPReport(is_tp=True, minors_checked=0, worst_minor=None, worst_scaled=None,
+                        tolerance=tolerance, witness=None, route=QUARTER_PERIOD_VANDERMONDE)
 
     flat = np.ascontiguousarray(entries).ravel()
     worst_scaled = math.inf

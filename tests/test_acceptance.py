@@ -151,20 +151,25 @@ def test_criterion_05_total_positivity_grid():
     start = time.perf_counter()
     worst = math.inf
     checked = 0
+    structural = 0
     for interval in RESIDUE_INTERVALS:
         pts = _interior_points(interval)
         for n in TP_DEGREES:
             for q in TP_QS:
-                rep = total_positivity_check(collocation("quantum", n, q, interval, pts))
+                mat = collocation("quantum", n, q, interval, pts)
+                rep = total_positivity_check(mat.entries)  # every minor
                 checked += rep.minors_checked
                 worst = min(worst, rep.worst_scaled)
+                structural += total_positivity_check(mat).route == "quarter-period Vandermonde"
     elapsed = time.perf_counter() - start
-    passed = worst >= -1e-9 and elapsed < 30.0
+    total = len(RESIDUE_INTERVALS) * len(TP_DEGREES) * len(TP_QS)
+    passed = worst >= -1e-9 and elapsed < 30.0 and structural == total
     _report(
         5,
         "total-positivity-grid",
         passed,
-        f"{checked} minors, worst scaled {worst:.2e}, {elapsed:.2f} s",
+        f"{checked} minors, worst scaled {worst:.2e}, {structural}/{total} by the quarter-period route, "
+        f"{elapsed:.2f} s",
     )
 
 
@@ -172,6 +177,7 @@ def test_criterion_06_rational_normalization_and_tp():
     rng = np.random.default_rng(100)
     worst_sum = 0.0
     worst_minor = math.inf
+    structural = 0
     for interval in RESIDUE_INTERVALS:
         pts = _interior_points(interval)
         for n in TP_DEGREES:
@@ -179,14 +185,17 @@ def test_criterion_06_rational_normalization_and_tp():
                 w = rng.uniform(0.2, 3.0, size=n + 1)
                 mat = collocation("rational", n, q, interval, pts, weights=w)
                 worst_sum = max(worst_sum, float(np.max(np.abs(mat.entries.sum(axis=0) - 1.0))))
-                rep = total_positivity_check(mat)
+                rep = total_positivity_check(mat.entries)  # every minor
                 worst_minor = min(worst_minor, rep.worst_scaled)
-    passed = worst_sum <= 1e-12 and worst_minor >= -1e-9
+                structural += total_positivity_check(mat).route == "quarter-period Vandermonde"
+    total = len(RESIDUE_INTERVALS) * len(TP_DEGREES) * len(TP_QS)
+    passed = worst_sum <= 1e-12 and worst_minor >= -1e-9 and structural == total
     _report(
         6,
         "rational-normalization-tp",
         passed,
-        f"column sums off by {worst_sum:.2e}, worst scaled minor {worst_minor:.2e}",
+        f"column sums off by {worst_sum:.2e}, worst scaled minor {worst_minor:.2e}, "
+        f"{structural}/{total} by the quarter-period route",
     )
 
 

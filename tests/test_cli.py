@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtrig import sample_curve
+from qtrig import Interval, collocation, sample_curve, total_positivity_check
 from qtrig.cli import main, parse_angle, parse_interval
-from oracles import basis_row_mp
+from oracles import basis_row_mp, total_positivity_reference
 
 ARCH = {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [3.0, 0.0]], "weights": [1, 1, 1, 1]}
 
@@ -300,6 +300,7 @@ def test_exit_code_tp_violation(capsys):
     payload = json.loads(out[-1])
     assert payload["pass"] is False
     assert payload["worst_scaled"] < 0
+    assert payload["route"] == "exhaustive"
 
 
 def test_check_tp_passes_on_quarter_interval(capsys):
@@ -310,20 +311,31 @@ def test_check_tp_passes_on_quarter_interval(capsys):
     assert out[0] == "tp: PASS"
     payload = json.loads(out[-1])
     assert payload["is_tp"] is True
-    assert payload["minors_checked"] == 209
     assert payload["family"] == "quantum"
+    # decided by the quarter-period factorisation: no minor, and null worst fields
+    assert payload["route"] == "quarter-period Vandermonde"
+    assert payload["minors_checked"] == 0
+    assert payload["worst_minor"] is None and payload["worst_scaled"] is None
+    # the same collocation, checked minor by minor
+    interval = Interval(math.pi / 2, math.pi)
+    pts = [interval.a + interval.length * (j + 1) / 7 for j in range(6)]
+    entries = collocation("quantum", 3, 1.5, interval, pts).entries
+    rep = total_positivity_check(entries)
+    assert rep.is_tp and rep.minors_checked == 209
+    assert rep == total_positivity_reference(entries)
 
 
 def test_check_tp_degree_9_on_12_points(capsys):
-    # 646,645 minors, about 11 s with one determinant call per minor
+    # 646,645 minors, which the quarter-period route does not enumerate;
+    # tests/test_shape.py checks them on the same collocation
     code = main(["check", "tp", "--degree", "9", "--q", "1.5", "--interval", "0,pi/2", "--grid", "12"])
     assert code == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "tp: PASS"
     payload = json.loads(out[-1])
-    assert payload["minors_checked"] == 646645
-    # the witness, rows 0-9 x columns 1-10, is 6.9575302599294655e-16 at 50 digits
-    assert (payload["worst_minor"], payload["worst_scaled"]) == (6.957530259919386e-16, 8.224818273213061e-13)
+    assert payload["route"] == "quarter-period Vandermonde"
+    assert payload["minors_checked"] == 0
+    assert (payload["worst_minor"], payload["worst_scaled"]) == (None, None)
 
 
 def test_check_tp_refuses_before_collocating(capsys, monkeypatch):

@@ -20,7 +20,7 @@ from qtrig import (
     sign_changes_seq,
     total_positivity_check,
 )
-from qtrig.shape import MINOR_BLOCK, MINOR_CAP, _refuse_over_cap
+from qtrig.shape import MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap
 from oracles import monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -109,6 +109,10 @@ def test_tp_check_rejects_unusable_tolerances():
     for tolerance in (math.nan, math.inf, -1e-9, 10**400):
         with pytest.raises(ValueError, match="tolerance"):
             total_positivity_check(np.eye(2), tolerance)
+    # an int within the float range is reported as the float it compares as
+    for tolerance in (0, 10**300):
+        got = total_positivity_check([[1.0]], tolerance).tolerance
+        assert type(got) is float and got == float(tolerance)
 
 
 def test_tp_check_of_empty_matrices():
@@ -122,7 +126,11 @@ def test_tp_check_of_subnormal_minors(quarter):
     # np.linalg.det flags a division by zero on some of these zero minors
     pts = [quarter.b * (j + 1) / 5 for j in range(4)]
     mat = collocation("rational", 2, 1.0, quarter, pts, weights=[1.0, 0.0, 1.7e308])
-    assert total_positivity_check(mat).is_tp
+    rep = total_positivity_check(mat)
+    assert rep.is_tp
+    # the zero weight keeps it off the quarter-period route
+    assert rep.route == "exhaustive"
+    _assert_same_report(rep, total_positivity_reference(mat.entries))
 
 
 def test_rational_collocation_certifies_mixed_weights(quarter):
@@ -133,7 +141,8 @@ def test_rational_collocation_certifies_mixed_weights(quarter):
 
 
 def _assert_same_report(got, want):
-    assert (got.is_tp, got.minors_checked, got.witness) == (want.is_tp, want.minors_checked, want.witness)
+    assert (got.is_tp, got.minors_checked, got.witness, got.route) == (
+        want.is_tp, want.minors_checked, want.witness, want.route)
     for field in ("worst_minor", "worst_scaled", "tolerance"):  # as float bits, -0.0 included
         assert getattr(got, field).hex() == getattr(want, field).hex(), field
 
@@ -182,7 +191,13 @@ def test_tp_check_matches_the_minor_loop_on_collocation_matrices(family):
             weights = rng.uniform(0.5, 2.0, size=n + 1) if family == "rational" else None
             for points in (_interior_points(interval, n + 2), np.linspace(interval.a, interval.b, n + 1)):
                 mat = collocation(family, n, q, interval, points, weights=weights)
-                _assert_same_report(total_positivity_check(mat), total_positivity_reference(mat.entries))
+                want = total_positivity_reference(mat.entries)
+                _assert_same_report(total_positivity_check(mat.entries), want)
+                rep = total_positivity_check(mat)
+                if interval.quarter_period:
+                    assert (rep.route, rep.is_tp) == (QUARTER_PERIOD_VANDERMONDE, want.is_tp)
+                else:
+                    _assert_same_report(rep, want)
 
 
 def test_tp_check_memory_is_bounded_by_the_block():
@@ -236,9 +251,10 @@ def test_monomial_reference_is_tp():
 def test_quantum_collocation_tp_on_quarter_intervals(q, k):
     interval = Interval.quarter(k)
     mat = collocation("quantum", 3, q, interval, _interior_points(interval))
-    rep = total_positivity_check(mat)
+    rep = total_positivity_check(mat.entries)
     assert rep.is_tp, f"q={q} k={k}: worst scaled minor {rep.worst_scaled}"
     assert rep.worst_scaled >= -1e-9
+    assert total_positivity_check(mat).route == QUARTER_PERIOD_VANDERMONDE
 
 
 def test_rational_collocation_tp_and_column_sums(quarter):
@@ -258,6 +274,89 @@ def test_negative_q_breaks_total_positivity(quarter):
     assert not rep.is_tp
     assert rep.worst_scaled < -0.1
     assert rep.witness is not None
+    assert rep.route == "exhaustive"
+    _assert_same_report(rep, total_positivity_reference(mat.entries))
+
+
+def test_tp_check_degree_9_on_12_points():
+    # the collocation of `qtrig check tp --degree 9 --q 1.5 --interval 0,pi/2
+    # --grid 12`, checked minor by minor; the witness, rows 0-9 x columns
+    # 1-10, is 6.9575302599294655e-16 at 50 digits
+    interval = Interval(0.0, math.pi / 2)
+    pts = [interval.a + interval.length * (j + 1) / 13 for j in range(12)]
+    mat = collocation("quantum", 9, 1.5, interval, pts)
+    rep = total_positivity_check(mat.entries)
+    assert rep.is_tp and rep.minors_checked == 646645
+    assert (rep.worst_minor, rep.worst_scaled) == (6.957530259919386e-16, 8.224818273213061e-13)
+    assert total_positivity_check(mat).route == QUARTER_PERIOD_VANDERMONDE
+
+
+FAMILIES = ["quantum", "classical", "rational"]
+
+
+def _collocate(family, n, q, interval, points, rng):
+    weights = rng.uniform(0.2, 3.0, size=n + 1) if family == "rational" else None
+    return collocation(family, n, q, interval, points, weights=weights)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [-1, 0, 1, 2])
+def test_quarter_period_route_agrees_with_the_minors(family, k):
+    rng = np.random.default_rng(9100 + k)
+    interval = Interval.quarter(k)
+    for q in sorted(set(Q_GRID) | {1.0}):
+        for n in (1, 3, 6):
+            for points in (_interior_points(interval, n + 2), np.linspace(interval.a, interval.b, n + 2)):
+                mat = _collocate(family, n, q, interval, points, rng)
+                rep = total_positivity_check(mat)
+                assert rep.route == QUARTER_PERIOD_VANDERMONDE
+                assert (rep.is_tp, rep.minors_checked, rep.witness) == (True, 0, None)
+                assert rep.worst_minor is None and rep.worst_scaled is None
+                assert total_positivity_check(mat.entries).is_tp
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    k=st.integers(min_value=-1, max_value=2),
+    n=st.integers(min_value=0, max_value=6),
+    q=st.floats(min_value=0.2, max_value=5.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8, unique=True),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+def test_quarter_period_route_verdict_matches_the_exhaustive_one(family, k, n, q, fractions, seed):
+    interval = Interval.quarter(k)
+    points = np.unique(np.clip(interval.a + interval.length * np.array(fractions), interval.a, interval.b))
+    mat = _collocate(family, n, q, interval, points, np.random.default_rng(seed))
+    rep, want = total_positivity_check(mat), total_positivity_check(mat.entries)
+    assert rep.is_tp == want.is_tp
+    if rep.route == "exhaustive":  # points too close to an endpoint for the factorisation
+        _assert_same_report(rep, want)
+
+
+def test_quarter_period_route_falls_back_to_the_minors(quarter):
+    off_grid = Interval(0.3, 1.5)
+    pts = _interior_points(quarter)
+    mat = collocation("quantum", 3, 1.5, quarter, pts)
+    hand_built = CollocationMatrix(entries=mat.entries[:, ::-1], points=pts[::-1], family="quantum",
+                                   interval=quarter, q=1.5)
+    cases = [
+        collocation("quantum", 4, 0.5, off_grid, _interior_points(off_grid)),  # as `qtrig check tp` exits 4
+        mat.entries,  # a plain array
+        CollocationMatrix(entries=mat.entries, points=mat.points, family="quantum"),  # no interval or q
+        hand_built,  # points that decrease
+        # at q = 1000 the float endpoint -pi/2, off the grid by 6e-17, moves
+        # the kernel zeros across the whole interval: entries reach -5.8e21
+        collocation("quantum", 8, 1000.0, Interval.quarter(-1), _interior_points(Interval.quarter(-1))),
+    ]
+    for matrix in cases:
+        entries = matrix.entries if isinstance(matrix, CollocationMatrix) else matrix
+        rep = total_positivity_check(matrix)
+        assert rep.route == "exhaustive"
+        _assert_same_report(rep, total_positivity_reference(entries))
+    assert not total_positivity_check(cases[0]).is_tp
+    assert not total_positivity_check(cases[3]).is_tp
+    assert not total_positivity_check(cases[-1]).is_tp
 
 
 def test_tp_survives_reparametrization(quarter):
