@@ -10,9 +10,12 @@ Degree-n basis on a certified interval [a, b]:
 with empty products equal to 1.  At q = 1 this is the classical circular
 Bernstein basis.  The product formula takes all n + 1 values at one x from
 running prefix products of the two kernel tables, O(n) multiplications in
-all, and the same chain serves an array of x column by column.  Two
-degree-raising recurrences evaluate the whole vector; they agree with the
-product formula and with each other.
+all: kernel._prefix_products forms each kernel entry and multiplies it into
+its running product in the same iteration, one pass per x, and the final
+step _product_chain combines them with the q-binomial row and the
+denominator product.  The same code serves an array of x column by
+column.  Two degree-raising recurrences evaluate the whole vector from the
+raw kernel tables; they agree with the product formula and with each other.
 
 Every route reads the x-free part of its work (the q-binomial row, the
 certified denominators and their product) from one memoised evaluation
@@ -22,13 +25,10 @@ and then does only its x-dependent work.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
-from .errors import FloatRangeError
-from .kernel import Interval, _plan, _tables, kernel_tables
+from .kernel import Interval, _plan, _prefix_products, _tables, kernel_tables
 from .qcalc import _checked_row
 
 __all__ = [
@@ -71,45 +71,41 @@ def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
     return bv
 
 
-def _product_chain(row, d_ax, d_xb, den, n, q):
-    """row[j] * prod(d_ax[:j]) * prod(d_xb[:r-j]) / den for j = 0..r = len(row) - 1.
+def _product_chain(row, pa, pb, den):
+    """row[j] * pa[j] * pb[r-j] / den for j = 0..r = len(row) - 1.
 
-    d_ax and d_xb hold r values each, and den is the product of the r
-    denominators d(a, b; q^i).  The two products are running prefix
-    products of d_ax and d_xb, so all r + 1 entries cost O(r)
-    multiplications, on floats or (m,) columns alike.
-    Entry j takes the j-th prefix of d_ax as it is formed and pops the
-    (r-j)-th of d_xb, so no more than r + 2 prefixes are held at once.
-    Raises FloatRangeError, naming degree n and q, when den is 0 or not
-    finite.
+    pa and pb hold the r + 1 running products of two kernel tables,
+    pa[j] = prod(d_ax[:j]) and pb[j] = prod(d_xb[:j]), and den is the
+    product of the r denominators d(a, b; q^i), checked by the caller: the
+    final step of the product formula, on floats or (m,) columns alike.
+    kernel._prefix_products forms pa and pb in the kernel loop for a whole
+    basis; intermediate_explicit takes them over windows of its tables.
     """
-    if den == 0.0 or not math.isfinite(den):
-        raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
-    pop = list(accumulate(d_xb, mul, initial=1.0)).pop
-    return [c * pa * pop() / den for c, pa in zip(row, accumulate(d_ax, mul, initial=1.0))]
+    return [c * a * b / den for c, a, b in zip(row, pa, reversed(pb))]
 
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
     plan = _plan(interval, q, n)
     row = _checked_row(plan.row, plan.n, plan.q)  # first: it overflows before any q-power of the tables
-    d_ax, d_xb = _tables(plan, interval, x, q)
-    values = _product_chain(row, d_ax, d_xb, plan.den, n, q)
-    return _basis_vector(n, q, interval, x, np.array(values))
+    pa, pb = _prefix_products(plan, interval, x, q)
+    values = _product_chain(row, pa, pb, plan.den)
+    return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
 
 
 def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     """Basis vectors at every point of xs, shape (m, n+1).
 
     Row j is bit-identical to basis_all_direct(n, xs[j], q, interval).values:
-    both take the same product chain, here on columns, from the same plan.
+    both take the same running products and product chain, here on columns,
+    from the same plan.
     """
     plan = _plan(interval, q, n)
     row = _checked_row(plan.row, plan.n, plan.q)
-    d_ax, d_xb = _tables(plan, interval, xs, q, columns=True)
+    pa, pb = _prefix_products(plan, interval, xs, q, columns=True)
     values = np.empty((len(xs), n + 1))
     # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
-    values[:] = np.array(_product_chain(row, d_ax, d_xb, plan.den, n, q)).T
+    values[:] = np.array(_product_chain(row, pa, pb, plan.den)).T
     return values
 
 

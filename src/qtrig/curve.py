@@ -23,12 +23,14 @@ would slow the sweeps.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .basis import _product_chain, basis_all_direct, basis_matrix
 from .errors import FloatRangeError, IllConditionedFitError, _finite_input
-from .kernel import Interval, _plan, _tables
+from .kernel import Interval, _checked_den, _plan, _tables
 from .qcalc import q_binomial_row
 
 __all__ = [
@@ -238,9 +240,9 @@ def intermediate_explicit(
             / prod_{i=0}^{r-1}   d(a, b; q^(i+n-r))
 
     with prefactor q^(k(r-j)) for "alg1" and q^(j(n-r-k)) for "alg2".  The
-    basis product chain takes the windows d(a, x; q^(k..k+r-1)) and
-    d(x, b; q^(n-r-k..n-k-1)) of the kernel tables, and its prefix products
-    start at the first entry of each window.
+    basis product chain takes the prefix products of the windows
+    d(a, x; q^(k..k+r-1)) and d(x, b; q^(n-r-k..n-k-1)) of the kernel
+    tables, each starting at the first entry of its window.
     """
     if variant not in ("alg1", "alg2"):
         raise ValueError(f"variant must be 'alg1' or 'alg2', got {variant!r}")
@@ -258,8 +260,10 @@ def intermediate_explicit(
         start = [math.inf]
     if not all(map(math.isfinite, start)):
         raise FloatRangeError(f"degree {n}, q={q!r}: a prefactor q^e [r j]_q overflows float64")
-    den = math.prod(plan.d_ab[n - r:n])
-    coeffs = _product_chain(start, d_ax[k:k + r], d_xb[n - r - k:n - k], den, n, q)
+    den = _checked_den(math.prod(plan.d_ab[n - r:n]), n, q)
+    pa = list(accumulate(d_ax[k:k + r], mul, initial=1.0))
+    pb = list(accumulate(d_xb[n - r - k:n - k], mul, initial=1.0))
+    coeffs = _product_chain(start, pa, pb, den)
     acc = [0.0] * polygon.dim  # summed in floats, coordinate by coordinate, in the order of j
     for c, point in zip(coeffs, polygon.points[k:k + r + 1].tolist()):
         acc = [s + c * v for s, v in zip(acc, point)]

@@ -2,7 +2,7 @@
 
 All numeric output is formatted with a fixed number of significant digits
 (17 by default, enough to round-trip float64), so identical inputs produce
-byte-identical files.
+byte-identical files.  A digit count below 1 raises ValueError.
 """
 
 import json
@@ -25,6 +25,9 @@ __all__ = [
 
 
 def sig_str(value: float, digits: int = 17) -> str:
+    # the one place digits becomes a format: ".0g" would print one digit
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     return f"{float(value):.{digits}g}"
 
 

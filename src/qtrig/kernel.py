@@ -23,16 +23,18 @@ the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
 the q-binomial row and the product of the denominators.  A call at one x
 then makes one plan lookup and does only its x-dependent work: four trig
-calls, 2n kernel entries and the product chain.  The last 128 plans are
-kept; this memo is the package's only cache.  Each plan holds the powers,
-the denominators, n precomputed form terms and the row, about 136 bytes
-per unit of n + 1 under tracemalloc, so the memo holds at most about
-17 KiB per unit of n + 1 for degrees up to n (17 MB at n = 1000).  A
-failure is held as a marker, never as an exception: a plan whose
+calls, 2n kernel entries and the product chain, whose running products a
+basis evaluation forms in the same loop as the entries.  The last 128
+plans are kept; this memo is the package's only cache.  Each plan holds
+the powers, the denominators, n precomputed form terms and the row, about
+136 bytes per unit of n + 1 under tracemalloc, so the memo holds at most
+about 17 KiB per unit of n + 1 for degrees up to n (17 MB at n = 1000).
+A failure is held as a marker, never as an exception: a plan whose
 denominators meet an inf or NaN raises FloatRangeError on every call, and
 an uncertified one InvalidIntervalError.
 
-Every route takes its x through the tables, which refuse an x that is inf
+Every route takes its x through the checks that the tables and the
+running products share, which refuse an x that is inf
 or NaN, or an int beyond the float range, with ValueError; a single-x
 route also refuses a sequence of x with TypeError.
 """
@@ -204,13 +206,15 @@ def _check_finite(plan: _Plan, interval: Interval) -> None:
         raise FloatRangeError(f"degree {plan.n}, q={plan.q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
 
 
-def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple[list, list]:
-    """d_ax and d_xb of kernel_tables, from the plan of (interval, q, n).
+def _x_terms(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple:
+    """The checks and trig terms at x that _tables and _prefix_products share.
 
     Raises where the plan's certificate fails; InvalidIntervalError names q
     as the caller passed it.  x is one point, or with columns an array of
     points too; an x that is not finite raises ValueError, and an array
-    without columns TypeError.
+    without columns TypeError.  Returns sin(x - a), cos x sin a, sin x cos a
+    for the d(a, x) row, then sin(b - x), cos b sin x, sin b cos x for the
+    d(x, b) row, as _kernel_row reads them.
     """
     if not plan.certified:
         _check_finite(plan, interval)
@@ -231,9 +235,57 @@ def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tup
         sin, cos = np.sin, np.cos
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
+    return sin(x - a), cos_x * sin_a, sin_x * cos_a, sin(b - x), cos_b * sin_x, sin_b * cos_x
+
+
+def _checked_den(den: float, n: int, q) -> float:
+    """den, a product of denominators d(a, b; q^i), or FloatRangeError naming n and q where it is 0 or not finite."""
+    if den == 0.0 or not math.isfinite(den):
+        raise FloatRangeError(f"degree {n}, q={q!r}: prod d(a,b;q^i) = {den!r} is outside float64")
+    return den
+
+
+def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple[list, list]:
+    """d_ax and d_xb of kernel_tables, from the plan of (interval, q, n).
+
+    Checks x and the certificate as _x_terms does.
+    """
+    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(plan, interval, x, q, columns)
     forms = plan.forms
-    return (_kernel_row(forms, sin(x - a), cos_x * sin_a, sin_x * cos_a),
-            _kernel_row(forms, sin(b - x), cos_b * sin_x, sin_b * cos_x))
+    return (_kernel_row(forms, sin_ax, cos_x_sin_a, sin_x_cos_a),
+            _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
+
+
+def _prefix_products(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple[list, list]:
+    """Running products of the two kernel tables, formed in the kernel loop.
+
+    Returns pa and pb with pa[j] = prod(d_ax[:j]) and pb[j] = prod(d_xb[:j])
+    for j = 0..n, on floats or (m,) columns alike.  Each entry d(a,x;q^i)
+    and d(x,b;q^i) is _kernel_row's expression, taken in its order from
+    plan.forms, and multiplies its running product (t = t * d, from 1.0) in
+    the same iteration, so both lists cost one pass and are bit-identical
+    to the prefix products of _tables' rows.  Checks the certificate and x
+    as _x_terms does, then the product formula's denominator plan.den as
+    _checked_den does, before any product is formed: on columns a failing
+    denominator would otherwise meet numpy's overflow warnings first.
+    """
+    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(plan, interval, x, q, columns)
+    _checked_den(plan.den, plan.n, q)
+    inner, inner_c, outer_c = plan.forms
+    t = u = 1.0
+    pa, pb = [t], [u]
+    append_a, append_b = pa.append, pb.append
+    for p, c in zip(inner, inner_c):
+        t = t * (p * sin_ax - c * cos_x_sin_a)
+        u = u * (p * sin_xb - c * cos_b_sin_x)
+        append_a(t)
+        append_b(u)
+    for c in outer_c:
+        t = t * (sin_ax + c * sin_x_cos_a)
+        u = u * (sin_xb + c * sin_b_cos_x)
+        append_a(t)
+        append_b(u)
+    return pa, pb
 
 
 def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificate:

@@ -4,7 +4,10 @@ Exact rational arithmetic for the q-combinatorics and 30-digit mpmath for
 kernel, basis and curve values.  Everything here is deliberately separate
 from the production code paths: different arithmetic, and where possible a
 different formula (e.g. the quarter-period closed form instead of kernel
-products).  tableau_reference is the alg1/alg2 step one entry at a time, in
+products).  product_chain_reference is the product formula taken as
+accumulate's prefix products of the kernel tables, which the running
+products of the production route must match bit for bit.
+tableau_reference is the alg1/alg2 step one entry at a time, in
 the operation order of the production stages, which must match it bit for
 bit.  monomial_tp_reference runs the production minor checker on a
 matrix known to be totally positive, as a sanity reference for the checker;
@@ -14,12 +17,13 @@ which the batched checker must match bit for bit.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 
-from qtrig import TPReport, kernel_tables, total_positivity_check
+from qtrig import TPReport, kernel_tables, q_binomial_row, total_positivity_check
 from qtrig.qcalc import q_powers
 
 DPS = 30
@@ -106,6 +110,22 @@ def curve_direct_mp(controls, x, q, a, b):
     vals = [basis_direct_mp(n, k, x, q, a, b) for k in range(n + 1)]
     dim = len(controls[0])
     return [sum(mp.mpf(controls[k][j]) * vals[k] for k in range(n + 1)) for j in range(dim)]
+
+
+def product_chain_reference(n: int, x, q, interval) -> list:
+    """All n + 1 product-formula values at one x, in the production operation order.
+
+    Entry j is row[j] * pa[j] * pb[n-j] / den, where pa and pb are the
+    prefix products of the kernel tables d(a, x; q^i) and d(x, b; q^i)
+    taken by itertools.accumulate from 1.0, row is the q-binomial row and
+    den the product of the n denominators d(a, b; q^i).
+    """
+    d_ax, d_xb, d_ab = kernel_tables(interval, x, q, n)
+    row = q_binomial_row(n, q)
+    pa = list(accumulate(d_ax, mul, initial=1.0))
+    pb = list(accumulate(d_xb, mul, initial=1.0))
+    den = math.prod(d_ab)
+    return [row[j] * pa[j] * pb[n - j] / den for j in range(n + 1)]
 
 
 def tableau_reference(points, x, q, interval, variant):

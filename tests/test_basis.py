@@ -1,4 +1,6 @@
 import math
+from itertools import accumulate
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +26,8 @@ from qtrig import (
     rational_basis_matrix,
 )
 from qtrig.basis import _product_chain
-from oracles import basis_direct_mp, basis_row_mp, d_mp, quarter_basis_mp
+from conftest import random_curve_case
+from oracles import basis_direct_mp, basis_row_mp, d_mp, product_chain_reference, quarter_basis_mp
 
 ROOT2 = math.sqrt(2.0)
 Q_GRID = [0.5, 1.0, 1.3, 2.0, 5.0]
@@ -224,7 +227,8 @@ def test_product_chain_within_first_order_bound():
         n = int(rng.integers(1, 41))
         row = np.exp(rng.uniform(0.0, 20.0, n + 1)).tolist()
         d_ax, d_xb, d_ab = table(n, 2.3), table(n, 2.3), table(n, 2.3)
-        got = _product_chain(row, d_ax, d_xb, math.prod(d_ab), n, 1.0)
+        pa, pb = (list(accumulate(d, mul, initial=1.0)) for d in (d_ax, d_xb))
+        got = _product_chain(row, pa, pb, math.prod(d_ab))
         with mp.workdps(50):
             den = mp.fprod(map(mp.mpf, d_ab))
             for j, value in enumerate(got):
@@ -339,6 +343,31 @@ def _hex(values):
 def test_direct_basis_bits_are_pinned(case, want):
     n, x, q, interval = case
     assert _hex(basis_all_direct(n, x, q, interval).values) == want
+
+
+def _product_chain_cases():
+    """(n, x, q, interval) of random_curve_case up to degree 30, then n = 0, q = 1 and negative q."""
+    rng = np.random.default_rng(1701)
+    cases = []
+    for _ in range(60):
+        poly, x, q, iv = random_curve_case(rng, max_degree=30)
+        cases.append((poly.degree, x, q, iv))
+    for iv in (Interval.quarter(0), Interval.quarter(-1), Interval(0.3, 1.4), Interval(-1.0, 0.2)):
+        # |q| <= 1 keeps every power in the first kernel form; |q| > 1 splits them after q^0
+        for q in (1.0, -0.5, -0.9, -1.0, -1.5, -2.5):
+            for n in (0, 1, 4, 12):
+                cases.append((n, (iv.a + 2 * iv.b) / 3, q, iv))
+    return cases
+
+
+def test_running_products_match_the_accumulated_product_chain_bit_for_bit():
+    for n, x, q, iv in _product_chain_cases():
+        xs = [iv.a, x, iv.b]  # both endpoints, where a table entry is zero
+        matrix = basis_matrix(n, xs, q, iv)
+        for point, matrix_row in zip(xs, matrix):
+            want = _hex(product_chain_reference(n, point, q, iv))
+            assert _hex(basis_all_direct(n, point, q, iv).values) == want, (n, point, q, iv)
+            assert _hex(matrix_row) == want, (n, point, q, iv)
 
 
 def test_tableau_and_recurrence_bits_are_pinned():

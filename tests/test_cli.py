@@ -11,6 +11,7 @@ import pytest
 
 from qtrig import Interval, collocation, sample_curve, total_positivity_check
 from qtrig.cli import main, parse_angle, parse_interval
+from qtrig.export import render_csv, render_json_records, sig_str
 from oracles import basis_row_mp, total_positivity_reference
 
 ARCH = {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [3.0, 0.0]], "weights": [1, 1, 1, 1]}
@@ -279,6 +280,23 @@ def test_a_huge_overflowing_degree_fails_fast():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "qtrig: error: q-binomial row 200000 at q=1.0 overflows float64\n"
+
+
+def test_digits_below_one_are_refused(tmp_path, capsys):
+    for digits in (0, -2):
+        message = f"digits must be at least 1, got {digits}"
+        for render in (lambda: sig_str(math.pi / 2, digits), lambda: render_csv(["x"], [[0.5]], digits),
+                       lambda: render_json_records([{"x": 0.5, "B": [1.0]}], digits)):
+            with pytest.raises(ValueError, match=message):
+                render()
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"basis.{fmt}"
+            code = main(["basis", "--degree", "3", "--q", "1.5", "--interval", "0,pi/2", "--samples", "3",
+                         "--format", fmt, "--digits", str(digits), "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err == f"qtrig: error: {message}\n"
+            assert not out.exists()
+    assert sig_str(math.pi / 2, 1) == "2"
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):

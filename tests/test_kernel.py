@@ -290,6 +290,19 @@ def test_each_failure_kind_gives_the_same_outcome_on_every_call(kind):
     assert not any(isinstance(field, BaseException) for field in plan)  # markers, not exceptions
 
 
+@pytest.mark.parametrize("kind", _FAILURE_KINDS)
+def test_a_nan_x_meets_the_checks_in_order_row_certificate_x_denominator(kind):
+    (n, q, iv), outcomes = _FAILURE_KINDS[kind]
+    error, message = outcomes["basis_all_direct"]
+    for route in (lambda: basis_all_direct(n, math.nan, q, iv), lambda: basis_matrix(n, [0.5, math.nan], q, iv)):
+        with pytest.raises(ValueError if kind == "denominator product" else error) as raised:
+            route()
+        if kind == "denominator product":  # the x check comes before the denominator's
+            assert str(raised.value).startswith("x must be finite")
+        else:
+            assert str(raised.value) == message
+
+
 _IV = Interval(0.3, 1.4)
 _PLANAR = ControlPolygon(np.array([[0.0, 0.0], [1.0, 2.0]]))  # two points of dimension 2
 # every route that takes x, as a function of one x; a route for arrays gets
@@ -330,3 +343,10 @@ def test_single_x_routes_refuse_a_sequence_of_x():
             with pytest.raises(TypeError, match="x must be one point"):
                 route(xs)
         assert np.all(np.isfinite(route(np.float32(0.5)))), name  # one point of another type
+
+
+def test_one_point_of_another_numeric_type_gives_the_bits_of_its_float():
+    for x in (np.float32(0.5), np.int64(1), np.array(0.5), True):
+        for n, q in ((0, 1.3), (3, 1.3), (6, 0.7), (12, -1.5)):
+            want = basis_all_direct(n, float(x), q, _IV).values
+            assert basis_all_direct(n, x, q, _IV).values.tobytes() == want.tobytes(), (repr(x), n, q)
