@@ -98,12 +98,15 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
 
     Row j is bit-identical to basis_all_direct(n, xs[j], q, interval).values:
     both take the same running products and product chain, here on columns,
-    from the same plan.
+    from the same plan.  An xs that is not 1-D raises ValueError.
     """
+    shape = np.shape(xs)
+    if len(shape) != 1:
+        raise ValueError(f"xs must be a 1-D sequence of points, got shape {shape}")
     plan = _plan(interval, q, n)
     row = _checked_row(plan.row, plan.n, plan.q)
     pa, pb = _prefix_products(plan, interval, xs, q, columns=True)
-    values = np.empty((len(xs), n + 1))
+    values = np.empty((shape[0], n + 1))
     # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
     values[:] = np.array(_product_chain(row, pa, pb, plan.den)).T
     return values

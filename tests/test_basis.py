@@ -162,6 +162,14 @@ def test_invalid_interval_raises_everywhere():
         basis_matrix(2, [0.5], 1.5, bad)
 
 
+@pytest.mark.parametrize("xs", ["0.5", 0.5, [[0.5, 0.6], [0.7, 0.8]]], ids=["str", "float", "2-D"])
+def test_matrix_routes_refuse_an_xs_that_is_not_one_dimensional(xs):
+    iv = Interval(0.3, 1.4)
+    for route in (lambda: basis_matrix(3, xs, 1.3, iv), lambda: rational_basis_matrix(3, xs, 1.3, iv, np.ones(4))):
+        with pytest.raises(ValueError, match=r"^xs must be a 1-D sequence of points, got shape \("):
+            route()
+
+
 def test_basis_vector_shape_validation(quarter):
     with pytest.raises(ValueError):
         BasisVector(degree=2, q=1.0, interval=quarter, x=0.3, values=np.zeros(2))

@@ -21,6 +21,7 @@ from qtrig import (
     evaluate_alg1,
     evaluate_alg2,
     evaluate_direct,
+    intermediate_explicit,
     kernel_tables,
     rational_basis_all,
     rational_basis_matrix,
@@ -67,10 +68,24 @@ def test_kernel_table_columns_equal_float_tables():
             assert d_ab == want_ab
 
 
+def _negative_q_cases(seed):
+    """Degrees 1, 7 and 30, dims 1-3, at q = -0.6 and -2.5 on a quarter and a general interval.
+
+    The powers of q alternate in sign and both kernel forms occur.  Kept
+    out of _cases: the rational and collocation tests draw positive weights,
+    whose denominators may come close to zero at q < 0.
+    """
+    rng = np.random.default_rng(seed)
+    return [(ControlPolygon(rng.uniform(-2.0, 2.0, size=(n + 1, dim))), q, iv)
+            for q in (-0.6, -2.5) for iv in (Interval.quarter(0), Interval(0.3, 1.4))
+            for n in (1, 7, 30) for dim in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("method", ["direct", "alg1", "alg2"])
 def test_sample_curve_equals_per_point_route(method):
     evaluate = PER_POINT[method]
-    for poly, _, q, iv in _cases(3101):
+    cases = [(poly, q, iv) for poly, _, q, iv in _cases(3101)] + _negative_q_cases(3108)
+    for poly, q, iv in cases:
         sweep = sample_curve(poly, q, iv, SAMPLES, method)
         xs = [s.x for s in sweep]
         assert xs == np.linspace(iv.a, iv.b, SAMPLES).tolist()
@@ -165,18 +180,25 @@ def test_singular_rows_raise_the_same_error_at_one_x_and_in_a_sweep(kind):
 def test_invalid_interval_raises_the_same_error():
     bad = Interval(0.0, math.pi)
     poly = ControlPolygon([[0.0, 0.0], [1.0, 2.0], [3.0, 0.0]])
-    with pytest.raises(InvalidIntervalError) as point_err:
-        basis_all_direct(2, 0.5, 1.5, bad)
-    sweeps = [
-        lambda: sample_curve(poly, 1.5, bad, 9, "direct"),
-        lambda: sample_curve(poly, 1.5, bad, 9, "alg1"),
-        lambda: sample_curve(poly, 1.5, bad, 9, "alg2"),
-        lambda: rational_sample(poly, np.ones(3), 1.5, bad, 9),
-        lambda: basis_matrix(2, [0.5], 1.5, bad),
-        lambda: collocation("quantum", 2, 1.5, bad, [0.5, 1.0]),
-    ]
-    for sweep in sweeps:
-        with pytest.raises(InvalidIntervalError) as sweep_err:
-            sweep()
-        assert sweep_err.value.failing_index == point_err.value.failing_index
-        assert sweep_err.value.value == point_err.value.value
+    for q in (1.5, 2):  # an int q is named as passed, never as the plan's float
+        with pytest.raises(InvalidIntervalError) as point_err:
+            basis_all_direct(2, 0.5, q, bad)
+        assert repr(point_err.value.q) == repr(q)
+        routes = [
+            lambda: evaluate_alg1(poly, 0.5, q, bad),
+            lambda: evaluate_alg2(poly, 0.5, q, bad),
+            lambda: intermediate_explicit("alg2", 1, 0, 0.5, poly, q, bad),
+            lambda: sample_curve(poly, q, bad, 9, "direct"),
+            lambda: sample_curve(poly, q, bad, 9, "alg1"),
+            lambda: sample_curve(poly, q, bad, 9, "alg2"),
+            lambda: rational_sample(poly, np.ones(3), q, bad, 9),
+            lambda: basis_matrix(2, [0.5], q, bad),
+            lambda: collocation("quantum", 2, q, bad, [0.5, 1.0]),
+        ]
+        for route in routes:
+            with pytest.raises(InvalidIntervalError) as err:
+                route()
+            assert err.value.failing_index == point_err.value.failing_index
+            assert err.value.value == point_err.value.value
+            assert str(err.value) == str(point_err.value)
+            assert repr(err.value.q) == repr(q)
