@@ -44,6 +44,11 @@ def _coerce_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _shape_guaranteed(interval: Interval, q: float, weights=None) -> bool:
+    """Do the shape properties hold: a quarter period, q > 0 and every weight > 0 (None: no weights)?"""
+    return interval.quarter_period and q > 0 and (weights is None or bool(np.all(weights > 0.0)))
+
+
 def _weighted_rows(w: np.ndarray, basis: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
     """The terms w_k B_k of the basis rows (m, n+1) and their sums, the denominators.
 
@@ -156,8 +161,8 @@ def rational_sample(
     xs = np.linspace(interval.a, interval.b, count)
     basis = rational_basis_matrix(polygon.degree, xs, q, interval, w)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
-    shaped = interval.quarter_period and q > 0 and bool(np.all(w > 0.0))
-    return CurveSamples(xs, points, "rational" if shaped else "rational-no-shape-guarantee")
+    tag = "rational" if _shape_guaranteed(interval, q, w) else "rational-no-shape-guarantee"
+    return CurveSamples(xs, points, tag)
 
 
 def point_segment_distance(p, s0, s1):

@@ -12,18 +12,19 @@ collocation matrix is D1 V(tan(x_j - a)) D2: a Vandermonde matrix on
 increasing nonnegative nodes between positive diagonals, which is totally
 positive (Gantmacher & Krein; Gasca & Pena, Linear Algebra Appl. 165,
 1992).  Positive rational weights only add two more positive diagonals.
-The route is taken for a CollocationMatrix that collocation() built on such
-an interval at q > 0 (the classical family collocates at q = 1), with every
-weight > 0 for the rational family, and whose points increase strictly
-inside [a, b].  One more condition covers floats: an endpoint off the grid
-by delta moves the zeros of the kernel factors d(a, x; q^i) and d(x, b; q^i)
-off the endpoint by about delta |q^(+-i) - 1|.  The n - 1 factors that move
-(q^0 gives sin(y - x), which does not) then change an entry at distance h
-from the nearer endpoint by a relative (n - 1) delta (max(q, 1/q)^(n-1) - 1)
-/ h at most, to first order; the route needs that within QUARTER_SHIFT_TOL
-at every point strictly inside.  On Interval.quarter(k) for k = -1..2,
-delta is below 2e-16, and only points very near an endpoint at q far from
-1 fall outside.  At q = 1000 on [-pi/2, 0], degree 8, the shift covers the whole
+collocation() takes the route on such an interval at q > 0 (the classical
+family collocates at q = 1), with every weight > 0 for the rational family,
+and records it in the matrix, whose entries it makes read-only; a matrix
+built by hand or copied takes the exhaustive route.  One more condition
+covers floats: an endpoint off the grid by delta moves the zeros of the
+kernel factors d(a, x; q^i) and d(x, b; q^i) off the endpoint by about
+delta |q^(+-i) - 1|.  The n - 1 factors that move (q^0 gives sin(y - x),
+which does not) then change an entry at distance h from the nearer
+endpoint by a relative (n - 1) delta (max(q, 1/q)^(n-1) - 1) / h at most,
+to first order; the route needs that within QUARTER_SHIFT_TOL at every
+point strictly inside.  On Interval.quarter(k) for k = -1..2, delta is
+below 2e-16, and only points very near an endpoint at q far from 1 fall
+outside.  At q = 1000 on [-pi/2, 0], degree 8, the shift covers the whole
 interval and the entries reach -5.8e21.
 
 The exhaustive route decides every other matrix.  It enumerates all square
@@ -40,7 +41,7 @@ two.  Both routes refuse a matrix over MINOR_CAP alike.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -49,7 +50,7 @@ import numpy as np
 from .basis import basis_matrix
 from .errors import MinorCapExceededError, _finite_input
 from .kernel import Interval
-from .rational import _coerce_weights, point_segment_distance, rational_basis_matrix
+from .rational import _coerce_weights, _shape_guaranteed, point_segment_distance, rational_basis_matrix
 
 __all__ = [
     "MINOR_CAP",
@@ -85,17 +86,15 @@ _FAMILIES = ("quantum", "classical", "rational")
 class CollocationMatrix:
     """entries[i, j] = phi_i(x_j) for basis index i and increasing points x_j.
 
-    collocation() also records the interval, the q it evaluated the basis at
-    (1.0 for the classical family) and, for the rational family, the weights;
-    they stay None on a matrix built by hand, which takes the exhaustive check.
+    route is the one total_positivity_check takes: only collocation() sets
+    it, to "quarter-period Vandermonde"; a hand-built or copied matrix keeps
+    "exhaustive".
     """
 
     entries: np.ndarray
     points: np.ndarray
     family: str
-    interval: Optional[Interval] = None
-    q: Optional[float] = None
-    weights: Optional[np.ndarray] = None
+    route: str = field(default="exhaustive", init=False)
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def collocation(
     points,
     weights=None,
 ) -> CollocationMatrix:
-    """Collocation matrix of a basis family at strictly increasing points."""
+    """Collocation matrix of a basis family at strictly increasing points; its entries are read-only."""
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     pts = _finite_input(points, "points must be finite")  # NaN would pass the order and bounds checks below
@@ -142,7 +141,11 @@ def collocation(
     else:
         q = 1.0 if family == "classical" else q
         rows = basis_matrix(n, pts, q, interval)
-    return CollocationMatrix(entries=rows.T, points=pts, family=family, interval=interval, q=q, weights=w)
+    rows.flags.writeable = False  # the route below holds for these numbers only
+    mat = CollocationMatrix(entries=rows.T, points=pts, family=family)
+    if _quarter_period_vandermonde(interval, q, w, pts, n + 1):
+        object.__setattr__(mat, "route", QUARTER_PERIOD_VANDERMONDE)
+    return mat
 
 
 def minor_count(rows: int, cols: int) -> int:
@@ -166,25 +169,15 @@ def _refuse_over_cap(rows: int, cols: int) -> int:
     return total
 
 
-def _quarter_period_vandermonde(matrix: CollocationMatrix, n_rows: int, n_cols: int) -> bool:
+def _quarter_period_vandermonde(interval: Interval, q: float, weights, pts: np.ndarray, n_rows: int) -> bool:
     """Does the quarter-period Vandermonde factorisation decide this collocation?
 
-    The conditions are those of the module docstring; the points must also
-    number one per column.
+    The conditions are the module docstring's; collocation() has checked the points.
     """
-    iv, q = matrix.interval, matrix.q
-    if iv is None or q is None or not iv.quarter_period or not q > 0.0:
+    if not _shape_guaranteed(interval, q, weights):
         return False
-    if matrix.family == "rational" and (matrix.weights is None or not (np.asarray(matrix.weights) > 0.0).all()):
-        return False
-    pts = np.asarray(matrix.points, dtype=float)
-    if pts.shape != (n_cols,):
-        return False
-    a, b = iv.a, iv.b
-    pts = pts.tolist()  # a dozen points: Python floats beat numpy calls
-    if not (a <= pts[0] and pts[-1] <= b and all(x < y for x, y in zip(pts, pts[1:]))):
-        return False
-    inner = [x for x in pts if a < x < b]
+    a, b = interval.a, interval.b
+    inner = [x for x in pts.tolist() if a < x < b]  # a dozen points: Python floats beat numpy calls
     if n_rows <= 2 or not inner:
         return True
     delta = max(min(abs(math.sin(v)), abs(math.cos(v))) for v in (a, b))
@@ -246,16 +239,16 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     Accepts a CollocationMatrix or anything array-like.  Refuses a tolerance
     that is NaN, infinite or negative, matrices with NaN or inf entries, and
     matrices with more than MINOR_CAP square submatrices, whichever route
-    would decide them.  A collocation() matrix on a quarter period with
-    q > 0 and positive weights is then totally positive by the Vandermonde
-    factorisation of the module docstring: the report has route
-    "quarter-period Vandermonde", minors_checked 0, no witness, and None for
-    worst_minor and worst_scaled.  Every other matrix takes the exhaustive
-    route: a minor with determinant det and row-max-norm product scale fails
-    when det < -tolerance * scale; a minor whose det or scale leaves float
-    range is taken again with its rows rescaled by powers of two.  The
-    witness is the first worst minor in the order (size, row set, column
-    set), sets in lexicographic order.  The tolerance is reported as a float.
+    would decide them.  A CollocationMatrix whose route collocation() set to
+    "quarter-period Vandermonde" is then totally positive by the module
+    docstring's factorisation: the report has that route, minors_checked 0,
+    no witness, and None for worst_minor and worst_scaled.  Every other
+    matrix takes the exhaustive route: a minor with determinant det and
+    row-max-norm product scale fails when det < -tolerance * scale; a minor
+    whose det or scale leaves float range is taken again with its rows
+    rescaled by powers of two.  The witness is the first worst minor in the
+    order (size, row set, column set), sets in lexicographic order.  The
+    tolerance is reported as a float.
     """
     if not 0.0 <= tolerance <= sys.float_info.max:  # refuses an int beyond the float range too
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
@@ -269,7 +262,7 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     total = _refuse_over_cap(n_rows, n_cols)
     if total == 0:
         raise ValueError("matrix has no minors")
-    if collocated and _quarter_period_vandermonde(matrix, n_rows, n_cols):
+    if collocated and matrix.route == QUARTER_PERIOD_VANDERMONDE:
         return TPReport(is_tp=True, minors_checked=0, worst_minor=None, worst_scaled=None,
                         tolerance=tolerance, witness=None, route=QUARTER_PERIOD_VANDERMONDE)
 

@@ -11,7 +11,7 @@ import pytest
 
 from qtrig import Interval, collocation, sample_curve, total_positivity_check
 from qtrig.cli import main, parse_angle, parse_interval
-from qtrig.export import render_csv, render_json_records, sig_str
+from qtrig.export import read_polygon_json, render_csv, render_json_records, sig_str
 from oracles import basis_row_mp, total_positivity_reference
 
 ARCH = {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [3.0, 0.0]], "weights": [1, 1, 1, 1]}
@@ -94,6 +94,34 @@ def test_multiple_q_rejected_for_tabular_output(tmp_path):
     code = main(["basis", "--degree", "3", "--q", "1", "--q", "2",
                  "--interval", "0,pi/2", "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["basis", "--degree", "3", "--q", "2", "--interval", "0,pi/2", "--samples", "0"],
+     "need at least 1 sample, got 0"),
+    (["check", "tp", "--degree", "3", "--q", "1.5", "--q", "2", "--interval", "0,pi/2"],
+     "check takes exactly one --q"),
+])
+def test_refused_arguments_exit_1_with_the_reason(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"qtrig: error: {message}"
+
+
+@pytest.mark.parametrize("points, expect", [
+    ([], '"points" must be a non-empty array'),
+    ([0.0, 1.0, 3.0], [[0.0], [1.0], [3.0]]),  # a flat list reads as one column
+])
+def test_polygon_file_points(tmp_path, points, expect):
+    path = write_polygon(tmp_path, {"points": points})
+    if isinstance(expect, str):
+        with pytest.raises(ValueError) as info:
+            read_polygon_json(path)
+        assert info.type is ValueError and str(info.value) == f"{path}: {expect}"
+    else:
+        read, weights = read_polygon_json(path)
+        assert read.tolist() == expect and weights is None
 
 
 def test_end_basis_columns_do_not_depend_on_q(tmp_path):

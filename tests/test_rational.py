@@ -244,6 +244,17 @@ def test_shape_tag_needs_quarter_period_and_positive_q(quarter, arch_polygon):
     assert rational_sample(arch_polygon, ONES4, 0.5, Interval.quarter(2), 9).method == "rational"
 
 
+@pytest.mark.xfail(strict=True, reason="positive weights skip the denominator certificate off the quarter grid")
+def test_positive_weights_off_the_quarter_grid_meet_the_pole():
+    # the denominator changes sign near x = -2.50122, between the samples
+    weights = [0.9836401266075171, 0.6527526508751971, 0.7239386409471803,
+               1.7429513813049535, 1.8596396736853786, 0.7768204246615958]
+    interval = Interval(-2.8991673824542348, -1.617516802722336)
+    polygon = ControlPolygon(np.arange(12.0).reshape(6, 2))
+    with pytest.raises(SingularDenominatorError):
+        rational_sample(polygon, weights, 0.33603576052845663, interval, 64)
+
+
 def test_weight_vector_validation():
     quarter = Interval(0.0, math.pi / 2)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,18 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from qtrig import (
     CollocationMatrix,
+    ControlPolygon,
     Interval,
     MinorCapExceededError,
     SingularDenominatorError,
     basis_all_direct,
+    chord_distance_profile,
     classical_trig_basis,
     collocation,
     convex_hull,
     minor_count,
     point_in_hull,
+    sample_curve,
     sign_changes_seq,
+    tn_membership_residual,
     total_positivity_check,
 )
+from qtrig.export import render_svg
 from qtrig.shape import MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap
 from oracles import monomial_tp_reference, total_positivity_reference
 
@@ -338,12 +344,11 @@ def test_quarter_period_route_falls_back_to_the_minors(quarter):
     off_grid = Interval(0.3, 1.5)
     pts = _interior_points(quarter)
     mat = collocation("quantum", 3, 1.5, quarter, pts)
-    hand_built = CollocationMatrix(entries=mat.entries[:, ::-1], points=pts[::-1], family="quantum",
-                                   interval=quarter, q=1.5)
+    hand_built = CollocationMatrix(entries=mat.entries[:, ::-1], points=pts[::-1], family="quantum")
     cases = [
         collocation("quantum", 4, 0.5, off_grid, _interior_points(off_grid)),  # as `qtrig check tp` exits 4
         mat.entries,  # a plain array
-        CollocationMatrix(entries=mat.entries, points=mat.points, family="quantum"),  # no interval or q
+        CollocationMatrix(entries=mat.entries, points=mat.points, family="quantum"),  # built by hand
         hand_built,  # points that decrease
         # at q = 1000 the float endpoint -pi/2, off the grid by 6e-17, moves
         # the kernel zeros across the whole interval: entries reach -5.8e21
@@ -357,6 +362,22 @@ def test_quarter_period_route_falls_back_to_the_minors(quarter):
     assert not total_positivity_check(cases[0]).is_tp
     assert not total_positivity_check(cases[3]).is_tp
     assert not total_positivity_check(cases[-1]).is_tp
+
+
+def test_only_collocation_sets_the_quarter_period_route(quarter):
+    mat = collocation("quantum", 3, 1.5, quarter, [0.3, 0.6, 0.9, 1.2])
+    assert total_positivity_check(mat).route == QUARTER_PERIOD_VANDERMONDE
+    negated = dataclasses.replace(mat, entries=-mat.entries)  # a copy keeps no verdict
+    rep = total_positivity_check(negated)
+    assert rep.route == "exhaustive" and not rep.is_tp
+    _assert_same_report(rep, total_positivity_reference(negated.entries))
+    with pytest.raises(ValueError, match="read-only"):
+        mat.entries[0, 0] = -1.0
+    hand_built = CollocationMatrix(entries=[[1, -5], [2, 3]], points=[0.2, 0.9], family="quantum")
+    assert not total_positivity_check(hand_built).is_tp
+    for removed in ({"interval": quarter}, {"q": 1.5}, {"weights": None}, {"route": QUARTER_PERIOD_VANDERMONDE}):
+        with pytest.raises(TypeError):
+            CollocationMatrix(entries=hand_built.entries, points=hand_built.points, family="quantum", **removed)
 
 
 def test_tp_survives_reparametrization(quarter):
@@ -496,6 +517,26 @@ def test_convex_combinations_stay_inside_hull(seed, coeffs):
     lam = np.array(coeffs) + 1e-9  # keep the total positive
     combo = (lam / lam.sum()) @ pts
     assert point_in_hull(combo, hull)
+
+
+def _arch_samples(dim):
+    return sample_curve(ControlPolygon(np.arange(3.0 * dim).reshape(3, dim)), 2.0, Interval.quarter(0), 8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: collocation("quantum", 3, 1.5, Interval.quarter(0), []), "points must be a non-empty 1-d array"),
+    (lambda: total_positivity_check(np.ones(3)), "expected a 2-d matrix, got shape (3,)"),
+    (lambda: point_in_hull([0.0, 0.0], np.ones((3, 3))), "expected (h, 2) hull, got shape (3, 3)"),
+    (lambda: chord_distance_profile(_arch_samples(2), [0.0], [4.0, 5.0]), "chord endpoints must be 2-d points"),
+    (lambda: chord_distance_profile(_arch_samples(1), [0.0, 0.0], [2.0, 0.0]),
+     "chord profile needs 2-d samples, got shape (8, 1)"),
+    (lambda: tn_membership_residual(_arch_samples(2), -1), "n must be >= 0, got -1"),
+    (lambda: render_svg([]), "nothing to draw"),
+])
+def test_shape_checks_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
 
 
 def test_collocation_matrix_dataclass_shape(quarter):
