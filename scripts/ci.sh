@@ -1,0 +1,35 @@
+# Console-script checks of the installed `qtrig` command.
+#
+# Run from the root of a checkout after `pip install -e .`:
+#
+#     bash -eo pipefail scripts/ci.sh
+#
+# Every command must end with the exit code and payload named beside it.
+
+# the first command takes the quarter-period route; the second, off the
+# quarter grid, takes the exhaustive one and must exit 4 (not TP); the
+# rational pair runs collocation()'s route decision on weights: all
+# positive takes the structural route, one negative the exhaustive one
+qtrig check tp --degree 9 --q 1.5 --interval 0,pi/2 --grid 12
+code=0
+qtrig check tp --degree 4 --q 0.5 --interval 0.3,1.5 || code=$?
+test "$code" -eq 4
+qtrig check tp --degree 4 --q 2 --interval 0,pi/2 --weights 1,2,1,2,1 \
+  | grep -F '"route": "quarter-period Vandermonde"'
+code=0
+out=$(qtrig check tp --degree 4 --q 2 --interval 0,pi/2 --weights 1,2,-0.01,2,1) || code=$?
+test "$code" -eq 4
+echo "$out" | grep -F '"route": "exhaustive"'
+
+# 3 x 100 collocations off the quarter grid, exhaustive: C(100, 2) and
+# C(100, 3) column sets are more than one stack holds, so the check takes
+# them in runs of column sets, unranked at order 3; not TP at q = 0.5, TP at
+# q = 1.5
+code=0
+out=$(qtrig check tp --degree 2 --q 0.5 --interval 0.3,1.5 --grid 100) || code=$?
+test "$code" -eq 4
+echo "$out" | grep -F '"minors_checked": 176850'
+echo "$out" | grep -F '"route": "exhaustive"'
+out=$(qtrig check tp --degree 2 --q 1.5 --interval 0.3,1.4 --grid 100)
+echo "$out" | grep -F '"minors_checked": 176850'
+echo "$out" | grep -F '"route": "exhaustive"'

@@ -232,14 +232,14 @@ def _check_hull(cfg: argparse.Namespace) -> dict:
 
 
 def _check_vdp(cfg: argparse.Namespace) -> dict:
+    if cfg.grid < 1:  # before the polygon is read and sampled
+        raise _UsageError(f"check vdp needs at least 1 line, got --grid {cfg.grid}")
     polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
     pts = rational_sample(polygon, weights, q, cfg.interval, cfg.samples).points
     ctrl = polygon.points
     lo, hi = ctrl.min(axis=0), ctrl.max(axis=0)
     rng = np.random.default_rng(VDP_SEED)
-    if cfg.grid < 1:
-        raise _UsageError(f"check vdp needs at least 1 line, got --grid {cfg.grid}")
     violations = max_crossings = 0
     for _ in range(cfg.grid):
         center = lo + rng.random(2) * np.maximum(hi - lo, 1e-9)

@@ -31,12 +31,16 @@ The exhaustive route decides every other matrix.  It enumerates all square
 submatrices up to a hard cap, evaluates determinants by partially pivoted
 elimination (LU), and compares against a tolerance scaled per minor by the
 product of its row max-norms.  That is a certificate for the sampled grid,
-not a proof for the whole interval.  The work is batched by order: the
-r x r minors are gathered, in enumeration order, into stacks of at most
-MINOR_BLOCK entries, and each stack takes one determinant call.  The minors
-of a stack whose determinant or scale leaves float range are taken again,
-in one more determinant call, with each row rescaled exactly by a power of
-two.  Both routes refuse a matrix over MINOR_CAP alike.
+not a proof for the whole interval.  The work is batched by order r, in
+tiles of consecutive row sets x consecutive column sets: a tile holds every
+column set and as many row sets as fit in MINOR_BLOCK // r**2 minors or,
+when the column sets alone are more, one row set and a run of that many
+column sets.  One take gathers a tile, in enumeration order, into a stack
+of at most MINOR_BLOCK entries, and each stack takes one determinant call.
+One test passes a stack whose determinants and scales all lie in float
+range; in any other, the minors that leave it are taken again, in one more
+determinant call, with each row rescaled exactly by a power of two.  Both
+routes refuse a matrix over MINOR_CAP alike.
 """
 
 import math
@@ -189,24 +193,25 @@ def _quarter_period_vandermonde(interval: Interval, q: float, weights, pts: np.n
 
 
 def _subsets(n: int, r: int):
-    """The map from lexicographic ranks (k,) to the (r, k) r-subsets of range(n), one per column.
+    """The map from a rank range [start, stop) to the (r, k) r-subsets of range(n) of those lexicographic ranks.
 
-    Subsets that fit in MINOR_BLOCK entries are listed once: on the small
-    matrices that make up most checks, one gather per block costs less than
-    the r - 1 vectorised steps of unranking.  Others are unranked per call,
-    so memory stays that of the ranks asked for, whatever C(n, r): reversing
-    and complementing maps lexicographic rank to colex rank, whose unranking
-    takes, element by element, the largest c with C(c, i) <= rest.
+    Subsets that fit in MINOR_BLOCK entries are listed once, and a range is a
+    slice, a view, of the list: on the small matrices that make up most
+    checks that costs less than the r - 1 vectorised steps of unranking.
+    Others are unranked per call, so memory stays that of the range asked
+    for, whatever C(n, r): reversing and complementing maps lexicographic rank
+    to colex rank, whose unranking takes, element by element, the largest c
+    with C(c, i) <= rest.
     """
     count = math.comb(n, r)
     if r * count <= MINOR_BLOCK:
         every = np.array(list(combinations(range(n), r)), dtype=np.intp).T
-        return lambda ranks: every[:, ranks]
+        return lambda start, stop: every[:, start:stop]
     binomials = [np.array([math.comb(c, i) for c in range(n)], dtype=np.int64) for i in range(r, 1, -1)]
 
-    def unrank(ranks):
-        out = np.empty((r, ranks.size), dtype=np.intp)
-        rest = (count - 1) - ranks
+    def unrank(start, stop):
+        out = np.empty((r, stop - start), dtype=np.intp)
+        rest = (count - 1) - np.arange(start, stop)
         for t, row in enumerate(binomials):
             c = np.searchsorted(row, rest, side="right") - 1
             rest = rest - row[c]
@@ -267,44 +272,38 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
                         tolerance=tolerance, witness=None, route=QUARTER_PERIOD_VANDERMONDE)
 
     flat = np.ascontiguousarray(entries).ravel()
-    worst_scaled = math.inf
-    worst_det = 0.0
-    worst_idx = None
+    worst_scaled, worst_det, worst_idx = math.inf, 0.0, None
     for r in range(1, min(n_rows, n_cols) + 1):
-        col_sets = math.comb(n_cols, r)
-        pairs = math.comb(n_rows, r) * col_sets
-        block = MINOR_BLOCK // (r * r)
+        row_sets, col_sets, block = math.comb(n_rows, r), math.comb(n_cols, r), MINOR_BLOCK // (r * r)
+        # tiles of consecutive row sets x consecutive column sets, at most block minors each
+        tile_rows, tile_cols = (block // col_sets, col_sets) if col_sets <= block else (1, block)
         row_subsets, col_subsets = _subsets(n_rows, r), _subsets(n_cols, r)
-        for start in range(0, pairs, block):
-            # the minors of pairs start, start + 1, ... (row set rank outer) as an (r, r, k) stack
-            row_ranks, col_ranks = np.divmod(np.arange(start, min(start + block, pairs)), col_sets)
-            rows, cols = row_subsets(row_ranks), col_subsets(col_ranks)
-            subs = flat.take(rows[:, None, :] * n_cols + cols[None, :, :])
-            dets, row_max, scales, scaled = _minor_values(subs)
-            normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
-            redo = np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0)))
-            if redo.size:
-                # row i scaled exactly by 2**-e_i, e_i the binary exponent of its
-                # max, leaves det / scale as it is and every row max in [0.5, 1);
-                # the det is then 2**sum(e_i) times the rescaled one, inf or 0
-                # where that leaves float range, with the sign of the exact one
-                exps = np.frexp(row_max[:, redo])[1]
-                rescaled_dets, _, _, scaled[redo] = _minor_values(np.ldexp(subs[:, :, redo], -exps[:, None, :]))
-                dets[redo] = np.ldexp(rescaled_dets, exps.sum(axis=0))
-            j = int(np.argmin(scaled))  # the first of equal minima
-            if scaled[j] < worst_scaled:
-                worst_scaled = float(scaled[j])
-                worst_det = float(dets[j])
-                worst_idx = (tuple(rows[:, j].tolist()), tuple(cols[:, j].tolist()))
+        for i in range(0, row_sets, tile_rows):
+            rows = row_subsets(i, min(i + tile_rows, row_sets))
+            for j in range(0, col_sets, tile_cols):
+                cols = col_subsets(j, min(j + tile_cols, col_sets))
+                # the tile's minors as one (r, r, k) stack, row set outer
+                subs = flat.take((rows[:, None, :, None] * n_cols + cols[None, :, None, :]).reshape(r, r, -1))
+                dets, row_max, scales, scaled = _minor_values(subs)
+                if not (np.isfinite(dets).all() and _SMALLEST_NORMAL <= scales.min() and scales.max() < math.inf):
+                    normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
+                    redo = np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0)))
+                    if redo.size:
+                        # row i scaled exactly by 2**-e_i, e_i the binary exponent of its max, leaves
+                        # det / scale as it is and every row max in [0.5, 1); the det is then 2**sum(e_i)
+                        # times the rescaled one, inf or 0 where that leaves float range, with the exact sign
+                        exps = np.frexp(row_max[:, redo])[1]
+                        rescaled, _, _, scaled[redo] = _minor_values(np.ldexp(subs[:, :, redo], -exps[:, None, :]))
+                        dets[redo] = np.ldexp(rescaled, exps.sum(axis=0))
+                k = int(np.argmin(scaled))  # the first of equal minima
+                if scaled[k] < worst_scaled:
+                    worst_scaled = float(scaled[k])
+                    worst_det = float(dets[k])
+                    row, col = divmod(k, cols.shape[1])
+                    worst_idx = (tuple(rows[:, row].tolist()), tuple(cols[:, col].tolist()))
     is_tp = worst_scaled >= -tolerance
-    return TPReport(
-        is_tp=is_tp,
-        minors_checked=total,
-        worst_minor=worst_det,
-        worst_scaled=worst_scaled,
-        tolerance=tolerance,
-        witness=None if is_tp else worst_idx,
-    )
+    return TPReport(is_tp=is_tp, minors_checked=total, worst_minor=worst_det, worst_scaled=worst_scaled,
+                    tolerance=tolerance, witness=None if is_tp else worst_idx)
 
 
 def sign_changes_seq(seq) -> int:

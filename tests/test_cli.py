@@ -534,6 +534,23 @@ def test_check_vdp_needs_at_least_one_line(tmp_path, capsys):
         assert captured.err == f"qtrig: error: check vdp needs at least 1 line, got --grid {grid}\n"
 
 
+def test_check_vdp_refuses_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a curve for a line count check vdp refuses")
+
+    # weights 1, -3, 1 give a denominator that changes sign: exit 3 once sampled
+    poly = write_polygon(tmp_path, {"points": [[0, 0], [1, 2], [3, 0]], "weights": [1, -3, 1]})
+    argv = ["check", "vdp", "--polygon", poly, "--q", "2", "--interval", "0,pi/2", "--grid"]
+    assert main(argv + ["1"]) == 3
+    capsys.readouterr()
+    monkeypatch.setattr("qtrig.cli.rational_sample", no_sampling)
+    for grid in ("0", "-3"):
+        assert main(argv + [grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qtrig: error: check vdp needs at least 1 line, got --grid {grid}\n"
+
+
 def test_check_rejects_output_flags(tmp_path, capsys):
     # check prints its verdict; --format, --out and --digits belong to the
     # subcommands that write tables

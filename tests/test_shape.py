@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -572,3 +573,61 @@ def test_tp_check_rescales_out_of_range_minors_in_every_block_as_the_loop_does()
         signs = rng.choice([-1.0, 1.0, 1.0, 1.0], size=(2, 100))
         entries = signs * 10.0 ** exponents
         _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
+
+
+def test_tp_check_tiles_match_the_minor_loop_in_every_regime():
+    # order r goes in tiles of row sets x column sets of at most MINOR_BLOCK // r**2
+    # minors each; every regime must give the loop's report
+    rng = np.random.default_rng(9005)
+    one_tile = rng.uniform(-1.0, 1.0, size=(5, 6))  # every order in one tile
+    tall = rng.uniform(0.0, 1.0, size=(200, 2))     # several row-set tiles holding every column set
+    wide = rng.uniform(0.0, 1.0, size=(3, 60))      # one row set per tile, runs of column sets
+    assert all(math.comb(5, r) * math.comb(6, r) <= MINOR_BLOCK // r ** 2 for r in range(1, 6))
+    assert math.comb(200, 2) > MINOR_BLOCK // 4 and math.comb(60, 3) > MINOR_BLOCK // 9
+    # rank ranges that are unranked, not sliced from a listing: the tall
+    # matrix's row sets at r = 2, the wide one's column sets at r = 3
+    assert 2 * math.comb(200, 2) > MINOR_BLOCK and 3 * math.comb(60, 3) > MINOR_BLOCK
+    for entries in (one_tile, tall, wide, one_tile.T, -wide):
+        _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_tp_check_witness_is_the_first_of_equal_minima_in_two_tiles(transpose):
+    # columns (2, 1), but (1, 2) at 0 and 97: every pair of a (1, 2) column and a
+    # later (2, 1) one gives the worst scaled minor, -0.75; the first, (0, 1),
+    # lies in the first of the two 2 x 2 tiles, and (97, 98) in the second
+    entries = np.tile([[2.0], [1.0]], 100)
+    entries[:, [0, 97]] = [[1.0], [2.0]]
+    pairs = list(combinations(range(100), 2))
+    assert pairs.index((0, 1)) < MINOR_BLOCK // 4 <= pairs.index((97, 98))
+    if transpose:
+        entries = entries.T.copy()
+    rep = total_positivity_check(entries)
+    _assert_same_report(rep, total_positivity_reference(entries))
+    assert rep.witness == ((0, 1), (0, 1)) and rep.worst_scaled == pytest.approx(-0.75)
+
+
+def _lu_false_fail():
+    """A rational degree-8 collocation, points clustered at both ends: every minor is >= 0."""
+    return collocation(
+        "rational", 8, 0.06470539885476707, Interval(0.0, math.pi / 2),
+        [0.0, 0.0019931148286984187, 0.008812057208694242, 1.4809859814237878, 1.5534582637627807,
+         1.5706845404082173, math.pi / 2],
+        weights=[0.09352014449595009, 0.1383835474317428, 0.21324104813336464, 1.6555029010956297,
+                 0.5755449892727171, 2.233807746713342, 9.675434734285378, 0.8388647903632998,
+                 3.9260553264638123])
+
+
+def test_lu_false_fail_witness_is_positive_at_60_digits():
+    # the exhaustive check's witness of this matrix, scaled -1.15e-8 after LU
+    mat = _lu_false_fail()
+    rows, cols = (0, 1, 8), (3, 5, 6)
+    with mp.workdps(60):
+        exact = mp.det(mp.matrix([[mp.mpf(float(mat.entries[i, j])) for j in cols] for i in rows]))
+    assert exact > 0
+
+
+@pytest.mark.xfail(strict=True, reason="LU rounding turns a minor of +2.8e-13 (scaled) into -1.15e-8; "
+                                       "a certified route must decide this matrix")
+def test_lu_false_fail_is_totally_positive():
+    assert total_positivity_check(_lu_false_fail()).is_tp
