@@ -1,12 +1,35 @@
-# Console-script checks of the installed `qtrig` command.
+# The tier-1 CI job: the test suite, the benchmark passes and the
+# console-script checks of the installed `qtrig` command.
 #
-# Run from the root of a checkout after `pip install -e .`:
+# Run from the root of a checkout after installing numpy, pytest,
+# hypothesis and mpmath and then `pip install -e . --no-build-isolation`:
 #
 #     bash -eo pipefail scripts/ci.sh
 #
 # Every command must end with the exit code and payload named beside it.
 
-# the first command takes the quarter-period route; the second, off the
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+
+# Benchmark passes agree and match the reference.
+# eval-sweep and point-query also at a second seed, and eval-sweep at
+# the held-out seed 7: the product route, the tableau sweeps and the
+# single-x routes meet the reference on more than one input set
+for run in eval-sweep:1 eval-sweep:2 eval-sweep:7 point-query:1 point-query:2 tp-check:1 cli-batch:1; do
+  last=$(python3 perfbench/run.py --workload "${run%:*}" --seed "${run#*:}" --seconds 3 --trace 0 | tail -n 1)
+  echo "$last"
+  case "$last" in *'"correct": true'*) ;; *) exit 1 ;; esac
+done
+
+# Traced benchmark passes match the untraced ones.  They run after the loop
+# above: a traced run saves its spans into .perfbench/, which only the
+# untraced runs' default --out creates
+for workload in eval-sweep point-query tp-check cli-batch; do
+  last=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -n 1)
+  echo "$last"
+  case "$last" in *'"correct": true'*) ;; *) exit 1 ;; esac
+done
+
+# Console script: the first command takes the quarter-period route; the second, off the
 # quarter grid, takes the exhaustive one and must exit 4 (not TP); the
 # rational pair runs collocation()'s route decision on weights: all
 # positive takes the structural route, one negative the exhaustive one

@@ -23,12 +23,11 @@ plan per (a, b, q, n), kernel._plan, so a single-x call makes one lookup
 and then does only its x-dependent work.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, _plan, _prefix_products, _tables, kernel_tables
+from .kernel import Interval, _plan, _prefix_products, _tables
 from .qcalc import _checked_row
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "basis_matrix",
     "basis_all_recurrence1",
     "basis_all_recurrence2",
-    "classical_trig_basis",
 ]
 
 
@@ -150,17 +148,3 @@ def basis_all_recurrence2(n: int, x: float, q: float, interval: Interval) -> Bas
           + q^k (d(x,b;q^(m-k-1)) / d(a,b;q^(m-1))) B_k^(m-1)
     """
     return _recurrence(n, x, q, interval, second_form=True)
-
-
-def classical_trig_basis(n: int, k: int, x: float, interval: Interval) -> float:
-    """Classical circular Bernstein basis, the q = 1 special case:
-
-    binom(n, k) (sin(x-a)/sin(b-a))^k (sin(b-x)/sin(b-a))^(n-k)
-    """
-    if k < 0 or k > n:
-        raise IndexError(f"basis index k={k} outside 0..{n}")
-    # at q = 1 the tables hold exactly sin(x-a), sin(b-x) and sin(b-a)
-    (sin_xa,), (sin_bx,), (s,) = kernel_tables(interval, x, 1.0, 1)
-    u = sin_xa / s
-    v = sin_bx / s
-    return math.comb(n, k) * u ** k * v ** (n - k)

@@ -4,14 +4,7 @@ A control polygon b_0..b_n and a certified interval define the curve
 P(x) = sum_k b_k B_k(x; q).  Two de Casteljau-style algorithms evaluate P by
 repeated convex-like combinations; their intermediate points also satisfy
 closed-form expressions that this module exposes for cross-checking.
-
-Sampled curves can be tested for membership in the trigonometric space
-
-    T_n = span{sin^(n-k)(x) cos^k(x), k = 0..n}
-        = span{1, cos 2x, sin 2x, ..., cos nx, sin nx}        (n even)
-        = span{cos x, sin x, cos 3x, sin 3x, ..., cos nx, sin nx}  (n odd)
-
-by a least-squares fit; the curve coordinates always live in T_n.
+P lies in T_n: each B_k is a homogeneous degree-n form in sin x and cos x.
 
 Both schemes run in one stage loop, _stages, entry by entry: on the
 Python floats of one x for evaluate_alg1 and evaluate_alg2, and on numpy
@@ -32,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .basis import _product_chain, basis_all_direct, basis_matrix
-from .errors import FloatRangeError, IllConditionedFitError, _finite_input
+from .errors import FloatRangeError, _finite_input
 from .kernel import Interval, _checked_den, _plan, _tables
 from .qcalc import q_binomial_row
 
@@ -46,11 +39,7 @@ __all__ = [
     "evaluate_alg2",
     "intermediate_explicit",
     "sample_curve",
-    "tn_design_matrix",
-    "tn_membership_residual",
 ]
-
-FIT_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -297,44 +286,3 @@ def sample_curve(
         points = np.empty((count, polygon.dim))
         points[:] = stage[0][0].T  # at degree 0 the (dim, 1) apex broadcasts to the m points
     return CurveSamples(xs, points, method)
-
-
-def tn_design_matrix(xs: np.ndarray, n: int) -> np.ndarray:
-    """Columns of the order-n trigonometric space evaluated at xs."""
-    xs = _finite_input(xs, "xs must be finite")
-    cols = []
-    if n % 2 == 0:
-        cols.append(np.ones_like(xs))
-        freqs = range(2, n + 1, 2)
-    else:
-        freqs = range(1, n + 1, 2)
-    for f in freqs:
-        cols.append(np.cos(f * xs))
-        cols.append(np.sin(f * xs))
-    return np.column_stack(cols)
-
-
-def tn_membership_residual(samples: CurveSamples, n: int) -> float:
-    """Worst per-coordinate RMS residual of a least-squares fit in T_n.
-
-    A residual near zero certifies that the sampled coordinates lie in the
-    trigonometric space; a residual far from zero rules membership out.
-    Needs at least 2(n+1) samples.  Solved by normal equations, guarded by
-    a condition-number cap.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if len(samples) < 2 * (n + 1):
-        raise ValueError(
-            f"need at least {2 * (n + 1)} samples for degree {n}, got {len(samples)}"
-        )
-    ys = samples.points
-    design = tn_design_matrix(samples.x, n)
-    gram = design.T @ design
-    condition = float(np.linalg.cond(gram))
-    if condition > FIT_CONDITION_LIMIT:
-        raise IllConditionedFitError(condition, FIT_CONDITION_LIMIT)
-    coef = np.linalg.solve(gram, design.T @ ys)
-    resid = design @ coef - ys
-    rms = np.sqrt((resid ** 2).mean(axis=0))
-    return float(rms.max())

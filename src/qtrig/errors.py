@@ -7,7 +7,6 @@ __all__ = [
     "InvalidIntervalError",
     "SingularDenominatorError",
     "MinorCapExceededError",
-    "IllConditionedFitError",
     "FloatRangeError",
 ]
 
@@ -56,17 +55,6 @@ class MinorCapExceededError(QTrigError):
         shown = f"more than {cap}" if count is None else count
         super().__init__(
             f"matrix has {shown} square submatrices, refusing to enumerate more than {cap}"
-        )
-
-
-class IllConditionedFitError(QTrigError):
-    """Normal equations of a least-squares fit are too ill-conditioned to trust."""
-
-    def __init__(self, condition: float, limit: float):
-        self.condition = condition
-        self.limit = limit
-        super().__init__(
-            f"normal-equation condition number {condition:.3e} exceeds {limit:.1e}"
         )
 
 

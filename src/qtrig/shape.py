@@ -277,7 +277,8 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
         row_sets, col_sets, block = math.comb(n_rows, r), math.comb(n_cols, r), MINOR_BLOCK // (r * r)
         # tiles of consecutive row sets x consecutive column sets, at most block minors each
         tile_rows, tile_cols = (block // col_sets, col_sets) if col_sets <= block else (1, block)
-        row_subsets, col_subsets = _subsets(n_rows, r), _subsets(n_cols, r)
+        row_subsets = _subsets(n_rows, r)
+        col_subsets = row_subsets if n_cols == n_rows else _subsets(n_cols, r)
         for i in range(0, row_sets, tile_rows):
             rows = row_subsets(i, min(i + tile_rows, row_sets))
             for j in range(0, col_sets, tile_cols):

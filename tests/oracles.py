@@ -13,6 +13,17 @@ bit.  monomial_tp_reference runs the production minor checker on a
 matrix known to be totally positive, as a sanity reference for the checker;
 total_positivity_reference is the checker's loop, one determinant per minor,
 which the batched checker must match bit for bit.
+
+classical_trig_basis is the q = 1 closed form, taken from math.sin alone so
+that it shares no code with the kernel tables.  tn_membership_residual fits
+sampled coordinates by least squares in the trigonometric space
+
+    T_n = span{sin^(n-k)(x) cos^k(x), k = 0..n}
+        = span{1, cos 2x, sin 2x, ..., cos nx, sin nx}        (n even)
+        = span{cos x, sin x, cos 3x, sin 3x, ..., cos nx, sin nx}  (n odd)
+
+whose columns tn_design_matrix gives; curve coordinates lie in T_n because
+each B_k is a homogeneous form of degree n in sin x and cos x.
 """
 
 import math
@@ -102,6 +113,56 @@ def quarter_basis_mp(n: int, i: int, x, q) -> mp.mpf:
         x, q = mp.mpf(x), mp.mpf(q)
         coef = _qbinom_row_mp(n, q)[i]
         return q ** (i * i - n * i) * coef * mp.sin(x) ** i * mp.cos(x) ** (n - i)
+
+
+def classical_trig_basis(n: int, k: int, x, interval) -> float:
+    """Classical circular Bernstein basis, the q = 1 special case:
+
+    binom(n, k) (sin(x-a)/sin(b-a))^k (sin(b-x)/sin(b-a))^(n-k)
+    """
+    a, b = interval.a, interval.b
+    s = math.sin(b - a)
+    u = math.sin(x - a) / s
+    v = math.sin(b - x) / s
+    return math.comb(n, k) * u ** k * v ** (n - k)
+
+
+FIT_CONDITION_LIMIT = 1e12
+
+
+def tn_design_matrix(xs, n: int) -> np.ndarray:
+    """Columns of the order-n trigonometric space evaluated at xs."""
+    xs = np.asarray(xs, dtype=float)
+    cols = []
+    if n % 2 == 0:
+        cols.append(np.ones_like(xs))
+        freqs = range(2, n + 1, 2)
+    else:
+        freqs = range(1, n + 1, 2)
+    for f in freqs:
+        cols.append(np.cos(f * xs))
+        cols.append(np.sin(f * xs))
+    return np.column_stack(cols)
+
+
+def tn_membership_residual(samples, n: int) -> float:
+    """Worst per-coordinate RMS residual of a least-squares fit in T_n.
+
+    samples has x (m,) and points (m, dim), as a CurveSamples does; m must
+    be at least 2(n+1).  Solved by normal equations; a condition number
+    above FIT_CONDITION_LIMIT raises ValueError.
+    """
+    if len(samples) < 2 * (n + 1):
+        raise ValueError(f"need at least {2 * (n + 1)} samples for degree {n}, got {len(samples)}")
+    ys = samples.points
+    design = tn_design_matrix(samples.x, n)
+    gram = design.T @ design
+    condition = float(np.linalg.cond(gram))
+    if condition > FIT_CONDITION_LIMIT:
+        raise ValueError(f"normal-equation condition number {condition:.3e} exceeds {FIT_CONDITION_LIMIT:.1e}")
+    coef = np.linalg.solve(gram, design.T @ ys)
+    resid = design @ coef - ys
+    return float(np.sqrt((resid ** 2).mean(axis=0)).max())
 
 
 def curve_direct_mp(controls, x, q, a, b):

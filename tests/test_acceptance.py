@@ -21,7 +21,6 @@ from qtrig import (
     basis_all_recurrence1,
     basis_all_recurrence2,
     chord_distance_profile,
-    classical_trig_basis,
     collocation,
     convex_hull,
     evaluate_alg1,
@@ -33,11 +32,11 @@ from qtrig import (
     rational_sample,
     sample_curve,
     sign_changes_seq,
-    tn_membership_residual,
     total_positivity_check,
 )
 from qtrig.cli import main as cli_main
 from conftest import ARCH_POINTS, random_curve_case
+from oracles import classical_trig_basis, tn_membership_residual
 
 QUARTER = Interval(0.0, math.pi / 2)
 NARROW = Interval(math.pi / 8, math.pi / 4)

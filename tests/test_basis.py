@@ -20,14 +20,20 @@ from qtrig import (
     basis_all_recurrence2,
     basis_matrix,
     certify_interval,
-    classical_trig_basis,
     evaluate_alg1,
     rational_basis_all,
     rational_basis_matrix,
 )
 from qtrig.basis import _product_chain
 from conftest import random_curve_case
-from oracles import basis_direct_mp, basis_row_mp, d_mp, product_chain_reference, quarter_basis_mp
+from oracles import (
+    basis_direct_mp,
+    basis_row_mp,
+    classical_trig_basis,
+    d_mp,
+    product_chain_reference,
+    quarter_basis_mp,
+)
 
 ROOT2 = math.sqrt(2.0)
 Q_GRID = [0.5, 1.0, 1.3, 2.0, 5.0]
@@ -146,11 +152,6 @@ def test_classical_matches_q_one():
 def test_classical_frozen_value(quarter):
     # binom(2,1) sin(pi/4) cos(pi/4) = 1
     assert abs(classical_trig_basis(2, 1, math.pi / 4, quarter) - 1.0) <= 1e-15
-
-
-def test_index_out_of_range_raises(quarter):
-    with pytest.raises(IndexError):
-        classical_trig_basis(2, 3, 0.5, quarter)
 
 
 def test_invalid_interval_raises_everywhere():

@@ -14,7 +14,6 @@ from qtrig import (
     basis_all_recurrence2,
     basis_matrix,
     certify_interval,
-    classical_trig_basis,
     evaluate_alg1,
     evaluate_alg2,
     evaluate_direct,
@@ -25,7 +24,7 @@ from qtrig import (
     kernel_tables,
 )
 from qtrig.kernel import _evaluation_plan, _plan
-from oracles import d_mp
+from oracles import classical_trig_basis, d_mp
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
 ROOT2 = math.sqrt(2.0)
@@ -314,7 +313,6 @@ _X_ROUTES = {
     "basis_matrix": lambda x: basis_matrix(3, [0.5, x, 0.9], 1.3, _IV),
     "kernel_tables": lambda x: kernel_tables(_IV, x, 1.3, 3),
     "kernel_tables columns": lambda x: kernel_tables(_IV, [0.5, x], 1.3, 3),
-    "classical_trig_basis": lambda x: classical_trig_basis(3, 1, x, _IV),
     "evaluate_direct": lambda x: evaluate_direct(_PLANAR, x, 1.3, _IV),
     "evaluate_alg1": lambda x: evaluate_alg1(_PLANAR, x, 1.3, _IV).apex,
     "evaluate_alg2": lambda x: evaluate_alg2(_PLANAR, x, 1.3, _IV).apex,
@@ -323,7 +321,7 @@ _X_ROUTES = {
     "rational_evaluate": lambda x: rational_evaluate(_PLANAR, [1.0, 2.0], x, 1.3, _IV),
 }
 # the routes that take an array of x too, one column or value per point
-_ARRAY_ROUTES = ("basis_matrix", "kernel_tables", "kernel_tables columns", "classical_trig_basis")
+_ARRAY_ROUTES = ("basis_matrix", "kernel_tables", "kernel_tables columns")
 
 
 # ints beyond the float range are not finite floats either

@@ -8,6 +8,9 @@ import qtrig
 from qtrig import basis, curve, errors, kernel, qcalc, rational, shape
 
 LAYERS = (errors, qcalc, kernel, basis, curve, rational, shape)
+# the T_n fit and the q = 1 closed form are test oracles (tests/oracles.py)
+RETIRED = ("tn_design_matrix", "tn_membership_residual", "FIT_CONDITION_LIMIT",
+           "IllConditionedFitError", "classical_trig_basis")
 
 
 def test_package_exports_each_layer_all_once():
@@ -17,6 +20,9 @@ def test_package_exports_each_layer_all_once():
     for module in LAYERS:
         for name in module.__all__:
             assert getattr(qtrig, name) is getattr(module, name)
+    for module in (qtrig, *LAYERS):
+        for name in RETIRED:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_python_m_qtrig_runs_the_cli():

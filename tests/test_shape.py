@@ -16,19 +16,17 @@ from qtrig import (
     SingularDenominatorError,
     basis_all_direct,
     chord_distance_profile,
-    classical_trig_basis,
     collocation,
     convex_hull,
     minor_count,
     point_in_hull,
     sample_curve,
     sign_changes_seq,
-    tn_membership_residual,
     total_positivity_check,
 )
 from qtrig.export import render_svg
 from qtrig.shape import MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap
-from oracles import monomial_tp_reference, total_positivity_reference
+from oracles import classical_trig_basis, monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
 
@@ -531,7 +529,6 @@ def _arch_samples(dim):
     (lambda: chord_distance_profile(_arch_samples(2), [0.0], [4.0, 5.0]), "chord endpoints must be 2-d points"),
     (lambda: chord_distance_profile(_arch_samples(1), [0.0, 0.0], [2.0, 0.0]),
      "chord profile needs 2-d samples, got shape (8, 1)"),
-    (lambda: tn_membership_residual(_arch_samples(2), -1), "n must be >= 0, got -1"),
     (lambda: render_svg([]), "nothing to draw"),
 ])
 def test_shape_checks_refuse_malformed_input(call, message):
@@ -582,12 +579,13 @@ def test_tp_check_tiles_match_the_minor_loop_in_every_regime():
     one_tile = rng.uniform(-1.0, 1.0, size=(5, 6))  # every order in one tile
     tall = rng.uniform(0.0, 1.0, size=(200, 2))     # several row-set tiles holding every column set
     wide = rng.uniform(0.0, 1.0, size=(3, 60))      # one row set per tile, runs of column sets
+    square = rng.uniform(-1.0, 1.0, size=(6, 6))    # row and column sets from one subset map
     assert all(math.comb(5, r) * math.comb(6, r) <= MINOR_BLOCK // r ** 2 for r in range(1, 6))
     assert math.comb(200, 2) > MINOR_BLOCK // 4 and math.comb(60, 3) > MINOR_BLOCK // 9
     # rank ranges that are unranked, not sliced from a listing: the tall
     # matrix's row sets at r = 2, the wide one's column sets at r = 3
     assert 2 * math.comb(200, 2) > MINOR_BLOCK and 3 * math.comb(60, 3) > MINOR_BLOCK
-    for entries in (one_tile, tall, wide, one_tile.T, -wide):
+    for entries in (one_tile, tall, wide, one_tile.T, -wide, square):
         _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
 
 
