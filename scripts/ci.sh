@@ -29,6 +29,16 @@ for workload in eval-sweep point-query tp-check cli-batch; do
   case "$last" in *'"correct": true'*) ;; *) exit 1 ;; esac
 done
 
+# Console script: the interval certificate comes before the q-binomial row,
+# so both invalid intervals exit 2: the first though row 200 at q = 3
+# overflows, the second without building its O(n^2) row of degree 6000
+code=0
+qtrig basis --degree 200 --q 3 --interval 0,pi || code=$?
+test "$code" -eq 2
+code=0
+timeout 20 qtrig basis --degree 6000 --q 0.5 --interval 0,pi/2 --samples 2 || code=$?
+test "$code" -eq 2
+
 # Console script: the first command takes the quarter-period route; the second, off the
 # quarter grid, takes the exhaustive one and must exit 4 (not TP); the
 # rational pair runs collocation()'s route decision on weights: all

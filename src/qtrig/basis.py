@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Interval, _plan, _prefix_products, _tables
-from .qcalc import _checked_row
 
 __all__ = [
     "BasisVector",
@@ -85,9 +84,8 @@ def _product_chain(row, pa, pb, den):
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
     plan = _plan(interval, q, n)
-    row = _checked_row(plan.row, plan.n, plan.q)  # first: it overflows before any q-power of the tables
-    pa, pb = _prefix_products(plan, interval, x, q)
-    values = _product_chain(row, pa, pb, plan.den)
+    pa, pb = _prefix_products(plan, interval, x, q)  # checks the certificate, x, the row and plan.den
+    values = _product_chain(plan.row, pa, pb, plan.den)
     return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
 
 
@@ -102,11 +100,10 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     if len(shape) != 1:
         raise ValueError(f"xs must be a 1-D sequence of points, got shape {shape}")
     plan = _plan(interval, q, n)
-    row = _checked_row(plan.row, plan.n, plan.q)
     pa, pb = _prefix_products(plan, interval, xs, q, columns=True)
     values = np.empty((shape[0], n + 1))
     # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
-    values[:] = np.array(_product_chain(row, pa, pb, plan.den)).T
+    values[:] = np.array(_product_chain(plan.row, pa, pb, plan.den)).T
     return values
 
 

@@ -21,22 +21,24 @@ rest of an evaluation that does not depend on x, depends on (a, b, q, n)
 only, so it is built once per key into an evaluation plan: the powers q^i,
 the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
-the q-binomial row and the product of the denominators.  A call at one x
-then makes one plan lookup and does only its x-dependent work: four trig
-calls, 2n kernel entries and the product chain, whose running products a
-basis evaluation forms in the same loop as the entries.  The last 128
-plans are kept; this memo is the package's only cache.  Each plan holds
-the powers, the denominators, n precomputed form terms and the row, about
-136 bytes per unit of n + 1 under tracemalloc, so the memo holds at most
-about 17 KiB per unit of n + 1 for degrees up to n (17 MB at n = 1000).
-A failure is held as a marker, never as an exception: a plan whose
-denominators meet an inf or NaN raises FloatRangeError on every call, and
-an uncertified one InvalidIntervalError.
+the product of the denominators and, for a certified key only, the
+q-binomial row.  A call at one x then makes one plan lookup and does only
+its x-dependent work: four trig calls, 2n kernel entries and the product
+chain, whose running products a basis evaluation forms in the same loop as
+the entries.  The last 128 plans are kept; this memo is the package's only
+cache.  Each plan holds the powers, the denominators, n precomputed form
+terms and the row, about 136 bytes per unit of n + 1 under tracemalloc, so
+the memo holds at most about 17 KiB per unit of n + 1 for degrees up to n
+(17 MB at n = 1000).  A failure is held as a marker, never as an
+exception: a plan whose denominators meet an inf or NaN raises
+FloatRangeError on every call, and an uncertified one InvalidIntervalError.
 
-Every route takes its x through the checks that the tables and the
-running products share, which refuse an x that is inf
-or NaN, or an int beyond the float range, with ValueError; a single-x
-route also refuses a sequence of x with TypeError.
+Every route meets the same checks in this order: the plan's certificate
+(every d(a, b; q^i) finite, then clear of zero), then x, then its own
+range checks, for the product formula the q-binomial row and then the
+denominator product.  The x check refuses an x that is inf or NaN, or an
+int beyond the float range, with ValueError; a single-x route also
+refuses a sequence of x with TypeError.
 """
 
 import functools
@@ -47,7 +49,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import FloatRangeError, InvalidIntervalError, _finite_input
-from .qcalc import _q_binomial_row, _validate_degree, q_powers, validate_q
+from .qcalc import _checked_row, _q_binomial_row, _validate_degree, q_powers, validate_q
 
 __all__ = [
     "SINGULARITY_TOL",
@@ -153,7 +155,7 @@ class _Plan(NamedTuple):
     """Everything x-free that a degree-n evaluation at q on [a, b] reads.
 
     A failure is held as a marker: d_ab is None when some d(a, b; q^i) is
-    inf or NaN, and row is None when the q-binomial row leaves float64.
+    inf or NaN.  Only a certified key holds a row, None if it leaves float64.
     """
 
     q: float                    # the key's plain float q and plain int n
@@ -164,7 +166,6 @@ class _Plan(NamedTuple):
     d_ab: Optional[tuple]       # d(a, b; q^i) for i = 0..n
     min_abs: float              # the smallest |d(a, b; q^i)|
     failing: Optional[int]      # the first i with |d(a, b; q^i)| <= SINGULARITY_TOL
-    certified: bool             # d_ab is finite and failing is None
     row: Optional[tuple]        # q-binomial row n
     den: float                  # prod of d(a, b; q^i) over i < n
 
@@ -189,35 +190,35 @@ def _evaluation_plan(a: float, b: float, q: float, n: int) -> _Plan:
         den = math.prod(d_ab[:n])
     else:
         d_ab = None
-    return _Plan(q, n, powers, trig, _forms(powers[:n]), d_ab, min_abs, failing,
-                 d_ab is not None and failing is None, _q_binomial_row(n, q), den)
+    row = _q_binomial_row(n, q) if d_ab is not None and failing is None else None
+    return _Plan(q, n, powers, trig, _forms(powers[:n]), d_ab, min_abs, failing, row, den)
 
 
 def _plan(interval: Interval, q: float, n: int) -> _Plan:
-    """The memoised plan of (interval, q, n), after checking q and n."""
+    """The memoised plan of (interval, q, n), after checking q and n.
+
+    Raises FloatRangeError, naming the interval as given, where some
+    d(a, b; q^i) is inf or NaN; a plan it returns is certified if failing is None.
+    """
     q, n = validate_q(q), _validate_degree(n)
-    return _evaluation_plan(float(interval.a), float(interval.b), q, n)
-
-
-def _check_finite(plan: _Plan, interval: Interval) -> None:
-    """Raise FloatRangeError, naming the interval as given, where some d(a, b; q^i) is inf or NaN."""
+    plan = _evaluation_plan(float(interval.a), float(interval.b), q, n)
     if plan.d_ab is None:
         a, b = interval.a, interval.b
-        raise FloatRangeError(f"degree {plan.n}, q={plan.q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+        raise FloatRangeError(f"degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+    return plan
 
 
 def _x_terms(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple:
     """The checks and trig terms at x that _tables and _prefix_products share.
 
-    Raises where the plan's certificate fails; InvalidIntervalError names q
-    as the caller passed it.  x is one point, or with columns an array of
+    Raises InvalidIntervalError, naming q as the caller passed it, where the
+    plan is not certified.  x is one point, or with columns an array of
     points too; an x that is not finite raises ValueError, and an array
     without columns TypeError.  Returns sin(x - a), cos x sin a, sin x cos a
     for the d(a, x) row, then sin(b - x), cos b sin x, sin b cos x for the
     d(x, b) row, as _kernel_row reads them.
     """
-    if not plan.certified:
-        _check_finite(plan, interval)
+    if plan.failing is not None:
         raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
     a, b = interval.a, interval.b
     if isinstance(x, (float, int)):
@@ -265,11 +266,12 @@ def _prefix_products(plan: _Plan, interval: Interval, x, q, columns: bool = Fals
     plan.forms, and multiplies its running product (t = t * d, from 1.0) in
     the same iteration, so both lists cost one pass and are bit-identical
     to the prefix products of _tables' rows.  Checks the certificate and x
-    as _x_terms does, then the product formula's denominator plan.den as
-    _checked_den does, before any product is formed: on columns a failing
-    denominator would otherwise meet numpy's overflow warnings first.
+    as _x_terms does, then the product formula's own ranges, the row plan.row
+    and the denominator plan.den, before any product is formed: on columns a
+    failing denominator would otherwise meet numpy's overflow warnings first.
     """
     sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(plan, interval, x, q, columns)
+    _checked_row(plan.row, plan.n, plan.q)
     _checked_den(plan.den, plan.n, q)
     inner, inner_c, outer_c = plan.forms
     t = u = 1.0
@@ -296,7 +298,6 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     inf or NaN denominator raises FloatRangeError.
     """
     plan = _plan(interval, q, n)
-    _check_finite(plan, interval)
     return ValidityCertificate(
         interval=interval,
         q=plan.q,

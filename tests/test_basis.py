@@ -224,6 +224,17 @@ def test_recurrences_stay_finite_where_the_product_underflows(quarter):
         assert np.all(np.isfinite(values))
 
 
+@pytest.mark.xfail(strict=True, reason="a running product overflows at this x; the plan's x-free checks cannot see it")
+def test_product_formula_where_its_running_products_overflow():
+    # at (34, 4) on [-1, 0.2] the basis peaks at 1.7e17 at x = -0.8 and the
+    # recurrences match it to 6e-16, but the running products of the kernel
+    # tables overflow there while the row and the denominator product stay finite
+    n, x, q, iv = 34, -0.8, 4.0, Interval(-1.0, 0.2)
+    want = np.array([float(v) for v in basis_row_mp(n, x, q, iv.a, iv.b)])
+    got = basis_all_direct(n, x, q, iv).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_product_chain_within_first_order_bound():
     # each entry takes at most 2n + 1 roundings: the two prefix products, the
     # q-binomial factor, the quotient and the product of the n denominators

@@ -12,6 +12,7 @@ import pytest
 from qtrig import Interval, collocation, sample_curve, total_positivity_check
 from qtrig.cli import main, parse_angle, parse_interval
 from qtrig.export import read_polygon_json, render_csv, render_json_records, sig_str
+from qtrig.kernel import _evaluation_plan
 from oracles import basis_row_mp, total_positivity_reference
 
 ARCH = {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [3.0, 0.0]], "weights": [1, 1, 1, 1]}
@@ -308,6 +309,28 @@ def test_a_huge_overflowing_degree_fails_fast():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "qtrig: error: q-binomial row 200000 at q=1.0 overflows float64\n"
+
+
+def test_an_invalid_interval_exits_2_though_its_row_overflows(tmp_path, capsys):
+    # the certificate comes before the q-binomial row: [0, pi] fails it at
+    # i = 0, and row 200 at q = 3, which overflows, is never checked
+    out = tmp_path / "b.csv"
+    code = main(["basis", "--degree", "200", "--q", "3", "--interval", "0,pi", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("qtrig: invalid interval:")
+
+
+def test_an_uncertified_degree_exits_2_without_building_its_row(capsys):
+    # d(0, pi/2; 0.5^i) = 0.5^i is at most 1e-12 from i = 40 on; the O(n^2)
+    # row of degree 6000 would stay in range, but no verdict reads it
+    code = main(["basis", "--degree", "6000", "--q", "0.5", "--interval", "0,pi/2", "--samples", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("qtrig: invalid interval:")
+    hits = _evaluation_plan.cache_info().hits
+    plan = _evaluation_plan(0.0, math.pi / 2, 0.5, 6000)
+    assert _evaluation_plan.cache_info().hits == hits + 1  # the entry the command filled
+    assert plan.failing == 40 and plan.row is None
 
 
 def test_digits_below_one_are_refused(tmp_path, capsys):

@@ -14,16 +14,21 @@ from qtrig import (
     basis_all_recurrence2,
     basis_matrix,
     certify_interval,
+    collocation,
     evaluate_alg1,
     evaluate_alg2,
     evaluate_direct,
     intermediate_explicit,
     rational_basis_all,
+    rational_basis_matrix,
     rational_evaluate,
+    rational_sample,
+    sample_curve,
     trig_kernel,
     kernel_tables,
 )
 from qtrig.kernel import _evaluation_plan, _plan
+from qtrig.qcalc import _q_binomial_row
 from oracles import classical_trig_basis, d_mp
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -241,34 +246,55 @@ def test_a_float_degree_raises_without_reading_or_filling_its_plan():
         assert _evaluation_plan.cache_info() == before
 
 
-_POLYGON = {n: ControlPolygon(np.arange(n + 1, dtype=float)) for n in (3, 150, 700)}
-_FAILURE_ROUTES = {
+_POLYGON = {n: ControlPolygon(np.arange(n + 1, dtype=float)) for n in (3, 150, 200, 700)}
+_FAILURE_ROUTES = {  # every public route that reads a plan
     "basis_all_direct": lambda n, q, iv: basis_all_direct(n, 0.5, q, iv).values,
+    "basis_matrix": lambda n, q, iv: basis_matrix(n, [0.5, 0.7], q, iv),
     "basis_all_recurrence1": lambda n, q, iv: basis_all_recurrence1(n, 0.5, q, iv).values,
+    "basis_all_recurrence2": lambda n, q, iv: basis_all_recurrence2(n, 0.5, q, iv).values,
+    "evaluate_direct": lambda n, q, iv: evaluate_direct(_POLYGON[n], 0.5, q, iv),
     "evaluate_alg1": lambda n, q, iv: evaluate_alg1(_POLYGON[n], 0.5, q, iv).apex,
+    "evaluate_alg2": lambda n, q, iv: evaluate_alg2(_POLYGON[n], 0.5, q, iv).apex,
+    "intermediate_explicit": lambda n, q, iv: intermediate_explicit("alg1", 1, 0, 0.5, _POLYGON[n], q, iv),
+    "kernel_tables": lambda n, q, iv: np.array(kernel_tables(iv, 0.5, q, n)),
+    **{f"sample_curve {method}": lambda n, q, iv, method=method: sample_curve(_POLYGON[n], q, iv, 3, method).points
+       for method in ("direct", "alg1", "alg2")},
+    "rational_basis_all": lambda n, q, iv: rational_basis_all(n, 0.5, q, iv, np.ones(n + 1)).values,
+    "rational_evaluate": lambda n, q, iv: rational_evaluate(_POLYGON[n], np.ones(n + 1), 0.5, q, iv),
+    "rational_basis_matrix": lambda n, q, iv: rational_basis_matrix(n, [0.5, 0.7], q, iv, np.ones(n + 1)),
+    "rational_sample": lambda n, q, iv: rational_sample(_POLYGON[n], np.ones(n + 1), q, iv, 3).points,
+    "collocation": lambda n, q, iv: collocation("quantum", n, q, iv, [0.5, 0.7]).entries,
 }
+# the routes of the product formula, which alone read the q-binomial row and
+# the product of the denominators
+_PRODUCT_ROUTES = ("basis_all_direct", "basis_matrix", "evaluate_direct", "sample_curve direct",
+                   "rational_basis_all", "rational_evaluate", "rational_basis_matrix", "rational_sample",
+                   "collocation")
 _LEAVES = "degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [0.0, 1.0]"
-_NO_CERTIFICATE = "interval [0.0, 3.141592653589793] invalid for q=1.0: |d(a,b;q^0)| = 1.225e-16 <= 1e-12"
-# (n, q, interval) of each failure kind, and what each route gave before the
-# evaluation plan: the error type and message, or None where it returned values
+_NO_CERTIFICATE = "interval [0.0, 3.141592653589793] invalid for q={q!r}: |d(a,b;q^0)| = 1.225e-16 <= 1e-12"
+
+
+def _product_only(error, message):
+    """The outcomes of a certified key where only the product formula fails."""
+    return {name: (error, message) if name in _PRODUCT_ROUTES else None for name in _FAILURE_ROUTES}
+
+
+# (n, q, interval) of each failure kind, and what each route gives: the error
+# type and message, or None where it returns finite values.  Every route
+# checks the certificate first, then x, then its own ranges
 _FAILURE_KINDS = {
-    "row overflow": ((3, 1e308, Interval(0.0, 1.0)), {
-        "basis_all_direct": (FloatRangeError, "q-binomial row 3 at q=1e+308 overflows float64"),
-        "basis_all_recurrence1": (FloatRangeError, _LEAVES.format(n=3, q=1e308)),
-        "evaluate_alg1": (FloatRangeError, _LEAVES.format(n=3, q=1e308)),
-    }),
-    "inf d(a,b)": ((700, 3.0, Interval(0.0, 1.0)), {
-        "basis_all_direct": (FloatRangeError, "q-binomial row 700 at q=3.0 overflows float64"),
-        "basis_all_recurrence1": (FloatRangeError, _LEAVES.format(n=700, q=3.0)),
-        "evaluate_alg1": (FloatRangeError, _LEAVES.format(n=700, q=3.0)),
-    }),
+    "row overflow": ((3, 1e308, Interval(0.0, 1.0)), dict.fromkeys(
+        _FAILURE_ROUTES, (FloatRangeError, _LEAVES.format(n=3, q=1e308)))),
+    "inf d(a,b)": ((700, 3.0, Interval(0.0, 1.0)), dict.fromkeys(
+        _FAILURE_ROUTES, (FloatRangeError, _LEAVES.format(n=700, q=3.0)))),
     "failed certificate": ((3, 1.0, Interval(0.0, math.pi)), dict.fromkeys(
-        _FAILURE_ROUTES, (InvalidIntervalError, _NO_CERTIFICATE))),
-    "denominator product": ((150, 0.9, Interval(0.0, math.pi / 2)), {
-        "basis_all_direct": (FloatRangeError, "degree 150, q=0.9: prod d(a,b;q^i) = 0.0 is outside float64"),
-        "basis_all_recurrence1": None,  # the product's range verdict is not theirs
-        "evaluate_alg1": None,
-    }),
+        _FAILURE_ROUTES, (InvalidIntervalError, _NO_CERTIFICATE.format(q=1.0)))),
+    "uncertified row overflow": ((200, 3.0, Interval(0.0, math.pi)), dict.fromkeys(
+        _FAILURE_ROUTES, (InvalidIntervalError, _NO_CERTIFICATE.format(q=3.0)))),
+    "certified row overflow": ((200, 3.0, Interval(0.0, math.pi / 2)), _product_only(
+        FloatRangeError, "q-binomial row 200 at q=3.0 overflows float64")),
+    "denominator product": ((150, 0.9, Interval(0.0, math.pi / 2)), _product_only(
+        FloatRangeError, "degree 150, q=0.9: prod d(a,b;q^i) = 0.0 is outside float64")),
 }
 
 
@@ -285,18 +311,23 @@ def test_each_failure_kind_gives_the_same_outcome_on_every_call(kind):
             with pytest.raises(error) as raised:
                 route(n, q, iv)
             assert str(raised.value) == message, (kind, name)
-    plan = _plan(iv, q, n)
+    plan = _evaluation_plan(float(iv.a), float(iv.b), float(q), n)
     assert not any(isinstance(field, BaseException) for field in plan)  # markers, not exceptions
+    if plan.d_ab is None or plan.failing is not None:
+        assert plan.row is None  # only a certified key builds its row
+    else:
+        assert plan.row == _q_binomial_row(n, float(q))
 
 
 @pytest.mark.parametrize("kind", _FAILURE_KINDS)
-def test_a_nan_x_meets_the_checks_in_order_row_certificate_x_denominator(kind):
+def test_a_nan_x_meets_the_checks_in_order_certificate_x_row_denominator(kind):
     (n, q, iv), outcomes = _FAILURE_KINDS[kind]
     error, message = outcomes["basis_all_direct"]
+    certified = outcomes["basis_all_recurrence1"] is None
     for route in (lambda: basis_all_direct(n, math.nan, q, iv), lambda: basis_matrix(n, [0.5, math.nan], q, iv)):
-        with pytest.raises(ValueError if kind == "denominator product" else error) as raised:
+        with pytest.raises(ValueError if certified else error) as raised:
             route()
-        if kind == "denominator product":  # the x check comes before the denominator's
+        if certified:  # the x check comes before the row's and the denominator's
             assert str(raised.value).startswith("x must be finite")
         else:
             assert str(raised.value) == message
