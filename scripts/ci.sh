@@ -39,6 +39,13 @@ code=0
 timeout 20 qtrig basis --degree 6000 --q 0.5 --interval 0,pi/2 --samples 2 || code=$?
 test "$code" -eq 2
 
+# Console script: a basis table whose running products overflow exits 1
+# with one error line, no numpy warning and no table
+code=0
+out=$(qtrig basis --degree 34 --q 4 --interval -1,0.2 --samples 11 2>&1) || code=$?
+test "$code" -eq 1
+test "$out" = "qtrig: error: degree 34, q=4.0: the basis leaves float64 at x = -0.88"
+
 # Console script: the first command takes the quarter-period route; the second, off the
 # quarter grid, takes the exhaustive one and must exit 4 (not TP); the
 # rational pair runs collocation()'s route decision on weights: all

@@ -10,12 +10,11 @@ Degree-n basis on a certified interval [a, b]:
 with empty products equal to 1.  At q = 1 this is the classical circular
 Bernstein basis.  The product formula takes all n + 1 values at one x from
 running prefix products of the two kernel tables, O(n) multiplications in
-all: kernel._prefix_products forms each kernel entry and multiplies it into
-its running product in the same iteration, one pass per x, and the final
-step _product_chain combines them with the q-binomial row and the
-denominator product.  The same code serves an array of x column by
-column.  Two degree-raising recurrences evaluate the whole vector from the
-raw kernel tables; they agree with the product formula and with each other.
+all, in kernel._product_formula: one pass forms each d(x, b; q^i) and its
+running product, a second each d(a, x; q^i), its running product and B_k.
+The same loop serves an array of x column by column.  Two degree-raising
+recurrences evaluate the whole vector from the raw kernel tables; they
+agree with the product formula and with each other.
 
 Every route reads the x-free part of its work (the q-binomial row, the
 certified denominators and their product) from one memoised evaluation
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, _plan, _prefix_products, _tables
+from .kernel import Interval, _plan, _product_formula, _tables
 
 __all__ = [
     "BasisVector",
@@ -68,24 +67,9 @@ def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
     return bv
 
 
-def _product_chain(row, pa, pb, den):
-    """row[j] * pa[j] * pb[r-j] / den for j = 0..r = len(row) - 1.
-
-    pa and pb hold the r + 1 running products of two kernel tables,
-    pa[j] = prod(d_ax[:j]) and pb[j] = prod(d_xb[:j]), and den is the
-    product of the r denominators d(a, b; q^i), checked by the caller: the
-    final step of the product formula, on floats or (m,) columns alike.
-    kernel._prefix_products forms pa and pb in the kernel loop for a whole
-    basis; intermediate_explicit takes them over windows of its tables.
-    """
-    return [c * a * b / den for c, a, b in zip(row, pa, reversed(pb))]
-
-
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    plan = _plan(interval, q, n)
-    pa, pb = _prefix_products(plan, interval, x, q)  # checks the certificate, x, the row and plan.den
-    values = _product_chain(plan.row, pa, pb, plan.den)
+    values = _product_formula(_plan(interval, q, n), interval, x, q)
     return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
 
 
@@ -93,17 +77,15 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     """Basis vectors at every point of xs, shape (m, n+1).
 
     Row j is bit-identical to basis_all_direct(n, xs[j], q, interval).values:
-    both take the same running products and product chain, here on columns,
-    from the same plan.  An xs that is not 1-D raises ValueError.
+    both take kernel._product_formula's loop, here on columns, from the
+    same plan.  An xs that is not 1-D raises ValueError.
     """
     shape = np.shape(xs)
     if len(shape) != 1:
         raise ValueError(f"xs must be a 1-D sequence of points, got shape {shape}")
-    plan = _plan(interval, q, n)
-    pa, pb = _prefix_products(plan, interval, xs, q, columns=True)
+    columns = _product_formula(_plan(interval, q, n), interval, xs, q, columns=True)
     values = np.empty((shape[0], n + 1))
-    # at n = 0 the one entry is a float; the assignment broadcasts it to m rows
-    values[:] = np.array(_product_chain(plan.row, pa, pb, plan.den)).T
+    values[:] = np.array(columns).T  # at n = 0 the one entry is a float, broadcast to m rows
     return values
 
 

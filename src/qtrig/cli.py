@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import basis_matrix
 from .curve import ControlPolygon, sample_curve
-from .errors import InvalidIntervalError, QTrigError, SingularDenominatorError
+from .errors import FloatRangeError, InvalidIntervalError, QTrigError, SingularDenominatorError
 from .export import Polyline, render_csv, render_json_records, render_svg, read_polygon_json
 from .kernel import Interval
 from .rational import rational_basis_matrix, rational_sample
@@ -148,10 +148,15 @@ def cmd_basis(cfg: argparse.Namespace, weights=None) -> int:
     if cfg.samples < 1:
         raise ValueError(f"need at least 1 sample, got {cfg.samples}")
     xs = np.linspace(interval.a, interval.b, cfg.samples)
-    if weights is None:
-        tables = [basis_matrix(n, xs, q, interval) for q in cfg.qs]
-    else:
-        tables = [rational_basis_matrix(n, xs, q, interval, weights) for q in cfg.qs]
+    tables = []
+    for q in cfg.qs:
+        with np.errstate(over="ignore", invalid="ignore"):  # a table that leaves float64 is refused below
+            tables.append(basis_matrix(n, xs, q, interval) if weights is None
+                          else rational_basis_matrix(n, xs, q, interval, weights))
+        finite = np.isfinite(tables[-1]).all(axis=1)
+        if not finite.all():
+            x = float(xs[finite.argmin()])
+            raise FloatRangeError(f"degree {n}, q={q!r}: the basis leaves float64 at x = {x!r}")
     if cfg.fmt == "svg":
         polylines = [_polyline(xs, column, PALETTE[qi % len(PALETTE)])
                      for qi, table in enumerate(tables) for column in table.T]

@@ -24,7 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from .basis import _product_chain, basis_all_direct, basis_matrix
+from .basis import basis_all_direct, basis_matrix
 from .errors import FloatRangeError, _finite_input
 from .kernel import Interval, _checked_den, _plan, _tables
 from .qcalc import q_binomial_row
@@ -199,6 +199,14 @@ def evaluate_alg2(polygon: ControlPolygon, x: float, q: float, interval: Interva
     return _tableau(polygon, x, q, interval, "alg2")
 
 
+def _product_chain(row, pa, pb, den):
+    """row[j] * pa[j] * pb[r-j] / den for j = 0..r, from r + 1 running products of two kernel windows.
+
+    The operations and order of kernel._product_formula; den is checked by the caller.
+    """
+    return [c * a * b / den for c, a, b in zip(row, pa, reversed(pb))]
+
+
 def intermediate_explicit(
     variant: str,
     r: int,
@@ -217,8 +225,8 @@ def intermediate_explicit(
             * prod_{i=0}^{r-j-1} d(x, b; q^(i+n-r-k))
             / prod_{i=0}^{r-1}   d(a, b; q^(i+n-r))
 
-    with prefactor q^(k(r-j)) for "alg1" and q^(j(n-r-k)) for "alg2".  The
-    basis product chain takes the prefix products of the windows
+    with prefactor q^(k(r-j)) for "alg1" and q^(j(n-r-k)) for "alg2".
+    _product_chain takes the prefix products of the windows
     d(a, x; q^(k..k+r-1)) and d(x, b; q^(n-r-k..n-k-1)) of the kernel
     tables, each starting at the first entry of its window.
     """

@@ -23,15 +23,17 @@ the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
 the product of the denominators and, for a certified key only, the
 q-binomial row.  A call at one x then makes one plan lookup and does only
-its x-dependent work: four trig calls, 2n kernel entries and the product
-chain, whose running products a basis evaluation forms in the same loop as
-the entries.  The last 128 plans are kept; this memo is the package's only
-cache.  Each plan holds the powers, the denominators, n precomputed form
-terms and the row, about 136 bytes per unit of n + 1 under tracemalloc, so
-the memo holds at most about 17 KiB per unit of n + 1 for degrees up to n
-(17 MB at n = 1000).  A failure is held as a marker, never as an
-exception: a plan whose denominators meet an inf or NaN raises
-FloatRangeError on every call, and an uncertified one InvalidIntervalError.
+its x-dependent work: four trig calls, 2n kernel entries and, for a basis,
+the product formula, formed in the same loops as the entries.  The last 128
+plans are kept; in front of this memo, a call that passes the very endpoint,
+q and n objects of the last one, all plain floats or ints, gets its plan
+again.  The two are the package's only state.  Each plan holds the powers,
+the denominators, n precomputed form terms and the row, about 136 bytes per
+unit of n + 1 under tracemalloc, so the memo holds at most about 17 KiB per
+unit of n + 1 for degrees up to n (17 MB at n = 1000).  A failure is held
+as a marker, never as an exception: a plan whose denominators meet an inf
+or NaN raises FloatRangeError on every call, and an uncertified one
+InvalidIntervalError.
 
 Every route meets the same checks in this order: the plan's certificate
 (every d(a, b; q^i) finite, then clear of zero), then x, then its own
@@ -194,22 +196,35 @@ def _evaluation_plan(a: float, b: float, q: float, n: int) -> _Plan:
     return _Plan(q, n, powers, trig, _forms(powers[:n]), d_ab, min_abs, failing, row, den)
 
 
+# the endpoints, q and n of _plan's last successful call on plain floats and ints, then its
+# plan: one tuple, so a reader in another thread sees one call's key and plan together
+_last_plan = (object(),) * 4 + (None,)
+
+
 def _plan(interval: Interval, q: float, n: int) -> _Plan:
     """The memoised plan of (interval, q, n), after checking q and n.
 
     Raises FloatRangeError, naming the interval as given, where some
     d(a, b; q^i) is inf or NaN; a plan it returns is certified if failing is None.
+    The very endpoint, q and n objects of the last successful call, all plain
+    floats or ints and so immutable, get its plan without a check or a hash.
     """
-    q, n = validate_q(q), _validate_degree(n)
-    plan = _evaluation_plan(float(interval.a), float(interval.b), q, n)
+    global _last_plan
+    a, b = interval.a, interval.b
+    last_a, last_b, last_q, last_n, plan = _last_plan
+    if a is last_a and b is last_b and q is last_q and n is last_n:
+        return plan
+    plain_q, plain_n = validate_q(q), _validate_degree(n)
+    plan = _evaluation_plan(float(a), float(b), plain_q, plain_n)
     if plan.d_ab is None:
-        a, b = interval.a, interval.b
-        raise FloatRangeError(f"degree {n}, q={q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+        raise FloatRangeError(f"degree {plain_n}, q={plain_q!r}: d(a,b;q^i) leaves float64 on [{a!r}, {b!r}]")
+    if {type(a), type(b), type(q), type(n)} <= {float, int}:
+        _last_plan = a, b, q, n, plan
     return plan
 
 
 def _x_terms(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple:
-    """The checks and trig terms at x that _tables and _prefix_products share.
+    """The checks and trig terms at x that _tables and _product_formula share.
 
     Raises InvalidIntervalError, naming q as the caller passed it, where the
     plan is not certified.  x is one point, or with columns an array of
@@ -257,37 +272,47 @@ def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tup
             _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
 
 
-def _prefix_products(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple[list, list]:
-    """Running products of the two kernel tables, formed in the kernel loop.
+def _product_formula(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> list:
+    """B_0..B_n of the product formula at x, formed in the kernel loop.
 
-    Returns pa and pb with pa[j] = prod(d_ax[:j]) and pb[j] = prod(d_xb[:j])
-    for j = 0..n, on floats or (m,) columns alike.  Each entry d(a,x;q^i)
-    and d(x,b;q^i) is _kernel_row's expression, taken in its order from
-    plan.forms, and multiplies its running product (t = t * d, from 1.0) in
-    the same iteration, so both lists cost one pass and are bit-identical
-    to the prefix products of _tables' rows.  Checks the certificate and x
-    as _x_terms does, then the product formula's own ranges, the row plan.row
-    and the denominator plan.den, before any product is formed: on columns a
-    failing denominator would otherwise meet numpy's overflow warnings first.
+    B_j = row[j] * pa[j] * pb[n-j] / den, where pa[j] = prod(d_ax[:j]) and
+    pb[j] = prod(d_xb[:j]), on floats or (m,) columns alike.  Checks the
+    certificate and x as _x_terms does, then the product formula's own
+    ranges, the row plan.row and the denominator plan.den, before any
+    product is formed: on columns a failing denominator would otherwise meet
+    numpy's overflow warnings first.  One pass forms each d(x,b;q^i) and
+    multiplies it into its running product (u = u * d, from 1.0); a second
+    forms each B_j and then multiplies d(a,x;q^j) into its running product t
+    the same way.  Every entry is _kernel_row's expression, taken in its
+    order from plan.forms, so each B_j is bit-identical to the chain over
+    the accumulated prefix products of _tables' rows.
     """
     sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(plan, interval, x, q, columns)
-    _checked_row(plan.row, plan.n, plan.q)
-    _checked_den(plan.den, plan.n, q)
+    row = _checked_row(plan.row, plan.n, plan.q)
+    den = _checked_den(plan.den, plan.n, q)
     inner, inner_c, outer_c = plan.forms
-    t = u = 1.0
-    pa, pb = [t], [u]
-    append_a, append_b = pa.append, pb.append
+    u = 1.0
+    pb = [u]
     for p, c in zip(inner, inner_c):
-        t = t * (p * sin_ax - c * cos_x_sin_a)
         u = u * (p * sin_xb - c * cos_b_sin_x)
-        append_a(t)
-        append_b(u)
+        pb.append(u)
     for c in outer_c:
-        t = t * (sin_ax + c * sin_x_cos_a)
         u = u * (sin_xb + c * sin_b_cos_x)
-        append_a(t)
-        append_b(u)
-    return pa, pb
+        pb.append(u)
+    pb.reverse()  # pb[j] = prod(d_xb[:n-j]), which B_j reads
+    t = 1.0
+    values = []
+    j = 0  # indexing row and pb is faster at small n than zipping them
+    for p, c in zip(inner, inner_c):
+        values.append(row[j] * t * pb[j] / den)
+        t = t * (p * sin_ax - c * cos_x_sin_a)
+        j += 1
+    for c in outer_c:
+        values.append(row[j] * t * pb[j] / den)
+        t = t * (sin_ax + c * sin_x_cos_a)
+        j += 1
+    values.append(row[j] * t * pb[j] / den)
+    return values
 
 
 def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificate:

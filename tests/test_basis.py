@@ -24,7 +24,7 @@ from qtrig import (
     rational_basis_all,
     rational_basis_matrix,
 )
-from qtrig.basis import _product_chain
+from qtrig.curve import _product_chain
 from conftest import random_curve_case
 from oracles import (
     basis_direct_mp,

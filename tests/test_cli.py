@@ -258,6 +258,20 @@ def test_rational_basis_rejects_nan_rows(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_basis_table_that_leaves_float64_exits_1_without_warnings(tmp_path, capsys):
+    # at (34, 4) on [-1, 0.2] the running products of the kernel tables
+    # overflow from x = -0.88 on while the row and the denominator product
+    # stay finite; RuntimeWarnings are errors under this suite's settings
+    out = tmp_path / "b.csv"
+    argv = ["--degree", "34", "--q", "4", "--interval", "-1,0.2", "--samples", "11", "--out", str(out)]
+    assert main(["basis", *argv]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "qtrig: error: degree 34, q=4.0: the basis leaves float64 at x = -0.88\n"
+    assert main(["rational", "--basis", *argv]) == 3  # the rational family refuses its NaN rows first
+    assert capsys.readouterr().err.startswith("qtrig: singular denominator:")
+    assert not out.exists()
+
+
 def test_rational_basis_rejects_overflowing_sums(tmp_path, capsys):
     # 1.7e308 (B_0 + B_1) overflows where both B_k are near 1/sqrt(2)
     out = tmp_path / "x.csv"

@@ -333,6 +333,67 @@ def test_a_nan_x_meets_the_checks_in_order_certificate_x_row_denominator(kind):
             assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("kind", _FAILURE_KINDS)
+def test_each_failure_kind_raises_on_every_repeated_call(kind):
+    # the same key objects call after call: a repeated key must not skip a check
+    (n, q, iv), outcomes = _FAILURE_KINDS[kind]
+    for name, route in _FAILURE_ROUTES.items():
+        if outcomes[name] is None:
+            continue
+        error, message = outcomes[name]
+        for _ in range(3):
+            with pytest.raises(error) as raised:
+                route(n, q, iv)
+            assert str(raised.value) == message, (kind, name)
+
+
+def test_a_repeated_key_of_the_same_plain_objects_skips_the_memo():
+    iv, q, n = Interval(0.0, 1.0), 1.3, 4
+    plan = _plan(iv, q, n)
+    before = _evaluation_plan.cache_info()
+    assert all(_plan(iv, q, n) is plan for _ in range(3))
+    assert _evaluation_plan.cache_info() == before
+    # an equal q of another float object is another key: the memo serves it
+    assert _plan(iv, float("1.3"), n) is plan
+    assert _evaluation_plan.cache_info().hits == before.hits + 1
+
+
+def test_keys_called_in_turn_each_get_their_own_plan():
+    iv, q, n = Interval(0.0, 1.0), 1.3, 4
+    for other in ((Interval(0.1, 1.0), q, n), (Interval(0.0, 1.1), q, n), (iv, 1.4, n), (iv, q, 5)):
+        keys = ((iv, q, n), other)  # each differs from the first in one of a, b, q and n
+        want = [_evaluation_plan(float(v.a), float(v.b), float(p), m) for v, p, m in keys]
+        for _ in range(3):
+            for key, plan in zip(keys, want):
+                assert _plan(*key) is plan, other
+
+
+def test_a_replaced_endpoint_gets_the_new_intervals_plan():
+    # Interval is frozen, but object.__setattr__ still replaces an endpoint
+    q, n = 1.3, 4
+    for field, value in (("a", 0.2), ("b", 1.5)):
+        iv = Interval(0.0, 1.0)
+        first = basis_all_direct(n, 0.5, q, iv).values
+        object.__setattr__(iv, field, value)
+        fresh = Interval(iv.a, iv.b)
+        assert _plan(iv, q, n) is _evaluation_plan(iv.a, iv.b, q, n)
+        got = basis_all_direct(n, 0.5, q, iv).values
+        assert got.tobytes() == basis_all_direct(n, 0.5, q, fresh).values.tobytes() != first.tobytes()
+
+
+def test_a_0d_array_key_mutated_in_place_gets_a_fresh_plan():
+    x, n = 0.5, 4
+    q, b, degree = np.array(1.3), np.array(1.0), np.array(n)
+    iv = Interval(0.0, b)
+    for _ in range(2):  # the same objects again, once their values have changed
+        plan = _evaluation_plan(0.0, float(b), float(q), int(degree))
+        assert _plan(iv, q, degree) is plan
+        assert (plan.q, plan.n) == (float(q), int(degree))
+        want = basis_all_direct(int(degree), x, float(q), Interval(0.0, float(b))).values
+        assert basis_all_direct(degree, x, q, iv).values.tobytes() == want.tobytes()
+        q[...], b[...], degree[...] = 2.5, 1.5, n + 1
+
+
 _IV = Interval(0.3, 1.4)
 _PLANAR = ControlPolygon(np.array([[0.0, 0.0], [1.0, 2.0]]))  # two points of dimension 2
 # every route that takes x, as a function of one x; a route for arrays gets

@@ -1,4 +1,4 @@
-"""Smoke tests: both scripts run end to end through their __main__ blocks."""
+"""Smoke tests: the scripts run end to end through their __main__ blocks."""
 
 import pathlib
 import runpy
@@ -28,3 +28,15 @@ def test_make_figures_writes_the_gallery(tmp_path, monkeypatch, capsys):
 def test_shape_sweep_passes(monkeypatch, capsys):
     assert run_script("shape_sweep.py", [], monkeypatch) == 0
     assert capsys.readouterr().out.rstrip().endswith("all checks passed")
+
+
+def test_op_digests_prints_the_same_line_on_two_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ and perfbench/ in front
+    monkeypatch.setenv("PYTHONPATH", "")  # and src/ in the children's PYTHONPATH
+    lines = []
+    for _ in range(2):
+        assert run_script("op_digests.py", ["point-query", "--seeds", "1"], monkeypatch) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    workload, seed, sha1 = lines[0].split()
+    assert (workload, seed, len(sha1)) == ("point-query", "1", 40)
