@@ -61,6 +61,25 @@ out=$(qtrig check tp --degree 4 --q 2 --interval 0,pi/2 --weights 1,2,-0.01,2,1)
 test "$code" -eq 4
 echo "$out" | grep -F '"route": "exhaustive"'
 
+# Console script: the route is read before the minor cap.  A 21 x 30
+# quarter-period collocation, far over the cap, passes by its route without
+# a minor checked; off the quarter grid a 10 x 30 one is collocated and then
+# refused by the exhaustive route's cap
+out=$(timeout 5 qtrig check tp --degree 20 --q 1.5 --interval 0,pi/2 --grid 30)
+echo "$out" | grep -F '"route": "quarter-period Vandermonde"'
+echo "$out" | grep -F '"minors_checked": 0'
+code=0
+out=$(qtrig check tp --degree 9 --q 1.5 --interval 0.3,1.4 --grid 30 2>&1) || code=$?
+test "$code" -eq 1
+test "$out" = "qtrig: error: matrix has 847660527 square submatrices, refusing to enumerate more than 1000000"
+
+# Console script: CSV takes exactly one --q, refused before any table is
+# built, so --q 1 does not meet its invalid interval on [0, pi] first
+code=0
+out=$(qtrig basis --degree 3 --q 1 --q 2 --interval 0,pi 2>&1) || code=$?
+test "$code" -eq 1
+test "$out" = "qtrig: error: csv output supports exactly one --q, got 2"
+
 # 3 x 100 collocations off the quarter grid, exhaustive: C(100, 2) and
 # C(100, 3) column sets are more than one stack holds, so the check takes
 # them in runs of column sets, unranked at order 3; not TP at q = 0.5, TP at

@@ -16,17 +16,17 @@ The same loop serves an array of x column by column.  Two degree-raising
 recurrences evaluate the whole vector from the raw kernel tables; they
 agree with the product formula and with each other.
 
-Every route reads the x-free part of its work (the q-binomial row, the
-certified denominators and their product) from one memoised evaluation
-plan per (a, b, q, n), kernel._plan, so a single-x call makes one lookup
-and then does only its x-dependent work.
+Every route makes one kernel call, kernel._product_formula or
+kernel._tables, which reads the x-free part of its work (the q-binomial
+row, the certified denominators and their product) from one memoised
+evaluation plan per (a, b, q, n) and then does only the x-dependent work.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, _plan, _product_formula, _tables
+from .kernel import Interval, _product_formula, _tables
 
 __all__ = [
     "BasisVector",
@@ -69,7 +69,7 @@ def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    values = _product_formula(_plan(interval, q, n), interval, x, q)
+    values = _product_formula(interval, x, q, n)
     return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
 
 
@@ -83,15 +83,14 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     shape = np.shape(xs)
     if len(shape) != 1:
         raise ValueError(f"xs must be a 1-D sequence of points, got shape {shape}")
-    columns = _product_formula(_plan(interval, q, n), interval, xs, q, columns=True)
+    columns = _product_formula(interval, xs, q, n, columns=True)
     values = np.empty((shape[0], n + 1))
     values[:] = np.array(columns).T  # at n = 0 the one entry is a float, broadcast to m rows
     return values
 
 
 def _recurrence(n, x, q, interval, second_form):
-    plan = _plan(interval, q, n)
-    d_ax, d_xb = _tables(plan, interval, x, q)
+    plan, d_ax, d_xb = _tables(interval, x, q, n)
     d_ab, powers = plan.d_ab, plan.powers
     row = [1.0]
     for m in range(1, n + 1):

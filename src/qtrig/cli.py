@@ -27,6 +27,7 @@ from .kernel import Interval
 from .rational import rational_basis_matrix, rational_sample
 from .shape import (
     DEFAULT_TP_TOL,
+    MINOR_CAP,
     _refuse_over_cap,
     collocation,
     convex_hull,
@@ -49,15 +50,11 @@ VDP_SAMPLES = 2048
 SIGNS_SAMPLES = 512
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # the exit-code contract reserves 2 for invalid intervals, so usage
     # errors must not use argparse's default exit(2)
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
     # every flag is long, so a value such as -pi/8,pi/4, -1e-3 or -1,2,1
     # is an argument, where argparse would read it as an unknown flag
@@ -110,7 +107,7 @@ def _polygon(cfg: argparse.Namespace, dim: Optional[int] = None):
     polygon = ControlPolygon(points)
     if dim is not None and polygon.dim != dim:
         kind = "2-d" if dim == 2 else "scalar"
-        raise _UsageError(f"check {cfg.property} needs {kind} control points")
+        raise ValueError(f"check {cfg.property} needs {kind} control points")
     weights = getattr(cfg, "weights", None)  # curve and check signs have no --weights
     if weights is None:
         weights = np.ones(polygon.degree + 1) if file_weights is None else file_weights
@@ -126,9 +123,7 @@ def _emit(out: str, text: str) -> None:
 
 
 def _write_table(cfg: argparse.Namespace, xs, values, labels, key: str) -> int:
-    """CSV rows (x, *labels) or JSON records {"x": x, key: row}; one --q only."""
-    if len(cfg.qs) != 1:
-        raise _UsageError(f"{cfg.fmt} output supports exactly one --q, got {len(cfg.qs)}")
+    """CSV rows (x, *labels) or JSON records {"x": x, key: row} of the one --q main() allows."""
     pairs = zip(xs.tolist(), values.tolist())
     if cfg.fmt == "csv":
         rows = [[x, *row] for x, row in pairs]
@@ -169,7 +164,7 @@ def _write_curve_output(cfg: argparse.Namespace, sweeps, polygon: ControlPolygon
     """One sampled curve per --q; SVG adds the dashed control polygon."""
     if cfg.fmt == "svg":
         if polygon.dim != 2:
-            raise _UsageError("svg output needs 2-d control points")
+            raise ValueError("svg output needs 2-d control points")
         polylines = [_polyline(*s.points.T, PALETTE[qi % len(PALETTE)])
                      for qi, s in enumerate(sweeps)]
         outline = _polyline(*polygon.points.T, "#555555", dash="4 3", width_scale=0.7)
@@ -188,7 +183,7 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
 def cmd_rational(cfg: argparse.Namespace) -> int:
     """The rational basis with --basis, else the curve of --polygon."""
     if cfg.basis_mode != (cfg.degree is not None):
-        raise _UsageError("rational takes --basis and --degree together")
+        raise ValueError("rational takes --basis and --degree together")
     if cfg.basis_mode:
         weights = np.ones(cfg.degree + 1) if cfg.weights is None else cfg.weights
         return cmd_basis(cfg, weights)
@@ -198,7 +193,8 @@ def cmd_rational(cfg: argparse.Namespace) -> int:
 
 
 def _check_tp(cfg: argparse.Namespace) -> dict:
-    _refuse_over_cap(cfg.degree + 1, cfg.grid)  # before collocating, whose cost grows with --grid
+    if (cfg.degree + 1) * cfg.grid > MINOR_CAP:  # its entries alone, order-1 minors, exceed the cap
+        _refuse_over_cap(cfg.degree + 1, cfg.grid)  # before collocating, whose cost grows with them
     q = cfg.qs[0]
     a, b = cfg.interval.a, cfg.interval.b
     pts = [a + (b - a) * (j + 1) / (cfg.grid + 1) for j in range(cfg.grid)]
@@ -238,7 +234,7 @@ def _check_hull(cfg: argparse.Namespace) -> dict:
 
 def _check_vdp(cfg: argparse.Namespace) -> dict:
     if cfg.grid < 1:  # before the polygon is read and sampled
-        raise _UsageError(f"check vdp needs at least 1 line, got --grid {cfg.grid}")
+        raise ValueError(f"check vdp needs at least 1 line, got --grid {cfg.grid}")
     polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
     pts = rational_sample(polygon, weights, q, cfg.interval, cfg.samples).points
@@ -283,7 +279,7 @@ def _check_signs(cfg: argparse.Namespace) -> dict:
 
 def cmd_check(cfg: argparse.Namespace) -> int:
     if len(cfg.qs) != 1:
-        raise _UsageError("check takes exactly one --q")
+        raise ValueError("check takes exactly one --q")
     payload = cfg.check(cfg)
     print(f"{payload['check']}: {'PASS' if payload['pass'] else 'FAIL'}")
     print(json.dumps(payload, sort_keys=True))
@@ -369,10 +365,9 @@ def main(argv=None) -> int:
     try:
         cfg = parser.parse_args(argv)
         cfg.interval = parse_interval(cfg.interval)
+        if getattr(cfg, "fmt", None) in ("csv", "json") and len(cfg.qs) != 1:  # before any table is built
+            raise ValueError(f"{cfg.fmt} output supports exactly one --q, got {len(cfg.qs)}")
         return cfg.run(cfg)
-    except _UsageError as exc:
-        print(f"qtrig: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvalidIntervalError as exc:
         print(f"qtrig: invalid interval: {exc}", file=sys.stderr)
         return EXIT_INTERVAL

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import basis_all_direct, basis_matrix
 from .errors import FloatRangeError, _finite_input
-from .kernel import Interval, _checked_den, _plan, _tables
+from .kernel import Interval, _checked_den, _tables
 from .qcalc import q_binomial_row
 
 __all__ = [
@@ -167,8 +167,7 @@ def _tableau(polygon, x, q, interval, variant):
     The entries of all stages fill one (N, dim) array, and rows[r] is a
     view of its stage-r block.
     """
-    plan = _plan(interval, q, polygon.degree)
-    d_ax, d_xb = _tables(plan, interval, x, q)
+    plan, d_ax, d_xb = _tables(interval, x, q, polygon.degree)
     entries = []
     for stage in _stages(polygon.points.tolist(), d_ax, d_xb, plan, variant):
         entries += stage
@@ -235,8 +234,7 @@ def intermediate_explicit(
     n = polygon.degree
     if r < 0 or r > n or k < 0 or k > n - r:
         raise IndexError(f"tableau entry (r={r}, k={k}) outside degree-{n} scheme")
-    plan = _plan(interval, q, n)
-    d_ax, d_xb = _tables(plan, interval, x, q)
+    plan, d_ax, d_xb = _tables(interval, x, q, n)
     q = plan.q
     alg1 = variant == "alg1"
     try:  # the prefactor times [r j]_q starts chain j
@@ -285,8 +283,7 @@ def sample_curve(
         # a plain basis @ points may round differently
         points = np.matmul(basis[:, None, :], polygon.points)[:, 0]
     else:
-        plan = _plan(interval, q, polygon.degree)
-        d_ax, d_xb = _tables(plan, interval, xs, q, columns=True)
+        plan, d_ax, d_xb = _tables(interval, xs, q, polygon.degree, columns=True)
         # each control point is one (dim, 1) block, which the (m,) columns
         # broadcast to (dim, m): one numpy call per operation, whatever dim is
         for stage in _stages([[p] for p in polygon.points[:, :, None]], d_ax, d_xb, plan, method):

@@ -22,18 +22,18 @@ only, so it is built once per key into an evaluation plan: the powers q^i,
 the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
 the product of the denominators and, for a certified key only, the
-q-binomial row.  A call at one x then makes one plan lookup and does only
-its x-dependent work: four trig calls, 2n kernel entries and, for a basis,
-the product formula, formed in the same loops as the entries.  The last 128
-plans are kept; in front of this memo, a call that passes the very endpoint,
-q and n objects of the last one, all plain floats or ints, gets its plan
-again.  The two are the package's only state.  Each plan holds the powers,
-the denominators, n precomputed form terms and the row, about 136 bytes per
-unit of n + 1 under tracemalloc, so the memo holds at most about 17 KiB per
-unit of n + 1 for degrees up to n (17 MB at n = 1000).  A failure is held
-as a marker, never as an exception: a plan whose denominators meet an inf
-or NaN raises FloatRangeError on every call, and an uncertified one
-InvalidIntervalError.
+q-binomial row.  A route at one x makes one kernel call, which looks up
+the plan and does only its x-dependent work: four trig calls, 2n kernel
+entries and, for a basis, the product formula, formed in the same loops as
+the entries.  The last 128 plans are kept; in front of this memo, a call
+that passes the very endpoint, q and n objects of the last one, all plain
+floats or ints, gets its plan again.  The two are the package's only
+state.  Each plan holds the powers, the denominators, n precomputed form
+terms and the row, about 136 bytes per unit of n + 1 under tracemalloc, so
+the memo holds at most about 17 KiB per unit of n + 1 for degrees up to n
+(17 MB at n = 1000).  A failure is held as a marker, never as an exception:
+a plan whose denominators meet an inf or NaN raises FloatRangeError on
+every call, and an uncertified one InvalidIntervalError.
 
 Every route meets the same checks in this order: the plan's certificate
 (every d(a, b; q^i) finite, then clear of zero), then x, then its own
@@ -223,16 +223,18 @@ def _plan(interval: Interval, q: float, n: int) -> _Plan:
     return plan
 
 
-def _x_terms(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple:
-    """The checks and trig terms at x that _tables and _product_formula share.
+def _x_terms(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
+    """The plan, checks and trig terms at x that _tables and _product_formula share.
 
-    Raises InvalidIntervalError, naming q as the caller passed it, where the
-    plan is not certified.  x is one point, or with columns an array of
-    points too; an x that is not finite raises ValueError, and an array
-    without columns TypeError.  Returns sin(x - a), cos x sin a, sin x cos a
+    Looks up the plan of (interval, q, n) with _plan, then raises
+    InvalidIntervalError, naming q as the caller passed it, where the plan
+    is not certified.  x is one point, or with columns an array of points
+    too; an x that is not finite raises ValueError, and an array without
+    columns TypeError.  Returns the plan, sin(x - a), cos x sin a, sin x cos a
     for the d(a, x) row, then sin(b - x), cos b sin x, sin b cos x for the
     d(x, b) row, as _kernel_row reads them.
     """
+    plan = _plan(interval, q, n)
     if plan.failing is not None:
         raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
     a, b = interval.a, interval.b
@@ -251,7 +253,7 @@ def _x_terms(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tu
         sin, cos = np.sin, np.cos
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
-    return sin(x - a), cos_x * sin_a, sin_x * cos_a, sin(b - x), cos_b * sin_x, sin_b * cos_x
+    return plan, sin(x - a), cos_x * sin_a, sin_x * cos_a, sin(b - x), cos_b * sin_x, sin_b * cos_x
 
 
 def _checked_den(den: float, n: int, q) -> float:
@@ -261,33 +263,30 @@ def _checked_den(den: float, n: int, q) -> float:
     return den
 
 
-def _tables(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> tuple[list, list]:
-    """d_ax and d_xb of kernel_tables, from the plan of (interval, q, n).
-
-    Checks x and the certificate as _x_terms does.
-    """
-    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(plan, interval, x, q, columns)
+def _tables(interval: Interval, x, q, n: int, columns: bool = False) -> tuple[_Plan, list, list]:
+    """The plan of (interval, q, n) and the d_ax and d_xb of kernel_tables from it, checked as _x_terms does."""
+    plan, sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(interval, x, q, n, columns)
     forms = plan.forms
-    return (_kernel_row(forms, sin_ax, cos_x_sin_a, sin_x_cos_a),
+    return (plan, _kernel_row(forms, sin_ax, cos_x_sin_a, sin_x_cos_a),
             _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
 
 
-def _product_formula(plan: _Plan, interval: Interval, x, q, columns: bool = False) -> list:
+def _product_formula(interval: Interval, x, q, n: int, columns: bool = False) -> list:
     """B_0..B_n of the product formula at x, formed in the kernel loop.
 
     B_j = row[j] * pa[j] * pb[n-j] / den, where pa[j] = prod(d_ax[:j]) and
-    pb[j] = prod(d_xb[:j]), on floats or (m,) columns alike.  Checks the
-    certificate and x as _x_terms does, then the product formula's own
-    ranges, the row plan.row and the denominator plan.den, before any
-    product is formed: on columns a failing denominator would otherwise meet
-    numpy's overflow warnings first.  One pass forms each d(x,b;q^i) and
-    multiplies it into its running product (u = u * d, from 1.0); a second
-    forms each B_j and then multiplies d(a,x;q^j) into its running product t
-    the same way.  Every entry is _kernel_row's expression, taken in its
+    pb[j] = prod(d_xb[:j]), on floats or (m,) columns alike.  Looks up the
+    plan and checks the certificate and x as _x_terms does, then the product
+    formula's own ranges, the row plan.row and the denominator plan.den,
+    before any product is formed: on columns a failing denominator would
+    otherwise meet numpy's overflow warnings first.  One pass forms each
+    d(x,b;q^i) and multiplies it into its running product (u = u * d, from
+    1.0); a second forms each B_j and then multiplies d(a,x;q^j) into its
+    running product t the same way.  Every entry is _kernel_row's expression, taken in its
     order from plan.forms, so each B_j is bit-identical to the chain over
     the accumulated prefix products of _tables' rows.
     """
-    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(plan, interval, x, q, columns)
+    plan, sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(interval, x, q, n, columns)
     row = _checked_row(plan.row, plan.n, plan.q)
     den = _checked_den(plan.den, plan.n, q)
     inner, inner_c, outer_c = plan.forms
@@ -344,6 +343,5 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
     in the package reads these tables from the same plan so that identical
     subexpressions are bit-identical across methods.
     """
-    plan = _plan(interval, q, n)
-    d_ax, d_xb = _tables(plan, interval, x, q, columns=True)
+    plan, d_ax, d_xb = _tables(interval, x, q, n, columns=True)
     return d_ax, d_xb, list(plan.d_ab[:plan.n])

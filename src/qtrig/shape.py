@@ -39,8 +39,9 @@ column sets.  One take gathers a tile, in enumeration order, into a stack
 of at most MINOR_BLOCK entries, and each stack takes one determinant call.
 One test passes a stack whose determinants and scales all lie in float
 range; in any other, the minors that leave it are taken again, in one more
-determinant call, with each row rescaled exactly by a power of two.  Both
-routes refuse a matrix over MINOR_CAP alike.
+determinant call, with each row rescaled exactly by a power of two.  Only
+this route refuses a matrix over MINOR_CAP; the structural one decides a
+collocation of any size.
 """
 
 import math
@@ -242,18 +243,18 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
     """Decide whether every minor of a matrix is nonnegative.
 
     Accepts a CollocationMatrix or anything array-like.  Refuses a tolerance
-    that is NaN, infinite or negative, matrices with NaN or inf entries, and
-    matrices with more than MINOR_CAP square submatrices, whichever route
-    would decide them.  A CollocationMatrix whose route collocation() set to
-    "quarter-period Vandermonde" is then totally positive by the module
-    docstring's factorisation: the report has that route, minors_checked 0,
-    no witness, and None for worst_minor and worst_scaled.  Every other
-    matrix takes the exhaustive route: a minor with determinant det and
-    row-max-norm product scale fails when det < -tolerance * scale; a minor
-    whose det or scale leaves float range is taken again with its rows
-    rescaled by powers of two.  The witness is the first worst minor in the
-    order (size, row set, column set), sets in lexicographic order.  The
-    tolerance is reported as a float.
+    that is NaN, infinite or negative and a matrix with NaN or inf entries.
+    A CollocationMatrix whose route collocation() set to "quarter-period
+    Vandermonde" is then totally positive by the module docstring's
+    factorisation, however many minors it has: the report has that route,
+    minors_checked 0, no witness, and None for worst_minor and worst_scaled.
+    Every other matrix takes the exhaustive route, which refuses a matrix
+    with no minors or more than MINOR_CAP of them.  There a minor with
+    determinant det and row-max-norm product scale fails when
+    det < -tolerance * scale; a minor whose det or scale leaves float range
+    is taken again with its rows rescaled by powers of two.  The witness is
+    the first worst minor in the order (size, row set, column set), sets in
+    lexicographic order.  The tolerance is reported as a float.
     """
     if not 0.0 <= tolerance <= sys.float_info.max:  # refuses an int beyond the float range too
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
@@ -263,13 +264,13 @@ def total_positivity_check(matrix, tolerance: float = DEFAULT_TP_TOL) -> TPRepor
                             "matrix entries must be finite")  # a NaN minor never compares below the worst
     if entries.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {entries.shape}")
+    if collocated and matrix.route == QUARTER_PERIOD_VANDERMONDE:
+        return TPReport(is_tp=True, minors_checked=0, worst_minor=None, worst_scaled=None,
+                        tolerance=tolerance, witness=None, route=QUARTER_PERIOD_VANDERMONDE)
     n_rows, n_cols = entries.shape
     total = _refuse_over_cap(n_rows, n_cols)
     if total == 0:
         raise ValueError("matrix has no minors")
-    if collocated and matrix.route == QUARTER_PERIOD_VANDERMONDE:
-        return TPReport(is_tp=True, minors_checked=0, worst_minor=None, worst_scaled=None,
-                        tolerance=tolerance, witness=None, route=QUARTER_PERIOD_VANDERMONDE)
 
     flat = np.ascontiguousarray(entries).ravel()
     worst_scaled, worst_det, worst_idx = math.inf, 0.0, None

@@ -102,8 +102,17 @@ def test_multiple_q_rejected_for_tabular_output(tmp_path):
      "need at least 1 sample, got 0"),
     (["check", "tp", "--degree", "3", "--q", "1.5", "--q", "2", "--interval", "0,pi/2"],
      "check takes exactly one --q"),
+    # refused before any table is built, so not by the invalid interval of --q 1
+    (["basis", "--degree", "3", "--q", "1", "--q", "2", "--interval", "0,pi"],
+     "csv output supports exactly one --q, got 2"),
+    (["basis", "--degree", "3", "--q", "1", "--q", "2", "--interval", "0,pi", "--format", "json"],
+     "json output supports exactly one --q, got 2"),
 ])
-def test_refused_arguments_exit_1_with_the_reason(argv, message, capsys):
+def test_refused_arguments_exit_1_with_the_reason(argv, message, capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table for arguments that are refused")
+
+    monkeypatch.setattr("qtrig.cli.basis_matrix", no_table)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -419,6 +428,33 @@ def test_check_tp_degree_9_on_12_points(capsys):
     assert payload["route"] == "quarter-period Vandermonde"
     assert payload["minors_checked"] == 0
     assert (payload["worst_minor"], payload["worst_scaled"]) == (None, None)
+
+
+def test_check_tp_over_the_minor_cap_takes_its_route_first(capsys, monkeypatch):
+    # 21 x 30 has C(51, 21) - 1 minors, over MINOR_CAP; the quarter-period route counts none
+    code = main(["check", "tp", "--degree", "20", "--q", "1.5", "--interval", "0,pi/2", "--grid", "30"])
+    assert code == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[0] == "tp: PASS"
+    payload = json.loads(out[-1])
+    assert payload["route"] == "quarter-period Vandermonde"
+    assert payload["minors_checked"] == 0
+    assert (payload["worst_minor"], payload["worst_scaled"]) == (None, None)
+    # off the quarter grid the 10 x 30 collocation is built, then the exhaustive route refuses it
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(collocation(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("qtrig.cli.collocation", spy)
+    code = main(["check", "tp", "--degree", "9", "--q", "1.5", "--interval", "0.3,1.4", "--grid", "30"])
+    assert code == 1
+    assert [mat.entries.shape for mat in built] == [(10, 30)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qtrig: error: matrix has 847660527 square submatrices, "
+                            "refusing to enumerate more than 1000000\n")
 
 
 def test_check_tp_refuses_before_collocating(capsys, monkeypatch):

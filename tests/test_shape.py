@@ -225,6 +225,18 @@ def test_tp_check_refuses_oversized_matrices():
     assert minor_count(20, 20) > 1_000_000
 
 
+def test_quarter_period_route_decides_a_collocation_over_the_cap():
+    # the collocation of `qtrig check tp --degree 20 --q 1.5 --interval 0,pi/2 --grid 30`:
+    # C(51, 21) - 1 minors, which only the exhaustive route would enumerate
+    interval = Interval(0.0, math.pi / 2)
+    pts = [interval.a + interval.length * (j + 1) / 31 for j in range(30)]
+    mat = collocation("quantum", 20, 1.5, interval, pts)
+    rep = total_positivity_check(mat)
+    assert (rep.route, rep.is_tp, rep.minors_checked) == (QUARTER_PERIOD_VANDERMONDE, True, 0)
+    with pytest.raises(MinorCapExceededError):
+        total_positivity_check(mat.entries)
+
+
 def test_cap_refuses_exactly_the_matrices_over_it():
     # from 12 x 12 on the count is not taken, so the bound must hold there
     assert minor_count(11, 11) <= MINOR_CAP < minor_count(12, 12)
