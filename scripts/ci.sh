@@ -92,3 +92,15 @@ echo "$out" | grep -F '"route": "exhaustive"'
 out=$(qtrig check tp --degree 2 --q 1.5 --interval 0.3,1.4 --grid 100)
 echo "$out" | grep -F '"minors_checked": 176850'
 echo "$out" | grep -F '"route": "exhaustive"'
+
+# Console script: 1000-point alg1 and alg2 sweeps of a 31-point planar
+# polygon, the degree that dominates eval-sweep's tableau sweeps, exit 0
+# with a header and 1000 data rows each
+polygon=$(mktemp)
+python3 -c 'import json, math
+print(json.dumps({"points": [[math.cos(k * math.pi / 30), (1 + k % 3) * math.sin(k * math.pi / 30)] for k in range(31)]}))' > "$polygon"
+for method in alg1 alg2; do
+  rows=$(qtrig curve --polygon "$polygon" --q 1.5 --interval 0,pi/2 --method "$method" --samples 1000 | tail -n +2 | wc -l)
+  test "$rows" -eq 1000
+done
+rm -f "$polygon"

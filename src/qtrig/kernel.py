@@ -40,7 +40,8 @@ Every route meets the same checks in this order: the plan's certificate
 range checks, for the product formula the q-binomial row and then the
 denominator product.  The x check refuses an x that is inf or NaN, or an
 int beyond the float range, with ValueError; a single-x route also
-refuses a sequence of x with TypeError.
+refuses a sequence of x with TypeError, and a route that takes an array of
+x refuses one of two or more dimensions with ValueError.
 """
 
 import functools
@@ -228,11 +229,12 @@ def _x_terms(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
 
     Looks up the plan of (interval, q, n) with _plan, then raises
     InvalidIntervalError, naming q as the caller passed it, where the plan
-    is not certified.  x is one point, or with columns an array of points
-    too; an x that is not finite raises ValueError, and an array without
-    columns TypeError.  Returns the plan, sin(x - a), cos x sin a, sin x cos a
-    for the d(a, x) row, then sin(b - x), cos b sin x, sin b cos x for the
-    d(x, b) row, as _kernel_row reads them.
+    is not certified.  x is one point, or with columns a 1-D array of points
+    too; an x that is not finite or has two or more dimensions raises
+    ValueError, and an array without columns TypeError.  Returns the plan,
+    sin(x - a), cos x sin a, sin x cos a for the d(a, x) row, then
+    sin(b - x), cos b sin x, sin b cos x for the d(x, b) row, as _kernel_row
+    reads them.
     """
     plan = _plan(interval, q, n)
     if plan.failing is not None:
@@ -250,6 +252,8 @@ def _x_terms(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
         if not columns and np.ndim(x):  # before conversion: any sequence, whatever it holds
             raise TypeError(f"x must be one point, got an array of shape {np.shape(x)}")
         x = _finite_input(x, "x must be finite")
+        if x.ndim > 1:
+            raise ValueError(f"x must be one point or a 1-D array of points, got shape {x.shape}")
         sin, cos = np.sin, np.cos
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
@@ -339,9 +343,10 @@ def kernel_tables(interval: Interval, x, q: float, n: int) -> tuple[list, list, 
     for a float x, (m,) columns bit-identical to them for an array of m
     points, and x-free floats in d_ab.  The interval is certified first, as
     certify_interval(interval, q, n) would, and InvalidIntervalError raised
-    if it fails; an x that is inf or NaN raises ValueError.  Every evaluator
-    in the package reads these tables from the same plan so that identical
-    subexpressions are bit-identical across methods.
+    if it fails; an x that is inf or NaN, or has two or more dimensions,
+    raises ValueError.  Every evaluator in the package reads these tables
+    from the same plan so that identical subexpressions are bit-identical
+    across methods.
     """
     plan, d_ax, d_xb = _tables(interval, x, q, n, columns=True)
     return d_ax, d_xb, list(plan.d_ab[:plan.n])

@@ -14,8 +14,9 @@ positive (Gantmacher & Krein; Gasca & Pena, Linear Algebra Appl. 165,
 1992).  Positive rational weights only add two more positive diagonals.
 collocation() takes the route on such an interval at q > 0 (the classical
 family collocates at q = 1), with every weight > 0 for the rational family,
-and records it in the matrix, whose entries it makes read-only; a matrix
-built by hand or copied takes the exhaustive route.  One more condition
+and records it in the matrix, whose entries it makes read-only and whose
+points it keeps as a read-only copy; a matrix built by hand or copied
+takes the exhaustive route.  One more condition
 covers floats: an endpoint off the grid by delta moves the zeros of the
 kernel factors d(a, x; q^i) and d(x, b; q^i) off the endpoint by about
 delta |q^(+-i) - 1|.  The n - 1 factors that move (q^0 gives sin(y - x),
@@ -128,7 +129,7 @@ def collocation(
     points,
     weights=None,
 ) -> CollocationMatrix:
-    """Collocation matrix of a basis family at strictly increasing points; its entries are read-only."""
+    """Collocation matrix of a basis family at strictly increasing points; its entries and points are read-only."""
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     pts = _finite_input(points, "points must be finite")  # NaN would pass the order and bounds checks below
@@ -138,6 +139,8 @@ def collocation(
         raise ValueError("points must be strictly increasing")
     if pts[0] < interval.a or pts[-1] > interval.b:
         raise ValueError(f"points must lie inside [{interval.a}, {interval.b}]")
+    pts = pts.copy()  # the route is decided on these points: a later edit of the caller's reaches none
+    pts.flags.writeable = False
 
     w = None
     if family == "rational":  # mixed-sign weights pass the denominator certificate first

@@ -133,6 +133,15 @@ def test_control_polygon_properties(arch_polygon):
         ControlPolygon([[10**400, 0.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
         ControlPolygon(np.zeros((2, 2, 2)))
+    # the polygon keeps a read-only copy: a later edit of the caller's array
+    # reaches neither its points nor a sweep of it
+    given = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
+    kept = ControlPolygon(given)
+    given[1, 1] = np.inf
+    assert kept.points.tolist() == [[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]]
+    assert np.isfinite(sample_curve(kept, 1.5, Interval.quarter(0), 5, "alg1").points).all()
+    with pytest.raises(ValueError, match="read-only"):
+        kept.points[1, 1] = 0.0
 
 
 def test_tableau_structure(quarter, arch_polygon):

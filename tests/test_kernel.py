@@ -435,6 +435,13 @@ def test_single_x_routes_refuse_a_sequence_of_x():
         assert np.all(np.isfinite(route(np.float32(0.5)))), name  # one point of another type
 
 
+def test_array_routes_refuse_an_x_of_two_dimensions():
+    for xs in ([[0.1, 0.2]], np.full((2, 2), 0.5)):
+        for route in (lambda: kernel_tables(_IV, xs, 1.3, 2), lambda: basis_matrix(2, xs, 1.3, _IV)):
+            with pytest.raises(ValueError, match="1-D"):
+                route()
+
+
 def test_one_point_of_another_numeric_type_gives_the_bits_of_its_float():
     for x in (np.float32(0.5), np.int64(1), np.array(0.5), True):
         for n, q in ((0, 1.3), (3, 1.3), (6, 0.7), (12, -1.5)):

@@ -376,8 +376,13 @@ def test_quarter_period_route_falls_back_to_the_minors(quarter):
 
 
 def test_only_collocation_sets_the_quarter_period_route(quarter):
-    mat = collocation("quantum", 3, 1.5, quarter, [0.3, 0.6, 0.9, 1.2])
+    given = np.array([0.3, 0.6, 0.9, 1.2])
+    mat = collocation("quantum", 3, 1.5, quarter, given)
     assert total_positivity_check(mat).route == QUARTER_PERIOD_VANDERMONDE
+    given[1] = 2.0  # the matrix keeps a read-only copy of the points its route was decided on
+    assert mat.points.tolist() == [0.3, 0.6, 0.9, 1.2]
+    with pytest.raises(ValueError, match="read-only"):
+        mat.points[1] = 2.0
     negated = dataclasses.replace(mat, entries=-mat.entries)  # a copy keeps no verdict
     rep = total_positivity_check(negated)
     assert rep.route == "exhaustive" and not rep.is_tp

@@ -81,10 +81,17 @@ def _negative_q_cases(seed):
             for n in (1, 7, 30) for dim in (1, 2, 3)]
 
 
+def _degree_60_cases(seed):
+    """Degree-60 polygons at dims 1 and 3, on a quarter and a general interval: twice the stages of _cases."""
+    rng = np.random.default_rng(seed)
+    return [(ControlPolygon(rng.uniform(-2.0, 2.0, size=(61, dim))), 1.1, iv)
+            for iv in (Interval.quarter(0), Interval(0.3, 1.4)) for dim in (1, 3)]
+
+
 @pytest.mark.parametrize("method", ["direct", "alg1", "alg2"])
 def test_sample_curve_equals_per_point_route(method):
     evaluate = PER_POINT[method]
-    cases = [(poly, q, iv) for poly, _, q, iv in _cases(3101)] + _negative_q_cases(3108)
+    cases = [(poly, q, iv) for poly, _, q, iv in _cases(3101)] + _negative_q_cases(3108) + _degree_60_cases(3109)
     for poly, q, iv in cases:
         sweep = sample_curve(poly, q, iv, SAMPLES, method)
         xs = [s.x for s in sweep]
