@@ -12,9 +12,10 @@ Bernstein basis.  The product formula takes all n + 1 values at one x from
 running prefix products of the two kernel tables, O(n) multiplications in
 all, in kernel._product_formula: one pass forms each d(x, b; q^i) and its
 running product, a second each d(a, x; q^i), its running product and B_k.
-The same loop serves an array of x column by column.  Two degree-raising
-recurrences evaluate the whole vector from the raw kernel tables; they
-agree with the product formula and with each other.
+The same loop serves an array of x column by column.  The degree-raising
+recurrences 1 and 2 are curve.py's alg2 and alg1 schemes transposed (B_k
+is a scheme's apex on the unit control points e_k): they read the stages
+of curve._stages upwards, each B_j of degree size - 1 going to B_j and B_(j+1).
 
 Every route makes one kernel call, kernel._product_formula or
 kernel._tables, which reads the x-free part of its work (the q-binomial
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
 class BasisVector:
     """All degree-n basis values at one parameter location."""
 
@@ -89,40 +90,39 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     return values
 
 
-def _recurrence(n, x, q, interval, second_form):
+def _recurrence(n, x, q, interval, variant):
+    """B_0..B_n at x: each stage size = 1..n reads curve._stages' den, ratios and q-power side.
+
+    A term is q-power * (d / den * B_j), with 1.0 (exact) on the side without
+    one, and a new entry is 0.0 + (term from B_(j-1)) + (term from B_j).
+    """
     plan, d_ax, d_xb = _tables(interval, x, q, n)
-    d_ab, powers = plan.d_ab, plan.powers
-    row = [1.0]
-    for m in range(1, n + 1):
-        prev = row
-        den = d_ab[m - 1]
-        row = [0.0] * (m + 1)
-        for k in range(m + 1):
-            v = 0.0
-            # out-of-range terms of the previous row count as zero
-            if k >= 1:
-                lower = d_ax[k - 1] / den * prev[k - 1]
-                v += lower if second_form else powers[m - k] * lower
-            if k <= m - 1:
-                upper = d_xb[m - k - 1] / den * prev[k]
-                v += powers[k] * upper if second_form else upper
-            row[k] = v
+    powers, ones, row = plan.powers, [1.0] * n, [1.0]
+    for size in range(1, n + 1):
+        den, top = plan.d_ab[size - 1], size - 1
+        q_lower, q_upper = (powers, ones) if variant == "alg1" else (ones, powers[top::-1])
+        nxt, carry = [], 0.0
+        for j, b in enumerate(row):  # B_j of degree top goes to B_j by lower, to B_(j+1) by upper
+            nxt.append(carry + q_lower[j] * (d_xb[top - j] / den * b))
+            carry = 0.0 + q_upper[j] * (d_ax[j] / den * b)
+        nxt.append(carry)
+        row = nxt
     return _basis_vector(n, q, interval, x, np.array(row))
 
 
 def basis_all_recurrence1(n: int, x: float, q: float, interval: Interval) -> BasisVector:
-    """Degree-raising recurrence, variant with q^(m-k) on the lower term:
+    """Degree-raising recurrence, variant with q^(m-k) on the B_(k-1) term, the transpose of alg2:
 
     B_k^m = q^(m-k) (d(a,x;q^(k-1)) / d(a,b;q^(m-1))) B_(k-1)^(m-1)
           +         (d(x,b;q^(m-k-1)) / d(a,b;q^(m-1))) B_k^(m-1)
     """
-    return _recurrence(n, x, q, interval, second_form=False)
+    return _recurrence(n, x, q, interval, "alg2")
 
 
 def basis_all_recurrence2(n: int, x: float, q: float, interval: Interval) -> BasisVector:
-    """Degree-raising recurrence, variant with q^k on the upper term:
+    """Degree-raising recurrence, variant with q^k on the B_k term, the transpose of alg1:
 
     B_k^m =     (d(a,x;q^(k-1)) / d(a,b;q^(m-1))) B_(k-1)^(m-1)
           + q^k (d(x,b;q^(m-k-1)) / d(a,b;q^(m-1))) B_k^(m-1)
     """
-    return _recurrence(n, x, q, interval, second_form=True)
+    return _recurrence(n, x, q, interval, "alg1")

@@ -13,12 +13,9 @@ A sample_curve sweep of m points runs _sweep, one numpy step per stage on
 a stacked (n + 1, dim, m) stage, and keeps the apexes; each of its
 elements meets the operations of _stages in their order, so a sweep's
 apexes are bit-identical to the per-point ones.  A sweep's cost is
-its count of numpy calls more than its arithmetic: _sweep makes six per
-stage, about 180 at n = 30, where stepping (dim, m) blocks entry by entry
-made six per entry, about 2,800.  On one Intel Xeon core a 1000-point
-sweep at n = 30 on [0.3, 1.4] at q = 1.3 takes 3.7 ms in place of 6.0 ms
-(planar, alg1) and 4.4 ms in place of 7.8 ms (3-d, alg2); at n = 3 it
-takes 10-14% less.  Its buffers hold about (2 dim + 4) n m floats.
+its count of numpy calls more than its arithmetic, so _sweep makes six
+per stage, about 180 at n = 30, not six per entry, about 2,800.  Its
+buffers hold about (2 dim + 4) n m floats.
 """
 
 import math
@@ -46,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
 class ControlPolygon:
     """Ordered control points, shape (n+1, dim): a read-only copy of the checked input."""
 
@@ -87,14 +84,14 @@ def _finite(points: np.ndarray, what: str) -> np.ndarray:
     return points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
 class CurveSample:
     x: float
     point: np.ndarray
     method: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
 class CurveSamples:
     """A sampled curve as columns: x has shape (m,), points (m, dim).
 
@@ -116,7 +113,7 @@ class CurveSamples:
         return CurveSample(float(self.x[j]), self.points[j], self.method)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
 class DeCasteljauTableau:
     """Triangular scheme: rows[r] holds the n+1-r points of stage r."""
 

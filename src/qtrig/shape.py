@@ -88,7 +88,7 @@ HULL_SLACK = 1e-12
 _FAMILIES = ("quantum", "classical", "rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
 class CollocationMatrix:
     """entries[i, j] = phi_i(x_j) for basis index i and increasing points x_j.
 

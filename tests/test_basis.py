@@ -21,6 +21,7 @@ from qtrig import (
     basis_matrix,
     certify_interval,
     evaluate_alg1,
+    evaluate_alg2,
     rational_basis_all,
     rational_basis_matrix,
 )
@@ -391,10 +392,48 @@ def test_running_products_match_the_accumulated_product_chain_bit_for_bit():
 
 
 def test_tableau_and_recurrence_bits_are_pinned():
+    # hex tells -0.0 from 0.0, which np.array_equal does not
     poly = ControlPolygon([[0.0, 0.0], [1.0, 2.0], [2.5, 2.0], [3.0, -0.5], [4.0, 1.0], [5.0, 0.5], [6.0, 2.5]])
-    assert _hex(evaluate_alg1(poly, 0.9, 1.3, Interval(0.3, 1.4)).apex) == [
-        '0x1.63013d4846a3ep+2', '0x1.70ea84acf47e4p+0']
-    assert _hex(basis_all_recurrence1(6, 1.0, 0.6, Interval(0.3, 1.4)).values) == [
-        '-0x1.592bbddd39ed8p-6', '0x1.45f48bfca22aep-2', '-0x1.ffe29d5272632p+0',
-        '0x1.48f33398209ffp+3', '0x1.544685f740f17p+1', '-0x1.29098a28d1887p-1',
-        '0x1.f1858e7036820p-5']
+    iv = Interval(0.3, 1.4)
+    apexes = {1.3: ['0x1.63013d4846a3ep+2', '0x1.70ea84acf47e4p+0'],
+              -1.5: ['0x1.5a165b9d5bcb4p+1', '0x1.e6a965e33e203p-1']}
+    for q, want in apexes.items():
+        for evaluate in (evaluate_alg1, evaluate_alg2):
+            assert _hex(evaluate(poly, 0.9, q, iv).apex) == want, (evaluate.__name__, q)
+    at_a = ['0x1.0000000000000p+0'] + ['0x0.0p+0'] * 6  # +0.0 where a term is -0.0
+    rows = {
+        (basis_all_recurrence1, 1.0, 0.6): [
+            '-0x1.592bbddd39ed8p-6', '0x1.45f48bfca22aep-2', '-0x1.ffe29d5272632p+0',
+            '0x1.48f33398209ffp+3', '0x1.544685f740f17p+1', '-0x1.29098a28d1887p-1',
+            '0x1.f1858e7036820p-5'],
+        (basis_all_recurrence2, 1.0, 0.6): [
+            '-0x1.592bbddd39ed8p-6', '0x1.45f48bfca22afp-2', '-0x1.ffe29d5272633p+0',
+            '0x1.48f3339820a00p+3', '0x1.544685f740f19p+1', '-0x1.29098a28d1888p-1',
+            '0x1.f1858e7036820p-5'],
+        (basis_all_recurrence1, 0.3, 0.6): at_a,
+        (basis_all_recurrence2, 0.3, 0.6): at_a,
+        (basis_all_recurrence1, 1.0, -1.5): [
+            '0x1.bce571c6e11a2p-6', '0x1.1c8e75a7bd2e2p-6', '0x1.05a57cbb99c16p-4',
+            '0x1.9d0b7e6a317d8p-5', '0x1.2ed23c473ec48p-3', '0x1.6dc6fdeeb9eb7p-4',
+            '0x1.61eb460b2dadcp-2'],
+        (basis_all_recurrence2, 1.0, -1.5): [
+            '0x1.bce571c6e11a2p-6', '0x1.1c8e75a7bd2e0p-6', '0x1.05a57cbb99c15p-4',
+            '0x1.9d0b7e6a317d4p-5', '0x1.2ed23c473ec48p-3', '0x1.6dc6fdeeb9eb1p-4',
+            '0x1.61eb460b2dadcp-2'],
+    }
+    for (recurrence, x, q), want in rows.items():
+        assert _hex(recurrence(6, x, q, iv).values) == want, (recurrence.__name__, x, q)
+
+
+def test_each_recurrence_weights_the_polygon_to_the_apex_of_the_scheme_it_transposes():
+    # B_k is the apex of alg1 or alg2 run on the unit control points e_k, so
+    # sum_k b_k B_k(x) of recurrence 1 is the alg2 apex and of recurrence 2
+    # the alg1 apex, up to rounding in the sum_k |b_k| |B_k| they both add up
+    rng = np.random.default_rng(2718)
+    for _ in range(400):
+        poly, x, q, iv = random_curve_case(rng, max_degree=30)
+        for recurrence, evaluate in ((basis_all_recurrence1, evaluate_alg2), (basis_all_recurrence2, evaluate_alg1)):
+            values = recurrence(poly.degree, x, q, iv).values
+            scale = float(np.max(np.abs(values) @ np.abs(poly.points)))
+            err = float(np.max(np.abs(values @ poly.points - evaluate(poly, x, q, iv).apex)))
+            assert err <= 1e-13 * scale, (recurrence.__name__, poly.degree, x, q, iv, err / scale)

@@ -44,3 +44,22 @@ def test_public_functions_stay_plain_functions():
         obj = getattr(qtrig, name)
         if callable(obj) and not isinstance(obj, type):
             assert inspect.isfunction(obj), name
+
+
+def test_results_that_hold_arrays_compare_and_hash_by_identity():
+    # a field-wise == of two arrays has no truth value, and an array no hash
+    iv = qtrig.Interval(0.3, 1.4)
+
+    def results():
+        polygon = qtrig.ControlPolygon([[0.0, 0.0], [1.0, 2.0]])
+        samples = qtrig.sample_curve(polygon, 1.3, iv, 3)
+        return (qtrig.basis_all_direct(1, 0.9, 1.3, iv), polygon, samples[0], samples,
+                qtrig.evaluate_alg1(polygon, 0.9, 1.3, iv), qtrig.collocation("quantum", 1, 1.3, iv, [0.5, 0.9]))
+
+    first, second = results(), results()
+    assert [type(a).__name__ for a in first] == ["BasisVector", "ControlPolygon", "CurveSample", "CurveSamples",
+                                                 "DeCasteljauTableau", "CollocationMatrix"]
+    for a, other in zip(first, second):
+        assert (a == other) is False, type(a).__name__
+        assert a == a
+        assert len({a, a, other}) == 2
