@@ -11,10 +11,12 @@
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 # Benchmark passes agree and match the reference.
-# eval-sweep and point-query also at a second seed and at the held-out
-# seed 7: the product route, the tableau sweeps and the single-x routes,
-# the recurrences among them, meet the reference on more than one input set
-for run in eval-sweep:1 eval-sweep:2 eval-sweep:7 point-query:1 point-query:2 point-query:7 tp-check:1 cli-batch:1; do
+# eval-sweep, point-query and tp-check also at a second seed and at the
+# held-out seed 7: the product route, the tableau sweeps, the single-x
+# routes (the recurrences among them) and the collocations of a few points,
+# taken one point at a time, meet the reference on more than one input set
+for run in eval-sweep:1 eval-sweep:2 eval-sweep:7 point-query:1 point-query:2 point-query:7 \
+    tp-check:1 tp-check:2 tp-check:7 cli-batch:1; do
   last=$(python3 perfbench/run.py --workload "${run%:*}" --seed "${run#*:}" --seconds 3 --trace 0 | tail -n 1)
   echo "$last"
   case "$last" in *'"correct": true'*) ;; *) exit 1 ;; esac

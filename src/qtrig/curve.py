@@ -14,8 +14,9 @@ a stacked (n + 1, dim, m) stage, and keeps the apexes; each of its
 elements meets the operations of _stages in their order, so a sweep's
 apexes are bit-identical to the per-point ones.  A sweep's cost is
 its count of numpy calls more than its arithmetic, so _sweep makes six
-per stage, about 180 at n = 30, not six per entry, about 2,800.  Its
-buffers hold about (2 dim + 4) n m floats.
+per stage, about 180 at n = 30, not six per entry, about 2,800.  It
+steps at most _SWEEP_BLOCK = 4096 points at once, so its buffers hold
+about (2 dim + 4) n min(m, 4096) floats; a longer sweep goes block by block.
 """
 
 import math
@@ -41,6 +42,11 @@ __all__ = [
     "intermediate_explicit",
     "sample_curve",
 ]
+
+
+# Most points of a sample_curve alg1/alg2 sweep stepped at once: its buffers
+# hold about (2 dim + 4) n _SWEEP_BLOCK floats, 9.8 MB at n = 30 in 3-d.
+_SWEEP_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: == and hash are by identity
@@ -166,38 +172,43 @@ def _stages(stage, d_ax, d_xb, plan, variant):
 def _sweep(polygon, xs, q, interval, variant):
     """The (m, dim) apexes of the alg1/alg2 scheme at the m points of xs, one numpy step per stage.
 
-    The kernel columns of xs are stacked into (n, m) tables; the lists
-    _tables returns are dropped then, before the stage buffers are made.
-    Stage r is the first n + 1 - r rows of one (n + 1, dim, m) array, which
-    starts as a copy of the control points; each stage of size entries
-    takes _stages' lower and upper of all of them as (size, m) rows, then
-    forms upper * b_(k+1) in a second buffer, multiplies b_k by lower in
-    place and adds the two.  Every element meets _stages' operations in
-    their order.
+    xs is taken in blocks of at most _SWEEP_BLOCK points, so the buffers
+    below are bounded whatever m.  The kernel columns of a block are stacked
+    into (n, m) tables; the lists _tables returns are dropped then, before
+    the stage buffers are made.  Stage r is the first n + 1 - r rows of one
+    (n + 1, dim, m) array, which starts as a copy of the control points; each
+    stage of size entries takes _stages' lower and upper of all of them as
+    (size, m) rows, then forms upper * b_(k+1) in a second buffer, multiplies
+    b_k by lower in place and adds the two.  Every element meets _stages'
+    operations in their order, whatever block it falls in.
     """
-    plan, d_ax, d_xb = _tables(interval, xs, q, polygon.degree, columns=True)
-    d_ax, d_xb = np.array(d_ax), np.array(d_xb)
-    n, m = plan.n, len(xs)
-    stage = np.empty((n + 1, polygon.dim, m))
-    stage[:] = polygon.points[:, :, None]
-    if n:
-        powers = np.array(plan.powers[:n])[:, None]
-        lower, upper, cross = np.empty((n, m)), np.empty((n, m)), np.empty_like(stage[1:])
-        alg1 = variant == "alg1"
-        for size in range(n, 0, -1):  # stage n + 1 - size has size entries
-            den = plan.d_ab[size - 1]
-            low, up, prod = lower[:size], upper[:size], cross[:size]
-            np.divide(d_xb[size - 1::-1], den, out=low)
-            np.divide(d_ax[:size], den, out=up)
-            if alg1:
-                np.multiply(powers[:size], low, out=low)
-            else:
-                np.multiply(powers[size - 1::-1], up, out=up)
-            np.multiply(up[:, None], stage[1:size + 1], out=prod)
-            head = stage[:size]
-            head *= low[:, None]
-            head += prod
-    return stage[0].T.copy()
+    apexes = np.empty((len(xs), polygon.dim))
+    alg1 = variant == "alg1"
+    for start in range(0, len(xs), _SWEEP_BLOCK):
+        block = xs[start:start + _SWEEP_BLOCK]
+        plan, d_ax, d_xb = _tables(interval, block, q, polygon.degree, columns=True)
+        d_ax, d_xb = np.array(d_ax), np.array(d_xb)
+        n, m = plan.n, len(block)
+        stage = np.empty((n + 1, polygon.dim, m))
+        stage[:] = polygon.points[:, :, None]
+        if n:
+            powers = np.array(plan.powers[:n])[:, None]
+            lower, upper, cross = np.empty((n, m)), np.empty((n, m)), np.empty_like(stage[1:])
+            for size in range(n, 0, -1):  # stage n + 1 - size has size entries
+                den = plan.d_ab[size - 1]
+                low, up, prod = lower[:size], upper[:size], cross[:size]
+                np.divide(d_xb[size - 1::-1], den, out=low)
+                np.divide(d_ax[:size], den, out=up)
+                if alg1:
+                    np.multiply(powers[:size], low, out=low)
+                else:
+                    np.multiply(powers[size - 1::-1], up, out=up)
+                np.multiply(up[:, None], stage[1:size + 1], out=prod)
+                head = stage[:size]
+                head *= low[:, None]
+                head += prod
+        apexes[start:start + m] = stage[0].T
+    return apexes
 
 
 def _tableau(polygon, x, q, interval, variant):

@@ -35,13 +35,20 @@ the memo holds at most about 17 KiB per unit of n + 1 for degrees up to n
 a plan whose denominators meet an inf or NaN raises FloatRangeError on
 every call, and an uncertified one InvalidIntervalError.
 
+The product formula runs one loop on either Python floats or (m,) numpy
+columns.  basis_matrix takes up to 8 points one at a time on floats
+(_product_rows): on (m,) columns each step is a numpy call on m elements,
+whose fixed cost outweighs the float loop's per point up to about 8 points
+at n = 1 and 16 at n = 10 (basis.py has the measured ratios).
+
 Every route meets the same checks in this order: the plan's certificate
 (every d(a, b; q^i) finite, then clear of zero), then x, then its own
 range checks, for the product formula the q-binomial row and then the
-denominator product.  The x check refuses an x that is inf or NaN, or an
-int beyond the float range, with ValueError; a single-x route also
-refuses a sequence of x with TypeError, and a route that takes an array of
-x refuses one of two or more dimensions with ValueError.
+denominator product.  A route that takes several x checks all of them
+before the row, whichever loop it runs.  The x check refuses an x that is
+inf or NaN, or an int beyond the float range, with ValueError; a single-x
+route also refuses a sequence of x with TypeError, and a route that takes
+an array of x refuses one of two or more dimensions with ValueError.
 """
 
 import functools
@@ -224,22 +231,20 @@ def _plan(interval: Interval, q: float, n: int) -> _Plan:
     return plan
 
 
-def _x_terms(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
-    """The plan, checks and trig terms at x that _tables and _product_formula share.
+def _checks(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
+    """The plan of (interval, q, n) and x, checked, then the sin and cos to take of x.
 
-    Looks up the plan of (interval, q, n) with _plan, then raises
-    InvalidIntervalError, naming q as the caller passed it, where the plan
-    is not certified.  x is one point, or with columns a 1-D array of points
-    too; an x that is not finite or has two or more dimensions raises
-    ValueError, and an array without columns TypeError.  Returns the plan,
-    sin(x - a), cos x sin a, sin x cos a for the d(a, x) row, then
-    sin(b - x), cos b sin x, sin b cos x for the d(x, b) row, as _kernel_row
-    reads them.
+    Looks up the plan with _plan, then raises InvalidIntervalError, naming q
+    as the caller passed it, where the plan is not certified.  x is one
+    point, or with columns a 1-D array of points too; an x that is not
+    finite or has two or more dimensions raises ValueError, and an array
+    without columns TypeError.  Returns the plan, x (a float or int as
+    given, else a float64 array) and math's sin and cos for one point or
+    numpy's for an array.
     """
     plan = _plan(interval, q, n)
     if plan.failing is not None:
         raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
-    a, b = interval.a, interval.b
     if isinstance(x, (float, int)):
         try:
             finite = math.isfinite(x)
@@ -247,17 +252,24 @@ def _x_terms(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
             finite = False
         if not finite:
             raise ValueError(f"x must be finite, got {x!r}")
-        sin, cos = math.sin, math.cos
-    else:
-        if not columns and np.ndim(x):  # before conversion: any sequence, whatever it holds
-            raise TypeError(f"x must be one point, got an array of shape {np.shape(x)}")
-        x = _finite_input(x, "x must be finite")
-        if x.ndim > 1:
-            raise ValueError(f"x must be one point or a 1-D array of points, got shape {x.shape}")
-        sin, cos = np.sin, np.cos
+        return plan, x, math.sin, math.cos
+    if not columns and np.ndim(x):  # before conversion: any sequence, whatever it holds
+        raise TypeError(f"x must be one point, got an array of shape {np.shape(x)}")
+    x = _finite_input(x, "x must be finite")
+    if x.ndim > 1:
+        raise ValueError(f"x must be one point or a 1-D array of points, got shape {x.shape}")
+    return plan, x, np.sin, np.cos
+
+
+def _trig_terms(interval: Interval, plan: _Plan, x, sin, cos) -> tuple:
+    """The trig terms of an x that _checks has passed, as _kernel_row reads them.
+
+    sin(x - a), cos x sin a, sin x cos a for the d(a, x) row, then
+    sin(b - x), cos b sin x, sin b cos x for the d(x, b) row.
+    """
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
-    return plan, sin(x - a), cos_x * sin_a, sin_x * cos_a, sin(b - x), cos_b * sin_x, sin_b * cos_x
+    return sin(x - interval.a), cos_x * sin_a, sin_x * cos_a, sin(interval.b - x), cos_b * sin_x, sin_b * cos_x
 
 
 def _checked_den(den: float, n: int, q) -> float:
@@ -268,31 +280,53 @@ def _checked_den(den: float, n: int, q) -> float:
 
 
 def _tables(interval: Interval, x, q, n: int, columns: bool = False) -> tuple[_Plan, list, list]:
-    """The plan of (interval, q, n) and the d_ax and d_xb of kernel_tables from it, checked as _x_terms does."""
-    plan, sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(interval, x, q, n, columns)
+    """The plan of (interval, q, n) and the d_ax and d_xb of kernel_tables from it, checked by _checks."""
+    plan, x, sin, cos = _checks(interval, x, q, n, columns)
+    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _trig_terms(interval, plan, x, sin, cos)
     forms = plan.forms
     return (plan, _kernel_row(forms, sin_ax, cos_x_sin_a, sin_x_cos_a),
             _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
 
 
 def _product_formula(interval: Interval, x, q, n: int, columns: bool = False) -> list:
-    """B_0..B_n of the product formula at x, formed in the kernel loop.
+    """B_0..B_n of the product formula at x, on floats or (m,) columns alike: _checks, then _products."""
+    plan, x, sin, cos = _checks(interval, x, q, n, columns)
+    return _products(interval, plan, q, x, sin, cos)
+
+
+def _product_rows(interval: Interval, xs, q, n: int) -> list:
+    """The B_0..B_n of _product_formula at each point of a 1-D xs, one point at a time on Python floats.
+
+    The checks run once for the whole of xs and in _product_formula's order:
+    the certificate and every x by _checks, then the row and the
+    denominator in the first point's _products, so a NaN late in xs is
+    refused before a failing row.  Each row is bit-identical to
+    _product_formula at its point as a float.
+    """
+    plan, xs, _, _ = _checks(interval, xs, q, n, columns=True)
+    sin, cos = math.sin, math.cos
+    return [_products(interval, plan, q, x, sin, cos) for x in xs.tolist()]
+
+
+def _products(interval: Interval, plan: _Plan, q, x, sin, cos) -> list:
+    """B_0..B_n of the product formula at one x or a column of them that _checks has passed, in the kernel loop.
 
     B_j = row[j] * pa[j] * pb[n-j] / den, where pa[j] = prod(d_ax[:j]) and
-    pb[j] = prod(d_xb[:j]), on floats or (m,) columns alike.  Looks up the
-    plan and checks the certificate and x as _x_terms does, then the product
-    formula's own ranges, the row plan.row and the denominator plan.den,
-    before any product is formed: on columns a failing denominator would
-    otherwise meet numpy's overflow warnings first.  One pass forms each
-    d(x,b;q^i) and multiplies it into its running product (u = u * d, from
-    1.0); a second forms each B_j and then multiplies d(a,x;q^j) into its
-    running product t the same way.  Every entry is _kernel_row's expression, taken in its
-    order from plan.forms, so each B_j is bit-identical to the chain over
-    the accumulated prefix products of _tables' rows.
+    pb[j] = prod(d_xb[:j]).  Checks the product formula's own ranges, the
+    row plan.row and the denominator plan.den, before any product is
+    formed: on columns a failing denominator would otherwise meet numpy's
+    overflow warnings first.  One pass forms each d(x,b;q^i) and multiplies
+    it into its running product (u = u * d, from 1.0); a second forms each
+    B_j and then multiplies d(a,x;q^j) into its running product t the same
+    way.  Every entry is _kernel_row's expression, taken in its order from
+    plan.forms, so each B_j is bit-identical to the chain over the
+    accumulated prefix products of _tables' rows.
     """
-    plan, sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _x_terms(interval, x, q, n, columns)
-    row = _checked_row(plan.row, plan.n, plan.q)
-    den = _checked_den(plan.den, plan.n, q)
+    row, den = plan.row, plan.den
+    if row is None or den == 0.0 or not math.isfinite(den):  # the range checks, called only when one fails
+        _checked_row(row, plan.n, plan.q)
+        _checked_den(den, plan.n, q)
+    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _trig_terms(interval, plan, x, sin, cos)
     inner, inner_c, outer_c = plan.forms
     u = 1.0
     pb = [u]

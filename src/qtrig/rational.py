@@ -38,6 +38,8 @@ CERTIFICATE_GRID = 1024
 
 def _coerce_weights(weights, n: int) -> np.ndarray:
     """Weights w_0..w_n as a finite float vector; shape guarantees need w > 0."""
+    if weights is None:
+        raise ValueError(f"the rational family needs {n + 1} weights, got None")
     w = _finite_input(weights, "weights must be finite")
     if w.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} weights, got shape {w.shape}")
@@ -46,7 +48,7 @@ def _coerce_weights(weights, n: int) -> np.ndarray:
 
 def _shape_guaranteed(interval: Interval, q: float, weights=None) -> bool:
     """Do the shape properties hold: a quarter period, q > 0 and every weight > 0 (None: no weights)?"""
-    return interval.quarter_period and q > 0 and (weights is None or bool(np.all(weights > 0.0)))
+    return interval.quarter_period and q > 0 and (weights is None or min(weights.tolist()) > 0.0)
 
 
 def _weighted_rows(w: np.ndarray, basis: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +140,7 @@ def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> 
     route does.
     """
     w = _coerce_weights(weights, n)
-    if not np.all(w > 0.0):
+    if not min(w.tolist()) > 0.0:  # a few weights: one float test beats a numpy reduction
         denominator_certificate(n, q, interval, w)
     terms, dens = _weighted_rows(w, basis_matrix(n, xs, q, interval), xs)
     return terms / dens[:, None]

@@ -27,6 +27,7 @@ from qtrig import (
     trig_kernel,
     kernel_tables,
 )
+from qtrig.basis import _SHORT_XS
 from qtrig.kernel import _evaluation_plan, _plan
 from qtrig.qcalc import _q_binomial_row
 from oracles import classical_trig_basis, d_mp
@@ -324,7 +325,10 @@ def test_a_nan_x_meets_the_checks_in_order_certificate_x_row_denominator(kind):
     (n, q, iv), outcomes = _FAILURE_KINDS[kind]
     error, message = outcomes["basis_all_direct"]
     certified = outcomes["basis_all_recurrence1"] is None
-    for route in (lambda: basis_all_direct(n, math.nan, q, iv), lambda: basis_matrix(n, [0.5, math.nan], q, iv)):
+    # the NaN last in a short xs, taken one point at a time, and in a long one, taken by columns
+    short, long = [0.5, math.nan], [0.5] * (_SHORT_XS + 3) + [math.nan]
+    for route in (lambda: basis_all_direct(n, math.nan, q, iv), lambda: basis_matrix(n, short, q, iv),
+                  lambda: basis_matrix(n, long, q, iv)):
         with pytest.raises(ValueError if certified else error) as raised:
             route()
         if certified:  # the x check comes before the row's and the denominator's

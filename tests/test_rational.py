@@ -263,6 +263,8 @@ def test_weight_vector_validation():
         rational_basis_all(1, 0.3, 2.0, quarter, np.array([1.0, float("inf")]))
     with pytest.raises(ValueError):
         rational_basis_all(3, 0.3, 2.0, quarter, np.ones(3))
+    with pytest.raises(ValueError, match="needs 2 weights, got None"):
+        rational_basis_all(1, 0.3, 2.0, quarter, None)
     # ints beyond the float range, through the single-x route and the sweep
     with pytest.raises(ValueError, match="weights must be finite"):
         rational_basis_all(1, 0.5, 1.3, Interval(0.3, 1.4), [1, 10**400])

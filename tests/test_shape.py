@@ -145,6 +145,16 @@ def test_rational_collocation_certifies_mixed_weights(quarter):
         collocation("rational", 2, 1.0, quarter, [0.0, math.pi / 2], weights=[1.0, -3.0, 1.0])
 
 
+def test_collocation_takes_weights_for_the_rational_family_only(quarter):
+    pts = [0.2, 0.5]
+    with pytest.raises(ValueError, match="weights are for the rational family only"):
+        collocation("classical", 3, 1.5, quarter, pts, weights=[1, 2])
+    with pytest.raises(ValueError, match="weights are for the rational family only"):
+        collocation("quantum", 3, 1.5, quarter, pts, weights=[1, -1, 1, 1])  # would take the structural route
+    with pytest.raises(ValueError, match="needs 4 weights, got None"):
+        collocation("rational", 3, 1.5, quarter, pts)
+
+
 def _assert_same_report(got, want):
     assert (got.is_tp, got.minors_checked, got.witness, got.route) == (
         want.is_tp, want.minors_checked, want.witness, want.route)

@@ -6,6 +6,7 @@ they must reproduce exactly, errors included.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from qtrig import (
     rational_sample,
     sample_curve,
 )
+from qtrig import curve
+from qtrig.basis import _SHORT_XS
 from conftest import random_curve_case
 
 SAMPLES = 33
@@ -118,6 +121,59 @@ def test_basis_matrix_rows_equal_basis_all_direct():
         rows = basis_matrix(n, xs, q, iv)
         assert rows.shape == (xs.size, n + 1)
         assert _same(rows, [basis_all_direct(n, float(x), q, iv).values for x in xs])
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 30])
+def test_basis_matrix_rows_equal_basis_all_direct_byte_for_byte_on_both_sides_of_the_short_route(n):
+    # 1 to _SHORT_XS points go one at a time on floats, more by columns: both must give the bits of one x
+    assert _SHORT_XS == 8  # so m = 1..10 below straddles the switch
+    rng = np.random.default_rng(3110 + n)
+    cases = ((1.5, Interval.quarter(0)), (0.7, Interval(0.3, 1.4)), (-2.5, Interval.quarter(-1)),
+             (1.0, Interval(-1.0, 1.0)))
+    for q, iv in cases:
+        for m in range(1, 11):
+            xs = np.sort(rng.uniform(iv.a, iv.b, size=m))
+            xs[0] = iv.a  # the endpoints, where one product is exactly 0
+            if m > 1:
+                xs[-1] = iv.b
+            for points in (xs, xs.astype(np.float32)):
+                rows = basis_matrix(n, points, q, iv)
+                assert rows.shape == (m, n + 1) and rows.dtype == np.float64
+                for row, x in zip(rows, points.tolist()):
+                    assert row.tobytes() == basis_all_direct(n, x, q, iv).values.tobytes(), (n, q, iv, m)
+        ints = list(range(math.ceil(iv.a), math.floor(iv.b) + 1))  # a list of Python ints
+        rows = basis_matrix(n, ints, q, iv)
+        assert [row.tobytes() for row in rows] == [basis_all_direct(n, x, q, iv).values.tobytes() for x in ints]
+
+
+def test_an_empty_xs_is_checked_as_before():
+    assert basis_matrix(3, [], 1.5, Interval.quarter(0)).shape == (0, 4)
+    with pytest.raises(InvalidIntervalError):  # the certificate comes first, points or none
+        basis_matrix(3, [], 1.0, Interval(0.0, math.pi))
+
+
+def test_sweeps_in_blocks_give_the_bits_of_one_block(monkeypatch):
+    rng = np.random.default_rng(3111)
+    polygon = ControlPolygon(rng.uniform(-2.0, 2.0, size=(31, 3)))
+    for q, iv in ((1.5, Interval.quarter(0)), (0.7, Interval(0.3, 1.4))):
+        whole = {method: sample_curve(polygon, q, iv, 23, method).points for method in ("alg1", "alg2")}
+        monkeypatch.setattr(curve, "_SWEEP_BLOCK", 5)  # blocks of 5, 5, 5, 5 and 3 points
+        for method, points in whole.items():
+            assert sample_curve(polygon, q, iv, 23, method).points.tobytes() == points.tobytes(), (method, q)
+        monkeypatch.undo()
+
+
+def test_a_long_sweep_keeps_its_memory_to_a_block():
+    # 100,000 points of a 31-point 3-d polygon: stepped at once, the stage buffers took 234 MiB
+    polygon = ControlPolygon([[math.cos(k), math.sin(k), 0.1 * k] for k in range(31)])
+    tracemalloc.start()
+    try:
+        points = sample_curve(polygon, 1.5, Interval.quarter(0), 100_000, "alg2").points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (100_000, 3)
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def test_collocation_columns_equal_per_point_routes():
