@@ -63,6 +63,15 @@ out=$(qtrig check tp --degree 4 --q 2 --interval 0,pi/2 --weights 1,2,-0.01,2,1)
 test "$code" -eq 4
 echo "$out" | grep -F '"route": "exhaustive"'
 
+# Console script: the default 6 x 6 off-grid check takes all its orders in
+# one batch from the gathers kept for its shape; its count and its worst
+# minor, bit for bit, are those of the check that took them order by order
+code=0
+out=$(qtrig check tp --degree 5 --q 0.5 --interval 0.3,1.5) || code=$?
+test "$code" -eq 4
+echo "$out" | grep -F '"minors_checked": 923'
+echo "$out" | grep -F '"worst_minor": -93.90948584930146'
+
 # Console script: the route is read before the minor cap.  A 21 x 30
 # quarter-period collocation, far over the cap, passes by its route without
 # a minor checked; off the quarter grid a 10 x 30 one is collocated and then

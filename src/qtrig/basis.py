@@ -23,17 +23,22 @@ schemes transposed (B_k is a scheme's apex on the unit control points
 e_k): they read the stages of curve._stages upwards, each B_j of degree
 size - 1 going to B_j and B_(j+1).
 
-Every route makes one kernel call, kernel._product_formula,
-kernel._product_rows or kernel._tables, which reads the x-free part of its work (the q-binomial
-row, the certified denominators and their product) from one memoised
-evaluation plan per (a, b, q, n) and then does only the x-dependent work.
+Every route reads the x-free part of its work (the q-binomial row, the
+certified denominators and their product) from one memoised evaluation
+plan per (a, b, q, n) and then does only the x-dependent work.  A single-x
+route makes one kernel call, kernel._product_formula or kernel._tables;
+basis_matrix converts xs once, checks all of it with kernel._checks and
+then runs kernel._products on each point as a float or on the columns.
+collocation() in shape.py has checked its points already and takes
+_checked_matrix, which meets only the certificate before the same loops.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, _product_formula, _product_rows, _tables
+from .kernel import Interval, _certified_plan, _checks, _product_formula, _products, _tables
 
 __all__ = [
     "BasisVector",
@@ -91,13 +96,28 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     point at a time on Python floats for 1 to _SHORT_XS points and on
     columns for more (or none).  An xs that is not 1-D raises ValueError.
     """
-    shape = np.shape(xs)
-    if len(shape) != 1:
-        raise ValueError(f"xs must be a 1-D sequence of points, got shape {shape}")
-    if 0 < shape[0] <= _SHORT_XS:
-        return np.array(_product_rows(interval, xs, q, n))
-    columns = _product_formula(interval, xs, q, n, columns=True)
-    values = np.empty((shape[0], n + 1))
+    xs = np.asarray(xs)  # once: the x check reads a float64 array as it is
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be a 1-D sequence of points, got shape {xs.shape}")
+    plan, xs, _, _ = _checks(interval, xs, q, n, columns=True)
+    return _rows(interval, plan, q, xs)
+
+
+def _checked_matrix(n: int, xs: np.ndarray, q: float, interval: Interval) -> np.ndarray:
+    """basis_matrix at a 1-D float64 xs whose every point its caller has found finite: only the certificate is met here."""
+    return _rows(interval, _certified_plan(interval, q, n), q, xs)
+
+
+def _rows(interval: Interval, plan, q, xs: np.ndarray) -> np.ndarray:
+    """The basis rows at a 1-D float64 xs whose every point is checked, from a certified plan.
+
+    The row and denominator checks come next, in the first _products call,
+    so a NaN late in xs is refused before a failing row.
+    """
+    if 0 < len(xs) <= _SHORT_XS:  # each row the bits of _product_formula at its point as a float
+        return np.array([_products(interval, plan, q, x, math.sin, math.cos) for x in xs.tolist()])
+    columns = _products(interval, plan, q, xs, np.sin, np.cos)
+    values = np.empty((len(xs), plan.n + 1))
     values[:] = np.array(columns).T  # at n = 0 the one entry is a float, broadcast to m rows
     return values
 

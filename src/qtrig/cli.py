@@ -193,6 +193,8 @@ def cmd_rational(cfg: argparse.Namespace) -> int:
 
 
 def _check_tp(cfg: argparse.Namespace) -> dict:
+    if cfg.grid < 1:  # before any point is collocated
+        raise ValueError(f"check tp needs at least 1 point, got --grid {cfg.grid}")
     if (cfg.degree + 1) * cfg.grid > MINOR_CAP:  # its entries alone, order-1 minors, exceed the cap
         _refuse_over_cap(cfg.degree + 1, cfg.grid)  # before collocating, whose cost grows with them
     q = cfg.qs[0]
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tp = check("tp", _check_tp, "total positivity of a collocation matrix", polygon=False)
     p_tp.add_argument("--degree", type=int, required=True)
     p_tp.add_argument("--grid", type=int, default=6,
-                      help="collocation points (default %(default)s)")
+                      help="collocation points, at least 1 (default %(default)s)")
     p_tp.add_argument("--tolerance", type=float, default=DEFAULT_TP_TOL,
                       help="scaled minor tolerance (default %(default)s)")
     p_vdp = check("vdp", _check_vdp, "variation diminishing along random lines", VDP_SAMPLES)

@@ -27,9 +27,10 @@ the plan and does only its x-dependent work: four trig calls, 2n kernel
 entries and, for a basis, the product formula, formed in the same loops as
 the entries.  The last 128 plans are kept; in front of this memo, a call
 that passes the very endpoint, q and n objects of the last one, all plain
-floats or ints, gets its plan again.  The two are the package's only
-state.  Each plan holds the powers, the denominators, n precomputed form
-terms and the row, about 136 bytes per unit of n + 1 under tracemalloc, so
+floats or ints, gets its plan again.  With shape.py's memo of index
+arrays per matrix shape, the two are the package's only state.  Each
+plan holds the powers, the denominators, n precomputed form terms and
+the row, about 136 bytes per unit of n + 1 under tracemalloc, so
 the memo holds at most about 17 KiB per unit of n + 1 for degrees up to n
 (17 MB at n = 1000).  A failure is held as a marker, never as an exception:
 a plan whose denominators meet an inf or NaN raises FloatRangeError on
@@ -37,7 +38,7 @@ every call, and an uncertified one InvalidIntervalError.
 
 The product formula runs one loop on either Python floats or (m,) numpy
 columns.  basis_matrix takes up to 8 points one at a time on floats
-(_product_rows): on (m,) columns each step is a numpy call on m elements,
+(basis._rows): on (m,) columns each step is a numpy call on m elements,
 whose fixed cost outweighs the float loop's per point up to about 8 points
 at n = 1 and 16 at n = 10 (basis.py has the measured ratios).
 
@@ -231,20 +232,25 @@ def _plan(interval: Interval, q: float, n: int) -> _Plan:
     return plan
 
 
+def _certified_plan(interval: Interval, q, n: int) -> _Plan:
+    """The plan of (interval, q, n) by _plan, or InvalidIntervalError, naming q as the caller passed it, where it is not certified."""
+    plan = _plan(interval, q, n)
+    if plan.failing is not None:
+        raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
+    return plan
+
+
 def _checks(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
     """The plan of (interval, q, n) and x, checked, then the sin and cos to take of x.
 
-    Looks up the plan with _plan, then raises InvalidIntervalError, naming q
-    as the caller passed it, where the plan is not certified.  x is one
+    Looks up the plan with _certified_plan, then checks x.  x is one
     point, or with columns a 1-D array of points too; an x that is not
     finite or has two or more dimensions raises ValueError, and an array
     without columns TypeError.  Returns the plan, x (a float or int as
     given, else a float64 array) and math's sin and cos for one point or
     numpy's for an array.
     """
-    plan = _plan(interval, q, n)
-    if plan.failing is not None:
-        raise InvalidIntervalError(interval.a, interval.b, q, plan.failing, plan.d_ab[plan.failing])
+    plan = _certified_plan(interval, q, n)
     if isinstance(x, (float, int)):
         try:
             finite = math.isfinite(x)
@@ -288,24 +294,10 @@ def _tables(interval: Interval, x, q, n: int, columns: bool = False) -> tuple[_P
             _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
 
 
-def _product_formula(interval: Interval, x, q, n: int, columns: bool = False) -> list:
-    """B_0..B_n of the product formula at x, on floats or (m,) columns alike: _checks, then _products."""
-    plan, x, sin, cos = _checks(interval, x, q, n, columns)
+def _product_formula(interval: Interval, x, q, n: int) -> list:
+    """B_0..B_n of the product formula at one x: _checks, then _products."""
+    plan, x, sin, cos = _checks(interval, x, q, n)
     return _products(interval, plan, q, x, sin, cos)
-
-
-def _product_rows(interval: Interval, xs, q, n: int) -> list:
-    """The B_0..B_n of _product_formula at each point of a 1-D xs, one point at a time on Python floats.
-
-    The checks run once for the whole of xs and in _product_formula's order:
-    the certificate and every x by _checks, then the row and the
-    denominator in the first point's _products, so a NaN late in xs is
-    refused before a failing row.  Each row is bit-identical to
-    _product_formula at its point as a float.
-    """
-    plan, xs, _, _ = _checks(interval, xs, q, n, columns=True)
-    sin, cos = math.sin, math.cos
-    return [_products(interval, plan, q, x, sin, cos) for x in xs.tolist()]
 
 
 def _products(interval: Interval, plan: _Plan, q, x, sin, cos) -> list:

@@ -139,10 +139,17 @@ def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> 
     x_j whose denominator vanishes raises SingularDenominatorError as that
     route does.
     """
-    w = _coerce_weights(weights, n)
+    return _rational_matrix(n, xs, q, interval, _coerce_weights(weights, n), basis_matrix)
+
+
+def _rational_matrix(n: int, xs, q: float, interval: Interval, w: np.ndarray, basis) -> np.ndarray:
+    """rational_basis_matrix of weights w that _coerce_weights has passed, on the rows basis(n, xs, q, interval).
+
+    basis is basis_matrix, or basis._checked_matrix for points the caller has checked.
+    """
     if not min(w.tolist()) > 0.0:  # a few weights: one float test beats a numpy reduction
         denominator_certificate(n, q, interval, w)
-    terms, dens = _weighted_rows(w, basis_matrix(n, xs, q, interval), xs)
+    terms, dens = _weighted_rows(w, basis(n, xs, q, interval), xs)
     return terms / dens[:, None]
 
 

@@ -32,39 +32,64 @@ The exhaustive route decides every other matrix.  It enumerates all square
 submatrices up to a hard cap, evaluates determinants by partially pivoted
 elimination (LU), and compares against a tolerance scaled per minor by the
 product of its row max-norms.  That is a certificate for the sampled grid,
-not a proof for the whole interval.  The work is batched by order r, in
+not a proof for the whole interval.  The work is split by order r into
 tiles of consecutive row sets x consecutive column sets: a tile holds every
 column set and as many row sets as fit in MINOR_BLOCK // r**2 minors or,
 when the column sets alone are more, one row set and a run of that many
 column sets.  One take gathers a tile, in enumeration order, into a stack
 of at most MINOR_BLOCK entries, and each stack takes one determinant call.
-One test passes a stack whose determinants and scales all lie in float
-range; in any other, the minors that leave it are taken again, in one more
-determinant call, with each row rescaled exactly by a power of two.  Only
-this route refuses a matrix over MINOR_CAP; the structural one decides a
-collocation of any size.
+Only this route refuses a matrix over MINOR_CAP; the structural one
+decides a collocation of any size.
+
+A matrix whose every order is one tile (every shape of at most 7 rows and
+columns other than 7 x 7, so check tp's default --grid 6 up to degree 6,
+and shapes as wide as 1 x 16384) is checked in one batch of all its orders.
+Its gather indices and column sets come from a memo keyed by shape, so only
+the gathers and the determinant calls are made order by order.  The max
+|entry| of a row over a column set does not depend on the row set, so one
+(rows, column sets) table of those maxima serves every order, and a minor's
+scale is the product of its rows' table entries in row order, padded with
+exact factors 1.0 up to the largest order.  One divide, one float-range
+test and one argmin then run over the minors of all orders; the first worst
+minor in (size, row set, column set) order is the argmin's.  Any other
+matrix is a batch per tile, scaled by its stack's own row maxima.  A batch
+whose determinants and scales all lie in float range passes its one test;
+in any other, the minors that leave it are taken again, stack by stack, in
+one more determinant call, with each row rescaled exactly by a power of
+two.  The memo keeps the last _GATHER_MEMO_SIZE = 32 shapes met, read-only,
+a shape that takes tiles as None; a shape's arrays hold at most 65,537
+indices (512 KiB, for 1 x 16384; a 6 x 6 check's hold 15,180, 119 KiB), so
+it holds at most 16 MiB.  It is the one state the check keeps, and it pays
+for the batch: a 4 x 6, 5 x 6 and 6 x 6 check takes 0.43, 0.48 and 0.61 of
+the time it took order by order with the memo, and 1.31, 1.14 and 1.13
+without it, building its arrays on every call (medians of 5 interleaved
+runs of the best of 5 x 50 calls, in process, Python 3.11.7, numpy 2.4.6, a
+shared 2-vCPU Intel Xeon).
 
 Most collocations are a few points, where a numpy call on them costs more
 than its arithmetic: collocation() checks the points' order and bounds and
-the weights' signs on Python floats, basis_matrix forms up to 8 points one
-at a time on floats (basis.py), and only the exhaustive loop runs under
-numpy's errstate.  A 6-point quarter-period collocation at n = 2 then
-takes 24 us where the column loop and numpy checks took 38 (in process,
-Python 3.11.7, numpy 2.4.6, x86-64).
+the weights' signs on Python floats, and passes the points and weights it
+has checked down to the basis rows, which do not check or convert them
+again; the rows of up to 8 points are formed one at a time on floats
+(basis.py), and only the exhaustive loop runs under numpy's errstate.  A
+6-point quarter-period collocation at n = 2 then takes 24 us where the
+column loop and numpy checks took 38 (in process, Python 3.11.7, numpy
+2.4.6, x86-64).
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import basis_matrix
+from .basis import _checked_matrix
 from .errors import MinorCapExceededError, _finite_input
 from .kernel import Interval
-from .rational import _coerce_weights, _shape_guaranteed, point_segment_distance, rational_basis_matrix
+from .rational import _coerce_weights, _rational_matrix, _shape_guaranteed, point_segment_distance
 
 __all__ = [
     "MINOR_CAP",
@@ -82,6 +107,8 @@ MINOR_CAP = 1_000_000
 # Entries per (k, r, r) stack of minors, k = MINOR_BLOCK // r**2: bounds the
 # check's working memory whatever the matrix shape.
 MINOR_BLOCK = 1 << 14
+# Shapes whose gathers the exhaustive check keeps, least recently used out first.
+_GATHER_MEMO_SIZE = 32
 DEFAULT_TP_TOL = 1e-9
 # Largest first-order relative distance from a quarter-period collocation's
 # entries to the exact quarter period's at which the Vandermonde route decides.
@@ -156,10 +183,10 @@ def collocation(
     w = None
     if family == "rational":  # mixed-sign weights pass the denominator certificate first
         w = _coerce_weights(weights, n)
-        rows = rational_basis_matrix(n, pts, q, interval, w)
+        rows = _rational_matrix(n, pts, q, interval, w, _checked_matrix)
     else:
         q = 1.0 if family == "classical" else q
-        rows = basis_matrix(n, pts, q, interval)
+        rows = _checked_matrix(n, pts, q, interval)
     rows.flags.writeable = False  # the route below holds for these numbers only
     mat = CollocationMatrix(entries=rows.T, points=pts, family=family)
     if _quarter_period_vandermonde(interval, q, w, xs, n + 1):
@@ -237,27 +264,12 @@ def _subsets(n: int, r: int):
     return unrank
 
 
-def _minor_values(subs: np.ndarray):
-    """(dets, row_max, scales, scaled) of an (r, r, k) stack of minors.
+def _tiles(n_rows: int, n_cols: int):
+    """(row sets, column sets, gather index) of every tile of an n_rows x n_cols check, in enumeration order.
 
-    row_max (r, k) holds each row's max |entry| and scales (k,) their
-    product; scaled is det / scale, 0 where the scale is 0.
+    The sets are (r, k) arrays of subsets; the index (r, r, k) takes a tile's
+    minors, row set outer, from the flattened matrix.
     """
-    # np.linalg.det goes through log|u_ii| and is not exact on 1x1
-    dets = subs[0, 0] if len(subs) == 1 else np.linalg.det(subs.transpose(2, 0, 1))
-    row_max = np.abs(subs).max(axis=1)
-    scales = row_max.prod(axis=0)
-    return dets, row_max, scales, np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0.0)
-
-
-# det flags some subnormal minors, yet returns them right; minors whose det or
-# scale overflows or underflows are taken again with rescaled rows
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _worst_minor(entries: np.ndarray) -> tuple[float, float, Optional[tuple]]:
-    """(scaled, det, (row set, column set)) of the first worst minor of a finite 2-d matrix, by tiles."""
-    n_rows, n_cols = entries.shape
-    flat = np.ascontiguousarray(entries).ravel()
-    worst_scaled, worst_det, worst_idx = math.inf, 0.0, None
     for r in range(1, min(n_rows, n_cols) + 1):
         row_sets, col_sets, block = math.comb(n_rows, r), math.comb(n_cols, r), MINOR_BLOCK // (r * r)
         # tiles of consecutive row sets x consecutive column sets, at most block minors each
@@ -268,25 +280,118 @@ def _worst_minor(entries: np.ndarray) -> tuple[float, float, Optional[tuple]]:
             rows = row_subsets(i, min(i + tile_rows, row_sets))
             for j in range(0, col_sets, tile_cols):
                 cols = col_subsets(j, min(j + tile_cols, col_sets))
-                # the tile's minors as one (r, r, k) stack, row set outer
-                subs = flat.take((rows[:, None, :, None] * n_cols + cols[None, :, None, :]).reshape(r, r, -1))
-                dets, row_max, scales, scaled = _minor_values(subs)
-                if not (np.isfinite(dets).all() and _SMALLEST_NORMAL <= scales.min() and scales.max() < math.inf):
-                    normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
-                    redo = np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0)))
-                    if redo.size:
-                        # row i scaled exactly by 2**-e_i, e_i the binary exponent of its max, leaves
-                        # det / scale as it is and every row max in [0.5, 1); the det is then 2**sum(e_i)
-                        # times the rescaled one, inf or 0 where that leaves float range, with the exact sign
-                        exps = np.frexp(row_max[:, redo])[1]
-                        rescaled, _, _, scaled[redo] = _minor_values(np.ldexp(subs[:, :, redo], -exps[:, None, :]))
-                        dets[redo] = np.ldexp(rescaled, exps.sum(axis=0))
-                k = int(np.argmin(scaled))  # the first of equal minima
-                if scaled[k] < worst_scaled:
-                    worst_scaled = float(scaled[k])
-                    worst_det = float(dets[k])
-                    row, col = divmod(k, cols.shape[1])
-                    worst_idx = (tuple(rows[:, row].tolist()), tuple(cols[:, col].tolist()))
+                yield rows, cols, (rows[:, None, :, None] * n_cols + cols[None, :, None, :]).reshape(r, r, -1)
+
+
+class _Gathers(NamedTuple):
+    """The index arrays of every check of one shape whose every order is one tile; all read-only."""
+
+    tiles: tuple                # _tiles' one (row sets, column sets, gather index) per order
+    col_sets: np.ndarray        # (r_max, S): the S column sets of all orders, each padded by repeating its last column
+    scale_index: np.ndarray     # (r_max, minors): each minor's rows' entries in the flattened max table, then its 1.0
+
+
+@functools.lru_cache(maxsize=_GATHER_MEMO_SIZE)
+def _shape_gathers(n_rows: int, n_cols: int) -> Optional[_Gathers]:
+    """The _Gathers of an n_rows x n_cols check, None when some order takes more than one tile."""
+    r_max = min(n_rows, n_cols)
+    if any(math.comb(n_rows, r) * math.comb(n_cols, r) * r * r > MINOR_BLOCK for r in range(1, r_max + 1)):
+        return None
+    tiles = tuple(_tiles(n_rows, n_cols))
+    # a column repeated leaves the set's max as it is
+    col_sets = np.concatenate([np.vstack([cols] + [cols[-1:]] * (r_max - len(cols))) for _, cols, _ in tiles], axis=1)
+    width = col_sets.shape[1]
+    scale_index, offset = [], 0
+    for rows, cols, _ in tiles:
+        index = np.full((r_max, rows.shape[1], cols.shape[1]), n_rows * width, dtype=np.intp)  # the 1.0
+        index[:len(rows)] = rows[:, :, None] * width + np.arange(offset, offset + cols.shape[1])
+        scale_index.append(index.reshape(r_max, -1))
+        offset += cols.shape[1]
+    gathers = _Gathers(tiles, col_sets, np.concatenate(scale_index, axis=1))
+    for array in (*gathers[1:], *(a for tile in tiles for a in tile)):
+        array.flags.writeable = False
+    return gathers
+
+
+def _batches(flat: np.ndarray, n_rows: int, n_cols: int):
+    """(tiles, stacks, scales) of each batch of minors of the flattened matrix, in enumeration order.
+
+    A stack is the (r, r, k) gather of one tile and scales holds the product
+    of each minor's row maxima, in row order.  A matrix whose every order is
+    one tile is one batch of all its orders, whose row maxima come from the
+    (n_rows, S) table of every column set's max in each row; any other
+    matrix is one batch per tile.
+    """
+    gathers = _shape_gathers(n_rows, n_cols)
+    if gathers is None:
+        for tile in _tiles(n_rows, n_cols):
+            subs = flat.take(tile[2])
+            yield (tile,), [subs], np.abs(subs).max(axis=1).prod(axis=0)
+        return
+    table = np.ones(n_rows * gathers.col_sets.shape[1] + 1)  # its last entry, 1.0, pads the lower orders
+    np.abs(flat).reshape(n_rows, n_cols).take(gathers.col_sets, axis=1).max(
+        axis=1, out=table[:-1].reshape(n_rows, -1))
+    stacks = [flat.take(index) for _, _, index in gathers.tiles]
+    yield gathers.tiles, stacks, table.take(gathers.scale_index).prod(axis=0)
+
+
+def _dets(subs: np.ndarray) -> np.ndarray:
+    """The determinants of an (r, r, k) stack of minors."""
+    # np.linalg.det goes through log|u_ii| and is not exact on 1x1
+    return subs[0, 0] if len(subs) == 1 else np.linalg.det(subs.transpose(2, 0, 1))
+
+
+def _scaled(dets: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """det / scale, 0 where the scale is 0."""
+    return np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0.0)
+
+
+def _rescale(subs: np.ndarray, dets: np.ndarray, scales: np.ndarray, scaled: np.ndarray) -> None:
+    """Take again, in place, the minors of an (r, r, k) stack whose det or scale leaves float range.
+
+    A minor with a zero row keeps its scaled value 0.
+    """
+    row_max = np.abs(subs).max(axis=1)
+    normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
+    redo = np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0)))
+    if redo.size:
+        # row i scaled exactly by 2**-e_i, e_i the binary exponent of its max, leaves
+        # det / scale as it is and every row max in [0.5, 1); the det is then 2**sum(e_i)
+        # times the rescaled one, inf or 0 where that leaves float range, with the exact sign
+        exps = np.frexp(row_max[:, redo])[1]
+        rescaled = np.ldexp(subs[:, :, redo], -exps[:, None, :])
+        again = _dets(rescaled)
+        scaled[redo] = _scaled(again, np.abs(rescaled).max(axis=1).prod(axis=0))
+        dets[redo] = np.ldexp(again, exps.sum(axis=0))
+
+
+# det flags some subnormal minors, yet returns them right; minors whose det or
+# scale overflows or underflows are taken again with rescaled rows
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _worst_minor(entries: np.ndarray) -> tuple[float, float, Optional[tuple]]:
+    """(scaled, det, (row set, column set)) of the first worst minor of a finite 2-d matrix, by batches."""
+    n_rows, n_cols = entries.shape
+    flat = np.ascontiguousarray(entries).ravel()
+    worst_scaled, worst_det, worst_idx = math.inf, 0.0, None
+    for tiles, stacks, scales in _batches(flat, n_rows, n_cols):
+        dets = np.concatenate([_dets(subs) for subs in stacks])
+        scaled = _scaled(dets, scales)
+        if not (np.isfinite(dets).all() and _SMALLEST_NORMAL <= scales.min() and scales.max() < math.inf):
+            start = 0
+            for subs in stacks:
+                part = slice(start, start + subs.shape[2])
+                _rescale(subs, dets[part], scales[part], scaled[part])
+                start = part.stop
+        k = int(np.argmin(scaled))  # the first of equal minima
+        if scaled[k] < worst_scaled:
+            worst_scaled = float(scaled[k])
+            worst_det = float(dets[k])
+            for (rows, cols, _), subs in zip(tiles, stacks):  # the tile that holds minor k
+                if k < subs.shape[2]:
+                    break
+                k -= subs.shape[2]
+            row, col = divmod(k, cols.shape[1])
+            worst_idx = (tuple(rows[:, row].tolist()), tuple(cols[:, col].tolist()))
     return worst_scaled, worst_det, worst_idx
 
 

@@ -607,6 +607,19 @@ def test_check_vdp_needs_at_least_one_line(tmp_path, capsys):
         assert captured.err == f"qtrig: error: check vdp needs at least 1 line, got --grid {grid}\n"
 
 
+def test_check_tp_needs_at_least_one_point(capsys, monkeypatch):
+    def no_collocation(*args, **kwargs):
+        raise AssertionError("collocated for a point count check tp refuses")
+
+    # refused as check vdp refuses a line count, before any point is collocated
+    monkeypatch.setattr("qtrig.cli.collocation", no_collocation)
+    for grid in ("0", "-3"):
+        assert main(["check", "tp", "--degree", "3", "--q", "0.5", "--interval", "0.3,1.5", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qtrig: error: check tp needs at least 1 point, got --grid {grid}\n"
+
+
 def test_check_vdp_refuses_before_sampling(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a curve for a line count check vdp refuses")

@@ -325,10 +325,12 @@ def test_a_nan_x_meets_the_checks_in_order_certificate_x_row_denominator(kind):
     (n, q, iv), outcomes = _FAILURE_KINDS[kind]
     error, message = outcomes["basis_all_direct"]
     certified = outcomes["basis_all_recurrence1"] is None
-    # the NaN last in a short xs, taken one point at a time, and in a long one, taken by columns
+    # the bad x last in a short xs, taken one point at a time, and in a long one, taken by columns:
+    # a NaN in a list and in an array, and in a list an int beyond the float range
     short, long = [0.5, math.nan], [0.5] * (_SHORT_XS + 3) + [math.nan]
-    for route in (lambda: basis_all_direct(n, math.nan, q, iv), lambda: basis_matrix(n, short, q, iv),
-                  lambda: basis_matrix(n, long, q, iv)):
+    xss = [short, long, np.array(short), np.array(long), short[:-1] + [10 ** 400], long[:-1] + [10 ** 400]]
+    for route in [lambda: basis_all_direct(n, math.nan, q, iv)] + [lambda xs=xs: basis_matrix(n, xs, q, iv)
+                                                                     for xs in xss]:
         with pytest.raises(ValueError if certified else error) as raised:
             route()
         if certified:  # the x check comes before the row's and the denominator's

@@ -25,7 +25,10 @@ from qtrig import (
     total_positivity_check,
 )
 from qtrig.export import render_svg
-from qtrig.shape import MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap
+from qtrig.errors import _finite_input
+from qtrig.shape import (
+    _GATHER_MEMO_SIZE, MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap, _shape_gathers,
+)
 from oracles import classical_trig_basis, monomial_tp_reference, total_positivity_reference
 
 Q_GRID = [0.5, 1.0, 1.5, 3.0]
@@ -614,6 +617,76 @@ def test_tp_check_tiles_match_the_minor_loop_in_every_regime():
     assert 2 * math.comb(200, 2) > MINOR_BLOCK and 3 * math.comb(60, 3) > MINOR_BLOCK
     for entries in (one_tile, tall, wide, one_tile.T, -wide, square):
         _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
+
+
+def test_tp_check_of_all_orders_in_one_batch_matches_the_minor_loop():
+    # every order of a shape up to 7 x 6 is one tile, and the check takes all
+    # orders at once; 7 x 7, whose order 4 holds 35 * 35 minors of 16 entries,
+    # is the first shape over that bound and takes tiles
+    shapes = [(rows, cols) for rows in range(1, 8) for cols in range(1, 8)]
+    assert [shape for shape in shapes if _shape_gathers(*shape) is None] == [(7, 7)]
+    assert 35 * 35 * 16 > MINOR_BLOCK >= 35 * 35 * 9
+    rng = np.random.default_rng(9006)
+    for rows, cols in shapes:
+        base = rng.uniform(-1.0, 1.0, size=(rows, cols))
+        apart = np.ldexp(base, rng.choice([-600, 0, 600], size=(rows, 1)))  # minors leave float range
+        zero_row = base.copy()
+        zero_row[rng.integers(rows)] = 0.0
+        for entries in (base, apart, base * 2.0 ** -1060, zero_row):  # the third has subnormal entries
+            _assert_same_report(total_positivity_check(entries), total_positivity_reference(entries))
+
+
+def test_tp_check_witness_is_the_lower_order_of_equal_minima():
+    # scaled -1 first at order 1, entry (2, 2), then at order 2, rows (0, 1) x columns (0, 1)
+    entries = np.zeros((4, 6))
+    entries[[0, 1, 2], [1, 0, 2]] = [1.0, 1.0, -1.0]
+    for matrix in (entries, entries.T):
+        rep = total_positivity_check(matrix)
+        _assert_same_report(rep, total_positivity_reference(matrix))
+        assert rep.witness == ((2,), (2,)) and rep.worst_scaled == -1.0
+    assert total_positivity_check(entries[:2, :2]).witness == ((0, 1), (0, 1))
+
+
+def test_tp_check_gathers_are_read_only_and_bounded():
+    _shape_gathers.cache_clear()
+    rng = np.random.default_rng(9007)
+    for rows in range(1, 8):
+        for cols in range(1, 8):
+            total_positivity_check(rng.uniform(-1.0, 1.0, size=(rows, cols)))
+    info = _shape_gathers.cache_info()
+    assert info.maxsize == _GATHER_MEMO_SIZE == info.currsize  # 49 shapes met, the last 32 kept
+    # 1 x 16384 is the largest shape whose every order is one tile: 65,537 indices
+    gathers = _shape_gathers(1, MINOR_BLOCK)
+    assert _shape_gathers(1, MINOR_BLOCK + 1) is None
+    arrays = [gathers.col_sets, gathers.scale_index, *(a for tile in gathers.tiles for a in tile)]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        gathers.scale_index[0, 0] = 0
+    owners = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a.nbytes
+    assert sum(owners.values()) == 65_537 * 8
+
+
+def test_rational_collocation_and_its_check_check_each_input_once(monkeypatch):
+    seen = []
+
+    def counting(values, message):
+        seen.append(message)
+        return _finite_input(values, message)
+
+    for module in ("shape", "rational", "kernel"):
+        monkeypatch.setattr(f"qtrig.{module}._finite_input", counting)
+    for weights in ([1, 2, 2, 1], [1, -2, 2, 1]):  # mixed signs meet the denominator certificate too
+        seen.clear()
+        mat = collocation("rational", 3, 1.5, Interval(0.3, 1.4), [0.4, 0.8, 1.2], weights=weights)
+        total_positivity_check(mat)
+        checked = ["points must be finite", "weights must be finite", "matrix entries must be finite"]
+        if weights[1] < 0:  # the public denominator_certificate checks its weights and its own grid
+            checked[2:2] = ["weights must be finite", "x must be finite"]
+        assert seen == checked
 
 
 @pytest.mark.parametrize("transpose", [False, True])
