@@ -64,13 +64,28 @@ test "$code" -eq 4
 echo "$out" | grep -F '"route": "exhaustive"'
 
 # Console script: the default 6 x 6 off-grid check takes all its orders in
-# one batch from the gathers kept for its shape; its count and its worst
+# one batch from the tiles kept for its shape; its count and its worst
 # minor, bit for bit, are those of the check that took them order by order
 code=0
 out=$(qtrig check tp --degree 5 --q 0.5 --interval 0.3,1.5) || code=$?
 test "$code" -eq 4
 echo "$out" | grep -F '"minors_checked": 923'
 echo "$out" | grep -F '"worst_minor": -93.90948584930146'
+
+# Console script: shapes with an order over one tile take a batch per tile,
+# a path no benchmark workload runs.  7 x 7 is the first such shape and
+# 11 x 6 (the default --grid 6 at degree 10) a taller one; both pinned bit
+# for bit
+code=0
+out=$(qtrig check tp --degree 6 --q 0.5 --interval 0.3,1.5 --grid 7) || code=$?
+test "$code" -eq 4
+echo "$out" | grep -F '"minors_checked": 3431'
+echo "$out" | grep -F '"worst_minor": -8.934413289879672'
+code=0
+out=$(qtrig check tp --degree 10 --q 0.5 --interval 0.3,1.5) || code=$?
+test "$code" -eq 4
+echo "$out" | grep -F '"minors_checked": 12375'
+echo "$out" | grep -F '"worst_minor": -958070874486.2351'
 
 # Console script: the route is read before the minor cap.  A 21 x 30
 # quarter-period collocation, far over the cap, passes by its route without

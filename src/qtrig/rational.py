@@ -168,7 +168,7 @@ def rational_sample(
         raise ValueError(f"need at least 2 samples, got {count}")
     w = _coerce_weights(weights, polygon.degree)
     xs = np.linspace(interval.a, interval.b, count)
-    basis = rational_basis_matrix(polygon.degree, xs, q, interval, w)
+    basis = _rational_matrix(polygon.degree, xs, q, interval, w, basis_matrix)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
     tag = "rational" if _shape_guaranteed(interval, q, w) else "rational-no-shape-guarantee"
     return CurveSamples(xs, points, tag)

@@ -43,28 +43,20 @@ decides a collocation of any size.
 
 A matrix whose every order is one tile (every shape of at most 7 rows and
 columns other than 7 x 7, so check tp's default --grid 6 up to degree 6,
-and shapes as wide as 1 x 16384) is checked in one batch of all its orders.
-Its gather indices and column sets come from a memo keyed by shape, so only
-the gathers and the determinant calls are made order by order.  The max
-|entry| of a row over a column set does not depend on the row set, so one
-(rows, column sets) table of those maxima serves every order, and a minor's
-scale is the product of its rows' table entries in row order, padded with
-exact factors 1.0 up to the largest order.  One divide, one float-range
-test and one argmin then run over the minors of all orders; the first worst
-minor in (size, row set, column set) order is the argmin's.  Any other
-matrix is a batch per tile, scaled by its stack's own row maxima.  A batch
-whose determinants and scales all lie in float range passes its one test;
-in any other, the minors that leave it are taken again, stack by stack, in
-one more determinant call, with each row rescaled exactly by a power of
-two.  The memo keeps the last _GATHER_MEMO_SIZE = 32 shapes met, read-only,
-a shape that takes tiles as None; a shape's arrays hold at most 65,537
-indices (512 KiB, for 1 x 16384; a 6 x 6 check's hold 15,180, 119 KiB), so
-it holds at most 16 MiB.  It is the one state the check keeps, and it pays
-for the batch: a 4 x 6, 5 x 6 and 6 x 6 check takes 0.43, 0.48 and 0.61 of
-the time it took order by order with the memo, and 1.31, 1.14 and 1.13
-without it, building its arrays on every call (medians of 5 interleaved
-runs of the best of 5 x 50 calls, in process, Python 3.11.7, numpy 2.4.6, a
-shared 2-vCPU Intel Xeon).
+and shapes as wide as 1 x 16384) is checked in one batch of all its orders,
+whose tiles come from a memo keyed by shape; any other matrix is a batch
+per tile.  Every stack is scaled by its own row maxima: a minor's scale is
+the product of its rows' max |entry|, in row order.  One divide, one
+float-range test and one argmin run over a batch; the first worst minor in
+(size, row set, column set) order is the argmin's.  A batch whose
+determinants and scales all lie in float range passes its one test; in any
+other, the minors that leave it are taken again, stack by stack, in one
+more determinant call, with each row rescaled exactly by a power of two.
+The memo keeps the tiles of the last _TILE_MEMO_SIZE = 32 shapes met,
+read-only, and None for a shape that takes more tiles.  A shape's tiles
+hold at most 36,684 indices (287 KiB, for 4 x 14 and 14 x 4; 32,769 for
+1 x 16384, 9,264 for 6 x 6), so the memo holds at most 9 MiB.  It is the
+one state the check keeps.
 
 Most collocations are a few points, where a numpy call on them costs more
 than its arithmetic: collocation() checks the points' order and bounds and
@@ -82,7 +74,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -107,8 +99,8 @@ MINOR_CAP = 1_000_000
 # Entries per (k, r, r) stack of minors, k = MINOR_BLOCK // r**2: bounds the
 # check's working memory whatever the matrix shape.
 MINOR_BLOCK = 1 << 14
-# Shapes whose gathers the exhaustive check keeps, least recently used out first.
-_GATHER_MEMO_SIZE = 32
+# Shapes whose tiles the exhaustive check keeps, least recently used out first.
+_TILE_MEMO_SIZE = 32
 DEFAULT_TP_TOL = 1e-9
 # Largest first-order relative distance from a quarter-period collocation's
 # entries to the exact quarter period's at which the Vandermonde route decides.
@@ -283,56 +275,16 @@ def _tiles(n_rows: int, n_cols: int):
                 yield rows, cols, (rows[:, None, :, None] * n_cols + cols[None, :, None, :]).reshape(r, r, -1)
 
 
-class _Gathers(NamedTuple):
-    """The index arrays of every check of one shape whose every order is one tile; all read-only."""
-
-    tiles: tuple                # _tiles' one (row sets, column sets, gather index) per order
-    col_sets: np.ndarray        # (r_max, S): the S column sets of all orders, each padded by repeating its last column
-    scale_index: np.ndarray     # (r_max, minors): each minor's rows' entries in the flattened max table, then its 1.0
-
-
-@functools.lru_cache(maxsize=_GATHER_MEMO_SIZE)
-def _shape_gathers(n_rows: int, n_cols: int) -> Optional[_Gathers]:
-    """The _Gathers of an n_rows x n_cols check, None when some order takes more than one tile."""
-    r_max = min(n_rows, n_cols)
-    if any(math.comb(n_rows, r) * math.comb(n_cols, r) * r * r > MINOR_BLOCK for r in range(1, r_max + 1)):
+@functools.lru_cache(maxsize=_TILE_MEMO_SIZE)
+def _shape_tiles(n_rows: int, n_cols: int) -> Optional[tuple]:
+    """The read-only tuple(_tiles(n_rows, n_cols)), one per order, None when some order takes more than one tile."""
+    if any(math.comb(n_rows, r) * math.comb(n_cols, r) * r * r > MINOR_BLOCK
+           for r in range(1, min(n_rows, n_cols) + 1)):
         return None
     tiles = tuple(_tiles(n_rows, n_cols))
-    # a column repeated leaves the set's max as it is
-    col_sets = np.concatenate([np.vstack([cols] + [cols[-1:]] * (r_max - len(cols))) for _, cols, _ in tiles], axis=1)
-    width = col_sets.shape[1]
-    scale_index, offset = [], 0
-    for rows, cols, _ in tiles:
-        index = np.full((r_max, rows.shape[1], cols.shape[1]), n_rows * width, dtype=np.intp)  # the 1.0
-        index[:len(rows)] = rows[:, :, None] * width + np.arange(offset, offset + cols.shape[1])
-        scale_index.append(index.reshape(r_max, -1))
-        offset += cols.shape[1]
-    gathers = _Gathers(tiles, col_sets, np.concatenate(scale_index, axis=1))
-    for array in (*gathers[1:], *(a for tile in tiles for a in tile)):
+    for array in (a for tile in tiles for a in tile):
         array.flags.writeable = False
-    return gathers
-
-
-def _batches(flat: np.ndarray, n_rows: int, n_cols: int):
-    """(tiles, stacks, scales) of each batch of minors of the flattened matrix, in enumeration order.
-
-    A stack is the (r, r, k) gather of one tile and scales holds the product
-    of each minor's row maxima, in row order.  A matrix whose every order is
-    one tile is one batch of all its orders, whose row maxima come from the
-    (n_rows, S) table of every column set's max in each row; any other
-    matrix is one batch per tile.
-    """
-    gathers = _shape_gathers(n_rows, n_cols)
-    if gathers is None:
-        for tile in _tiles(n_rows, n_cols):
-            subs = flat.take(tile[2])
-            yield (tile,), [subs], np.abs(subs).max(axis=1).prod(axis=0)
-        return
-    table = np.ones(n_rows * gathers.col_sets.shape[1] + 1)  # its last entry, 1.0, pads the lower orders
-    np.abs(flat).reshape(n_rows, n_cols).take(gathers.col_sets, axis=1).max(
-        axis=1, out=table[:-1].reshape(n_rows, -1))
-    stacks = [flat.take(index) for _, _, index in gathers.tiles]
-    yield gathers.tiles, stacks, table.take(gathers.scale_index).prod(axis=0)
+    return tiles
 
 
 def _dets(subs: np.ndarray) -> np.ndarray:
@@ -346,12 +298,12 @@ def _scaled(dets: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0.0)
 
 
-def _rescale(subs: np.ndarray, dets: np.ndarray, scales: np.ndarray, scaled: np.ndarray) -> None:
+def _rescale(subs: np.ndarray, row_max: np.ndarray, dets: np.ndarray, scales: np.ndarray,
+             scaled: np.ndarray) -> None:
     """Take again, in place, the minors of an (r, r, k) stack whose det or scale leaves float range.
 
-    A minor with a zero row keeps its scaled value 0.
+    row_max is the stack's (r, k) row maxima.  A minor with a zero row keeps its scaled value 0.
     """
-    row_max = np.abs(subs).max(axis=1)
     normal = (scales >= _SMALLEST_NORMAL) & (scales < math.inf)
     redo = np.flatnonzero(~np.isfinite(dets) | (~normal & row_max.all(axis=0)))
     if redo.size:
@@ -373,14 +325,19 @@ def _worst_minor(entries: np.ndarray) -> tuple[float, float, Optional[tuple]]:
     n_rows, n_cols = entries.shape
     flat = np.ascontiguousarray(entries).ravel()
     worst_scaled, worst_det, worst_idx = math.inf, 0.0, None
-    for tiles, stacks, scales in _batches(flat, n_rows, n_cols):
+    kept = _shape_tiles(n_rows, n_cols)
+    # a matrix whose every order is one tile is one batch of all orders, any other one batch per tile
+    for tiles in [kept] if kept is not None else ([tile] for tile in _tiles(n_rows, n_cols)):
+        stacks = [flat.take(index) for _, _, index in tiles]
+        row_maxes = [np.abs(subs).max(axis=1) for subs in stacks]
         dets = np.concatenate([_dets(subs) for subs in stacks])
+        scales = np.concatenate([row_max.prod(axis=0) for row_max in row_maxes])  # in row order
         scaled = _scaled(dets, scales)
         if not (np.isfinite(dets).all() and _SMALLEST_NORMAL <= scales.min() and scales.max() < math.inf):
             start = 0
-            for subs in stacks:
+            for subs, row_max in zip(stacks, row_maxes):
                 part = slice(start, start + subs.shape[2])
-                _rescale(subs, dets[part], scales[part], scaled[part])
+                _rescale(subs, row_max, dets[part], scales[part], scaled[part])
                 start = part.stop
         k = int(np.argmin(scaled))  # the first of equal minima
         if scaled[k] < worst_scaled:

@@ -27,7 +27,7 @@ from qtrig import (
 from qtrig.export import render_svg
 from qtrig.errors import _finite_input
 from qtrig.shape import (
-    _GATHER_MEMO_SIZE, MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap, _shape_gathers,
+    _TILE_MEMO_SIZE, MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap, _shape_tiles,
 )
 from oracles import classical_trig_basis, monomial_tp_reference, total_positivity_reference
 
@@ -624,7 +624,7 @@ def test_tp_check_of_all_orders_in_one_batch_matches_the_minor_loop():
     # orders at once; 7 x 7, whose order 4 holds 35 * 35 minors of 16 entries,
     # is the first shape over that bound and takes tiles
     shapes = [(rows, cols) for rows in range(1, 8) for cols in range(1, 8)]
-    assert [shape for shape in shapes if _shape_gathers(*shape) is None] == [(7, 7)]
+    assert [shape for shape in shapes if _shape_tiles(*shape) is None] == [(7, 7)]
     assert 35 * 35 * 16 > MINOR_BLOCK >= 35 * 35 * 9
     rng = np.random.default_rng(9006)
     for rows, cols in shapes:
@@ -648,26 +648,26 @@ def test_tp_check_witness_is_the_lower_order_of_equal_minima():
 
 
 def test_tp_check_gathers_are_read_only_and_bounded():
-    _shape_gathers.cache_clear()
+    _shape_tiles.cache_clear()
     rng = np.random.default_rng(9007)
     for rows in range(1, 8):
         for cols in range(1, 8):
             total_positivity_check(rng.uniform(-1.0, 1.0, size=(rows, cols)))
-    info = _shape_gathers.cache_info()
-    assert info.maxsize == _GATHER_MEMO_SIZE == info.currsize  # 49 shapes met, the last 32 kept
-    # 1 x 16384 is the largest shape whose every order is one tile: 65,537 indices
-    gathers = _shape_gathers(1, MINOR_BLOCK)
-    assert _shape_gathers(1, MINOR_BLOCK + 1) is None
-    arrays = [gathers.col_sets, gathers.scale_index, *(a for tile in gathers.tiles for a in tile)]
+    info = _shape_tiles.cache_info()
+    assert info.maxsize == _TILE_MEMO_SIZE == info.currsize  # 49 shapes met, the last 32 kept
+    # 1 x 16384 is the widest shape whose every order is one tile: 32,769 indices
+    tiles = _shape_tiles(1, MINOR_BLOCK)
+    assert _shape_tiles(1, MINOR_BLOCK + 1) is None
+    arrays = [a for tile in tiles for a in tile]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        gathers.scale_index[0, 0] = 0
+        tiles[0][2][0, 0, 0] = 0
     owners = {}
     for a in arrays:
         while a.base is not None:
             a = a.base
         owners[id(a)] = a.nbytes
-    assert sum(owners.values()) == 65_537 * 8
+    assert sum(owners.values()) == 32_769 * 8
 
 
 def test_rational_collocation_and_its_check_check_each_input_once(monkeypatch):
