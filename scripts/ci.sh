@@ -51,7 +51,8 @@ test "$out" = "qtrig: error: degree 34, q=4.0: the basis leaves float64 at x = -
 # Console script: the first command takes the quarter-period route; the second, off the
 # quarter grid, takes the exhaustive one and must exit 4 (not TP); the
 # rational pair runs collocation()'s route decision on weights: all
-# positive takes the structural route, one negative the exhaustive one
+# positive takes the structural route, one negative the exhaustive one,
+# whose count and worst minor, bit for bit, pin the mixed-weight rows
 qtrig check tp --degree 9 --q 1.5 --interval 0,pi/2 --grid 12
 code=0
 qtrig check tp --degree 4 --q 0.5 --interval 0.3,1.5 || code=$?
@@ -62,6 +63,8 @@ code=0
 out=$(qtrig check tp --degree 4 --q 2 --interval 0,pi/2 --weights 1,2,-0.01,2,1) || code=$?
 test "$code" -eq 4
 echo "$out" | grep -F '"route": "exhaustive"'
+echo "$out" | grep -F '"minors_checked": 461'
+echo "$out" | grep -F '"worst_minor": -0.0005991242355416167'
 
 # Console script: the default 6 x 6 off-grid check takes all its orders in
 # one batch from the tiles kept for its shape; its count and its worst

@@ -10,7 +10,7 @@ Degree-n basis on a certified interval [a, b]:
 with empty products equal to 1.  At q = 1 this is the classical circular
 Bernstein basis.  The product formula takes all n + 1 values at one x from
 running prefix products of the two kernel tables, O(n) multiplications in
-all, in kernel._product_formula: one pass forms each d(x, b; q^i) and its
+all, in kernel._products: one pass forms each d(x, b; q^i) and its
 running product, a second each d(a, x; q^i), its running product and B_k.
 basis_matrix runs the same loop one point at a time on Python floats for
 1 to _SHORT_XS = 8 points and on (m,) columns for more: the float loop
@@ -20,17 +20,18 @@ Python 3.11.7, numpy 2.4.6, x86-64).  Both give the bits of one x.
 
 The degree-raising recurrences 1 and 2 are curve.py's alg2 and alg1
 schemes transposed (B_k is a scheme's apex on the unit control points
-e_k): they read the stages of curve._stages upwards, each B_j of degree
+e_k): they read the stages of curve._tableau upwards, each B_j of degree
 size - 1 going to B_j and B_(j+1).
 
 Every route reads the x-free part of its work (the q-binomial row, the
 certified denominators and their product) from one memoised evaluation
-plan per (a, b, q, n) and then does only the x-dependent work.  A single-x
-route makes one kernel call, kernel._product_formula or kernel._tables;
-basis_matrix converts xs once, checks all of it with kernel._checks and
-then runs kernel._products on each point as a float or on the columns.
-collocation() in shape.py has checked its points already and takes
-_checked_matrix, which meets only the certificate before the same loops.
+plan per (a, b, q, n), found by one lookup with one set of checks:
+basis_all_direct calls kernel._checks and then kernel._products, the
+recurrences kernel._tables; basis_matrix converts xs once, checks all of
+it with kernel._checks and then runs kernel._products on each point as a
+float or on the columns.  collocation() in shape.py has checked its
+points already and takes _checked_matrix, which meets only the
+certificate before the same loops.
 """
 
 import math
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, _certified_plan, _checks, _product_formula, _products, _tables
+from .kernel import Interval, _certified_plan, _checks, _products, _tables
 
 __all__ = [
     "BasisVector",
@@ -84,7 +85,8 @@ def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
 
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
-    values = _product_formula(interval, x, q, n)
+    plan, point, sin, cos = _checks(interval, x, q, n)
+    values = _products(interval, plan, q, point, sin, cos)
     return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
 
 
@@ -114,7 +116,7 @@ def _rows(interval: Interval, plan, q, xs: np.ndarray) -> np.ndarray:
     The row and denominator checks come next, in the first _products call,
     so a NaN late in xs is refused before a failing row.
     """
-    if 0 < len(xs) <= _SHORT_XS:  # each row the bits of _product_formula at its point as a float
+    if 0 < len(xs) <= _SHORT_XS:  # each row the bits of basis_all_direct at its point as a float
         return np.array([_products(interval, plan, q, x, math.sin, math.cos) for x in xs.tolist()])
     columns = _products(interval, plan, q, xs, np.sin, np.cos)
     values = np.empty((len(xs), plan.n + 1))
@@ -123,7 +125,7 @@ def _rows(interval: Interval, plan, q, xs: np.ndarray) -> np.ndarray:
 
 
 def _recurrence(n, x, q, interval, variant):
-    """B_0..B_n at x: each stage size = 1..n reads curve._stages' den, ratios and q-power side.
+    """B_0..B_n at x: each stage size = 1..n reads curve._tableau's den, ratios and q-power side.
 
     A term is q-power * (d / den * B_j), with 1.0 (exact) on the side without
     one, and a new entry is 0.0 + (term from B_(j-1)) + (term from B_j).

@@ -7,11 +7,11 @@ closed-form expressions that this module exposes for cross-checking.
 P lies in T_n: each B_k is a homogeneous degree-n form in sin x and cos x.
 
 Both schemes run on two paths, chosen by the input, with one order of
-operations.  One x (evaluate_alg1, evaluate_alg2) runs _stages, entry by
+operations.  One x (evaluate_alg1, evaluate_alg2) runs _tableau, entry by
 entry on the Python floats of its kernel tables, and keeps every stage.
 A sample_curve sweep of m points runs _sweep, one numpy step per stage on
 a stacked (n + 1, dim, m) stage, and keeps the apexes; each of its
-elements meets the operations of _stages in their order, so a sweep's
+elements meets the operations of _tableau in their order, so a sweep's
 apexes are bit-identical to the per-point ones.  A sweep's cost is
 its count of numpy calls more than its arithmetic, so _sweep makes six
 per stage, about 180 at n = 30, not six per entry, about 2,800.  It
@@ -140,35 +140,6 @@ def evaluate_direct(polygon: ControlPolygon, x: float, q: float, interval: Inter
     return _finite(bv.values @ polygon.points, "direct curve points")
 
 
-def _stages(stage, d_ax, d_xb, plan, variant):
-    """Yield stages 0..n of the alg1/alg2 scheme at one x, stage 0 being stage itself.
-
-    A stage is a list of entries, an entry a list of float coordinates, and
-    d_ax and d_xb are the float kernel tables of x.  Entry k of stage r+1 is
-    lower * b_k + upper * b_(k+1) per coordinate, with
-    lower = d(x,b;q^(n-r-1-k)) / d(a,b;q^(n-r-1)) and
-    upper = d(a,x;q^k) / d(a,b;q^(n-r-1)), and the q-power multiplying lower
-    (alg1) or upper (alg2) from the left.  evaluate_alg1 and evaluate_alg2
-    state the step.
-    """
-    d_ab, powers = plan.d_ab, plan.powers
-    alg1 = variant == "alg1"
-    yield stage
-    for size in range(plan.n, 0, -1):  # stage n + 1 - size has size entries
-        den = d_ab[size - 1]
-        nxt = []
-        for k in range(size):
-            lower = d_xb[size - 1 - k] / den
-            upper = d_ax[k] / den
-            if alg1:
-                lower = powers[k] * lower
-            else:
-                upper = powers[size - 1 - k] * upper
-            nxt.append([lower * u + upper * v for u, v in zip(stage[k], stage[k + 1])])
-        stage = nxt
-        yield stage
-
-
 def _sweep(polygon, xs, q, interval, variant):
     """The (m, dim) apexes of the alg1/alg2 scheme at the m points of xs, one numpy step per stage.
 
@@ -177,9 +148,9 @@ def _sweep(polygon, xs, q, interval, variant):
     into (n, m) tables; the lists _tables returns are dropped then, before
     the stage buffers are made.  Stage r is the first n + 1 - r rows of one
     (n + 1, dim, m) array, which starts as a copy of the control points; each
-    stage of size entries takes _stages' lower and upper of all of them as
+    stage of size entries takes _tableau's lower and upper of all of them as
     (size, m) rows, then forms upper * b_(k+1) in a second buffer, multiplies
-    b_k by lower in place and adds the two.  Every element meets _stages'
+    b_k by lower in place and adds the two.  Every element meets _tableau's
     operations in their order, whatever block it falls in.
     """
     apexes = np.empty((len(xs), polygon.dim))
@@ -212,14 +183,34 @@ def _sweep(polygon, xs, q, interval, variant):
 
 
 def _tableau(polygon, x, q, interval, variant):
-    """The alg1/alg2 tableau at one x: _stages on floats.
+    """The alg1/alg2 tableau at one x, stage by stage and entry by entry on Python floats.
 
-    The entries of all stages fill one (N, dim) array, and rows[r] is a
-    view of its stage-r block.
+    A stage is a list of entries, an entry a list of float coordinates, and
+    d_ax and d_xb are the float kernel tables of x.  Entry k of stage r+1 is
+    lower * b_k + upper * b_(k+1) per coordinate, with
+    lower = d(x,b;q^(n-r-1-k)) / d(a,b;q^(n-r-1)) and
+    upper = d(a,x;q^k) / d(a,b;q^(n-r-1)), and the q-power multiplying lower
+    (alg1) or upper (alg2) from the left.  evaluate_alg1 and evaluate_alg2
+    state the step.  The entries of all stages fill one (N, dim) array, and
+    rows[r] is a view of its stage-r block.
     """
     plan, d_ax, d_xb = _tables(interval, x, q, polygon.degree)
-    entries = []
-    for stage in _stages(polygon.points.tolist(), d_ax, d_xb, plan, variant):
+    d_ab, powers = plan.d_ab, plan.powers
+    alg1 = variant == "alg1"
+    stage = polygon.points.tolist()
+    entries = stage[:]  # the entries of every stage, stage 0 first
+    for size in range(plan.n, 0, -1):  # stage n + 1 - size has size entries
+        den = d_ab[size - 1]
+        nxt = []
+        for k in range(size):
+            lower = d_xb[size - 1 - k] / den
+            upper = d_ax[k] / den
+            if alg1:
+                lower = powers[k] * lower
+            else:
+                upper = powers[size - 1 - k] * upper
+            nxt.append([lower * u + upper * v for u, v in zip(stage[k], stage[k + 1])])
+        stage = nxt
         entries += stage
     flat = np.array(entries)
     rows, start = [], 0
@@ -251,7 +242,7 @@ def evaluate_alg2(polygon: ControlPolygon, x: float, q: float, interval: Interva
 def _product_chain(row, pa, pb, den):
     """row[j] * pa[j] * pb[r-j] / den for j = 0..r, from r + 1 running products of two kernel windows.
 
-    The operations and order of kernel._product_formula; den is checked by the caller.
+    The operations and order of kernel._products; den is checked by the caller.
     """
     return [c * a * b / den for c, a, b in zip(row, pa, reversed(pb))]
 

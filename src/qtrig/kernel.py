@@ -22,12 +22,13 @@ only, so it is built once per key into an evaluation plan: the powers q^i,
 the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
 the product of the denominators and, for a certified key only, the
-q-binomial row.  A route at one x makes one kernel call, which looks up
-the plan and does only its x-dependent work: four trig calls, 2n kernel
-entries and, for a basis, the product formula, formed in the same loops as
-the entries.  The last 128 plans are kept; in front of this memo, a call
-that passes the very endpoint, q and n objects of the last one, all plain
-floats or ints, gets its plan again.  With shape.py's memo of index
+q-binomial row.  Every route makes one plan lookup and meets one set of
+checks (_checks), then does only its x-dependent work: at one x, four
+trig calls and 2n kernel entries (_tables) or, for a basis, the product
+formula (_products), formed in the same loops as the entries.  The last
+128 plans are kept; in front of this memo, a call that passes the very
+endpoint, q and n objects of the last one, all plain floats or ints,
+gets its plan again.  With shape.py's memo of index
 arrays per matrix shape, the two are the package's only state.  Each
 plan holds the powers, the denominators, n precomputed form terms and
 the row, about 136 bytes per unit of n + 1 under tracemalloc, so
@@ -292,12 +293,6 @@ def _tables(interval: Interval, x, q, n: int, columns: bool = False) -> tuple[_P
     forms = plan.forms
     return (plan, _kernel_row(forms, sin_ax, cos_x_sin_a, sin_x_cos_a),
             _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
-
-
-def _product_formula(interval: Interval, x, q, n: int) -> list:
-    """B_0..B_n of the product formula at one x: _checks, then _products."""
-    plan, x, sin, cos = _checks(interval, x, q, n)
-    return _products(interval, plan, q, x, sin, cos)
 
 
 def _products(interval: Interval, plan: _Plan, q, x, sin, cos) -> list:

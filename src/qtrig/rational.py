@@ -133,23 +133,24 @@ def denominator_certificate(n: int, q: float, interval: Interval, weights) -> fl
 def rational_basis_matrix(n: int, xs, q: float, interval: Interval, weights) -> np.ndarray:
     """Rational basis vectors at every point of xs, shape (m, n+1).
 
-    Mixed-sign weights must first pass denominator_certificate over the
-    whole interval.  Row j is then bit-identical to
+    The basis rows come first, with basis_matrix's checks of the interval
+    and of xs; mixed-sign weights must then pass denominator_certificate
+    over the whole interval.  Row j is bit-identical to
     rational_basis_all(n, xs[j], q, interval, weights).values, and the first
     x_j whose denominator vanishes raises SingularDenominatorError as that
     route does.
     """
-    return _rational_matrix(n, xs, q, interval, _coerce_weights(weights, n), basis_matrix)
+    return _rational_rows(n, q, interval, _coerce_weights(weights, n), basis_matrix(n, xs, q, interval), xs)
 
 
-def _rational_matrix(n: int, xs, q: float, interval: Interval, w: np.ndarray, basis) -> np.ndarray:
-    """rational_basis_matrix of weights w that _coerce_weights has passed, on the rows basis(n, xs, q, interval).
+def _rational_rows(n: int, q: float, interval: Interval, w: np.ndarray, rows: np.ndarray, xs) -> np.ndarray:
+    """The rational basis rows of weights w that _coerce_weights has passed, from the (m, n+1) basis rows at xs.
 
-    basis is basis_matrix, or basis._checked_matrix for points the caller has checked.
+    Mixed-sign weights meet denominator_certificate first, then every row _weighted_rows' rule.
     """
     if not min(w.tolist()) > 0.0:  # a few weights: one float test beats a numpy reduction
         denominator_certificate(n, q, interval, w)
-    terms, dens = _weighted_rows(w, basis(n, xs, q, interval), xs)
+    terms, dens = _weighted_rows(w, rows, xs)
     return terms / dens[:, None]
 
 
@@ -168,7 +169,7 @@ def rational_sample(
         raise ValueError(f"need at least 2 samples, got {count}")
     w = _coerce_weights(weights, polygon.degree)
     xs = np.linspace(interval.a, interval.b, count)
-    basis = _rational_matrix(polygon.degree, xs, q, interval, w, basis_matrix)
+    basis = _rational_rows(polygon.degree, q, interval, w, basis_matrix(polygon.degree, xs, q, interval), xs)
     points = np.matmul(basis[:, None, :], polygon.points)[:, 0]  # per row, as in rational_evaluate
     tag = "rational" if _shape_guaranteed(interval, q, w) else "rational-no-shape-guarantee"
     return CurveSamples(xs, points, tag)

@@ -73,7 +73,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -81,7 +81,7 @@ import numpy as np
 from .basis import _checked_matrix
 from .errors import MinorCapExceededError, _finite_input
 from .kernel import Interval
-from .rational import _coerce_weights, _rational_matrix, _shape_guaranteed, point_segment_distance
+from .rational import _coerce_weights, _rational_rows, _shape_guaranteed, point_segment_distance
 
 __all__ = [
     "MINOR_CAP",
@@ -172,13 +172,12 @@ def collocation(
     pts = pts.copy()  # the route is decided on these points: a later edit of the caller's reaches none
     pts.flags.writeable = False
 
-    w = None
-    if family == "rational":  # mixed-sign weights pass the denominator certificate first
-        w = _coerce_weights(weights, n)
-        rows = _rational_matrix(n, pts, q, interval, w, _checked_matrix)
-    else:
-        q = 1.0 if family == "classical" else q
-        rows = _checked_matrix(n, pts, q, interval)
+    w = _coerce_weights(weights, n) if family == "rational" else None
+    if family == "classical":
+        q = 1.0
+    rows = _checked_matrix(n, pts, q, interval)
+    if w is not None:  # mixed-sign weights pass the denominator certificate before the rows are normalised
+        rows = _rational_rows(n, q, interval, w, rows, pts)
     rows.flags.writeable = False  # the route below holds for these numbers only
     mat = CollocationMatrix(entries=rows.T, points=pts, family=family)
     if _quarter_period_vandermonde(interval, q, w, xs, n + 1):
@@ -278,10 +277,10 @@ def _tiles(n_rows: int, n_cols: int):
 @functools.lru_cache(maxsize=_TILE_MEMO_SIZE)
 def _shape_tiles(n_rows: int, n_cols: int) -> Optional[tuple]:
     """The read-only tuple(_tiles(n_rows, n_cols)), one per order, None when some order takes more than one tile."""
-    if any(math.comb(n_rows, r) * math.comb(n_cols, r) * r * r > MINOR_BLOCK
-           for r in range(1, min(n_rows, n_cols) + 1)):
+    orders = min(n_rows, n_cols)
+    tiles = tuple(islice(_tiles(n_rows, n_cols), orders + 1))  # every order yields a tile
+    if len(tiles) > orders:
         return None
-    tiles = tuple(_tiles(n_rows, n_cols))
     for array in (a for tile in tiles for a in tile):
         array.flags.writeable = False
     return tiles

@@ -21,6 +21,7 @@ from qtrig import (
     rational_sample,
     sign_changes_seq,
 )
+from qtrig.basis import _SHORT_XS
 
 ONES4 = np.ones(4)
 
@@ -217,6 +218,20 @@ def test_certificate_finds_crossings_at_any_scale(quarter):
         with pytest.raises(SingularDenominatorError) as err:
             denominator_certificate(1, 1.0, quarter, w)
         assert abs(err.value.x - root) <= 1e-6
+
+
+def test_rational_rows_check_x_before_the_denominator_certificate(quarter):
+    # these crossing weights fail the grid certificate at x = 0.138...; a NaN
+    # x is refused first, as every route checks x before its own checks,
+    # both where the rows are floats and where they are columns
+    w = [1.0, -3.0, -3.0, 1.0]
+    assert _SHORT_XS < 12
+    for xs in ([0.5, math.nan], [0.1 * i for i in range(11)] + [math.nan]):
+        with pytest.raises(ValueError, match="x must be finite"):
+            rational_basis_matrix(3, xs, 1.5, quarter, w)
+    with pytest.raises(SingularDenominatorError) as err:
+        rational_basis_matrix(3, [0.5], 1.5, quarter, w)
+    assert err.value.x == 0.13811331538179578
 
 
 def test_mixed_weights_without_zero_crossing(quarter):
