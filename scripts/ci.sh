@@ -122,6 +122,13 @@ out=$(qtrig check tp --degree 2 --q 1.5 --interval 0.3,1.4 --grid 100)
 echo "$out" | grep -F '"minors_checked": 176850'
 echo "$out" | grep -F '"route": "exhaustive"'
 
+# A 2 x 200 collocation off the quarter grid, exhaustive and TP: its
+# C(200, 2) = 19,900 order-2 column sets take five tiles, unranked, a path
+# no benchmark workload runs; count and worst minor pinned bit for bit
+out=$(qtrig check tp --degree 1 --q 0.5 --interval 0.3,1.5 --grid 200)
+echo "$out" | grep -F '"minors_checked": 20300'
+echo "$out" | grep -F '"worst_minor": 0.006405432860407831'
+
 # Console script: 1000-point alg1 and alg2 sweeps of a 31-point planar
 # polygon, the degree that dominates eval-sweep's tableau sweeps, exit 0
 # with a header and 1000 data rows each

@@ -24,14 +24,13 @@ e_k): they read the stages of curve._tableau upwards, each B_j of degree
 size - 1 going to B_j and B_(j+1).
 
 Every route reads the x-free part of its work (the q-binomial row, the
-certified denominators and their product) from one memoised evaluation
+certified denominators and their product) and the key from one memoised
 plan per (a, b, q, n), found by one lookup with one set of checks:
 basis_all_direct calls kernel._checks and then kernel._products, the
-recurrences kernel._tables; basis_matrix converts xs once, checks all of
-it with kernel._checks and then runs kernel._products on each point as a
-float or on the columns.  collocation() in shape.py has checked its
-points already and takes _checked_matrix, which meets only the
-certificate before the same loops.
+recurrences kernel._tables; basis_matrix converts xs once, checks it with
+kernel._checks and runs _rows: kernel._products per point on floats or on
+the columns.  collocation() in shape.py, which checks its own points,
+calls _rows after kernel._certified_plan, which meets only the certificate.
 """
 
 import math
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Interval, _certified_plan, _checks, _products, _tables
+from .kernel import Interval, _checks, _products, _tables
 
 __all__ = [
     "BasisVector",
@@ -86,7 +85,7 @@ def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
 def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVector:
     """The full basis vector via the product formula."""
     plan, point, sin, cos = _checks(interval, x, q, n)
-    values = _products(interval, plan, q, point, sin, cos)
+    values = _products(plan, point, sin, cos)
     return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
 
 
@@ -102,23 +101,18 @@ def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
     if xs.ndim != 1:
         raise ValueError(f"xs must be a 1-D sequence of points, got shape {xs.shape}")
     plan, xs, _, _ = _checks(interval, xs, q, n, columns=True)
-    return _rows(interval, plan, q, xs)
+    return _rows(plan, xs)
 
 
-def _checked_matrix(n: int, xs: np.ndarray, q: float, interval: Interval) -> np.ndarray:
-    """basis_matrix at a 1-D float64 xs whose every point its caller has found finite: only the certificate is met here."""
-    return _rows(interval, _certified_plan(interval, q, n), q, xs)
-
-
-def _rows(interval: Interval, plan, q, xs: np.ndarray) -> np.ndarray:
-    """The basis rows at a 1-D float64 xs whose every point is checked, from a certified plan.
+def _rows(plan, xs: np.ndarray) -> np.ndarray:
+    """The basis rows at a 1-D float64 xs whose every point is checked, from a certified plan and its key alone.
 
     The row and denominator checks come next, in the first _products call,
     so a NaN late in xs is refused before a failing row.
     """
     if 0 < len(xs) <= _SHORT_XS:  # each row the bits of basis_all_direct at its point as a float
-        return np.array([_products(interval, plan, q, x, math.sin, math.cos) for x in xs.tolist()])
-    columns = _products(interval, plan, q, xs, np.sin, np.cos)
+        return np.array([_products(plan, x, math.sin, math.cos) for x in xs.tolist()])
+    columns = _products(plan, xs, np.sin, np.cos)
     values = np.empty((len(xs), plan.n + 1))
     values[:] = np.array(columns).T  # at n = 0 the one entry is a float, broadcast to m rows
     return values

@@ -22,26 +22,26 @@ only, so it is built once per key into an evaluation plan: the powers q^i,
 the denominators and their certificate, the sines and cosines of a and b,
 the kernel forms split at |q^i| <= 1 with 1 - q^i and q^i - 1 precomputed,
 the product of the denominators and, for a certified key only, the
-q-binomial row.  Every route makes one plan lookup and meets one set of
-checks (_checks), then does only its x-dependent work: at one x, four
-trig calls and 2n kernel entries (_tables) or, for a basis, the product
-formula (_products), formed in the same loops as the entries.  The last
-128 plans are kept; in front of this memo, a call that passes the very
-endpoint, q and n objects of the last one, all plain floats or ints,
-gets its plan again.  With shape.py's memo of index
-arrays per matrix shape, the two are the package's only state.  Each
-plan holds the powers, the denominators, n precomputed form terms and
-the row, about 136 bytes per unit of n + 1 under tracemalloc, so
-the memo holds at most about 17 KiB per unit of n + 1 for degrees up to n
-(17 MB at n = 1000).  A failure is held as a marker, never as an exception:
-a plan whose denominators meet an inf or NaN raises FloatRangeError on
-every call, and an uncertified one InvalidIntervalError.
+q-binomial row, and the key: a, b and q as plain floats, n a plain int.
+Every route makes one plan lookup and meets one set of checks (_checks),
+then does only its x-dependent work, which reads the key from the plan, so
+x - a and b - x are float64 for any endpoint type: at one x, four trig
+calls and 2n kernel entries (_tables) or, for a basis, the product formula
+(_products), formed in the same loops as the entries.  The last 128 plans
+are kept; in front of this memo, a call that passes the very endpoint, q
+and n objects of the last one, all plain floats or ints, gets its plan
+again.  With shape.py's memo of index arrays per matrix shape, the two are
+the package's only state.  Each plan holds the powers, the denominators, n
+precomputed form terms and the row, about 136 bytes per unit of n + 1 under
+tracemalloc, so the memo holds at most about 17 KiB per unit of n + 1 for
+degrees up to n (17 MB at n = 1000).  A failure is held as a marker, never
+as an exception: a plan whose denominators meet an inf or NaN raises
+FloatRangeError on every call, and an uncertified one InvalidIntervalError.
 
 The product formula runs one loop on either Python floats or (m,) numpy
-columns.  basis_matrix takes up to 8 points one at a time on floats
-(basis._rows): on (m,) columns each step is a numpy call on m elements,
-whose fixed cost outweighs the float loop's per point up to about 8 points
-at n = 1 and 16 at n = 10 (basis.py has the measured ratios).
+columns; basis._rows takes up to 8 points one at a time on floats, as a
+numpy call's fixed cost outweighs the float loop's per point up to about
+8 points at n = 1 and 16 at n = 10 (basis.py has the measured ratios).
 
 Every route meets the same checks in this order: the plan's certificate
 (every d(a, b; q^i) finite, then clear of zero), then x, then its own
@@ -164,13 +164,15 @@ def _forms(powers):
 
 
 class _Plan(NamedTuple):
-    """Everything x-free that a degree-n evaluation at q on [a, b] reads.
+    """Everything x-free that a degree-n evaluation at q on [a, b] reads, the key (a, b, q, n) included.
 
-    A failure is held as a marker: d_ab is None when some d(a, b; q^i) is
-    inf or NaN.  Only a certified key holds a row, None if it leaves float64.
+    The x-work reads the key here.  A failure is a marker: d_ab is None when
+    some d(a, b; q^i) is inf or NaN.  Only a certified key holds a row, None if it leaves float64.
     """
 
-    q: float                    # the key's plain float q and plain int n
+    a: float                    # the key's plain float endpoints and q, and plain int n
+    b: float
+    q: float
     n: int
     powers: tuple               # q^0..q^n
     trig: tuple                 # sin a, cos a, sin b, cos b
@@ -203,7 +205,7 @@ def _evaluation_plan(a: float, b: float, q: float, n: int) -> _Plan:
     else:
         d_ab = None
     row = _q_binomial_row(n, q) if d_ab is not None and failing is None else None
-    return _Plan(q, n, powers, trig, _forms(powers[:n]), d_ab, min_abs, failing, row, den)
+    return _Plan(a, b, q, n, powers, trig, _forms(powers[:n]), d_ab, min_abs, failing, row, den)
 
 
 # the endpoints, q and n of _plan's last successful call on plain floats and ints, then its
@@ -268,15 +270,15 @@ def _checks(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
     return plan, x, np.sin, np.cos
 
 
-def _trig_terms(interval: Interval, plan: _Plan, x, sin, cos) -> tuple:
+def _trig_terms(plan: _Plan, x, sin, cos) -> tuple:
     """The trig terms of an x that _checks has passed, as _kernel_row reads them.
 
     sin(x - a), cos x sin a, sin x cos a for the d(a, x) row, then
-    sin(b - x), cos b sin x, sin b cos x for the d(x, b) row.
+    sin(b - x), cos b sin x, sin b cos x for the d(x, b) row; a and b are the plan's floats.
     """
     sin_a, cos_a, sin_b, cos_b = plan.trig
     sin_x, cos_x = sin(x), cos(x)
-    return sin(x - interval.a), cos_x * sin_a, sin_x * cos_a, sin(interval.b - x), cos_b * sin_x, sin_b * cos_x
+    return sin(x - plan.a), cos_x * sin_a, sin_x * cos_a, sin(plan.b - x), cos_b * sin_x, sin_b * cos_x
 
 
 def _checked_den(den: float, n: int, q) -> float:
@@ -289,31 +291,31 @@ def _checked_den(den: float, n: int, q) -> float:
 def _tables(interval: Interval, x, q, n: int, columns: bool = False) -> tuple[_Plan, list, list]:
     """The plan of (interval, q, n) and the d_ax and d_xb of kernel_tables from it, checked by _checks."""
     plan, x, sin, cos = _checks(interval, x, q, n, columns)
-    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _trig_terms(interval, plan, x, sin, cos)
+    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _trig_terms(plan, x, sin, cos)
     forms = plan.forms
     return (plan, _kernel_row(forms, sin_ax, cos_x_sin_a, sin_x_cos_a),
             _kernel_row(forms, sin_xb, cos_b_sin_x, sin_b_cos_x))
 
 
-def _products(interval: Interval, plan: _Plan, q, x, sin, cos) -> list:
-    """B_0..B_n of the product formula at one x or a column of them that _checks has passed, in the kernel loop.
+def _products(plan: _Plan, x, sin, cos) -> list:
+    """B_0..B_n of the product formula from the plan at one x or a column of them that _checks has passed.
 
     B_j = row[j] * pa[j] * pb[n-j] / den, where pa[j] = prod(d_ax[:j]) and
     pb[j] = prod(d_xb[:j]).  Checks the product formula's own ranges, the
-    row plan.row and the denominator plan.den, before any product is
-    formed: on columns a failing denominator would otherwise meet numpy's
-    overflow warnings first.  One pass forms each d(x,b;q^i) and multiplies
-    it into its running product (u = u * d, from 1.0); a second forms each
-    B_j and then multiplies d(a,x;q^j) into its running product t the same
-    way.  Every entry is _kernel_row's expression, taken in its order from
-    plan.forms, so each B_j is bit-identical to the chain over the
-    accumulated prefix products of _tables' rows.
+    row plan.row and the denominator plan.den, each error naming plan.n and
+    plan.q, before any product is formed: on columns a failing denominator
+    would otherwise meet numpy's overflow warnings first.  One pass forms
+    each d(x,b;q^i) and multiplies it into its running product (u = u * d,
+    from 1.0); a second forms each B_j and then multiplies d(a,x;q^j) into
+    its running product t the same way, in the kernel loop.  Every entry is
+    _kernel_row's expression, taken in its order from plan.forms, so each
+    B_j is bit-identical to the chain over the prefix products of _tables' rows.
     """
     row, den = plan.row, plan.den
     if row is None or den == 0.0 or not math.isfinite(den):  # the range checks, called only when one fails
         _checked_row(row, plan.n, plan.q)
-        _checked_den(den, plan.n, q)
-    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _trig_terms(interval, plan, x, sin, cos)
+        _checked_den(den, plan.n, plan.q)
+    sin_ax, cos_x_sin_a, sin_x_cos_a, sin_xb, cos_b_sin_x, sin_b_cos_x = _trig_terms(plan, x, sin, cos)
     inner, inner_c, outer_c = plan.forms
     u = 1.0
     pb = [u]

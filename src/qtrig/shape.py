@@ -61,12 +61,12 @@ one state the check keeps.
 Most collocations are a few points, where a numpy call on them costs more
 than its arithmetic: collocation() checks the points' order and bounds and
 the weights' signs on Python floats, and passes the points and weights it
-has checked down to the basis rows, which do not check or convert them
-again; the rows of up to 8 points are formed one at a time on floats
-(basis.py), and only the exhaustive loop runs under numpy's errstate.  A
-6-point quarter-period collocation at n = 2 then takes 24 us where the
-column loop and numpy checks took 38 (in process, Python 3.11.7, numpy
-2.4.6, x86-64).
+has checked down to the basis rows, basis._rows after _certified_plan,
+which do not check or convert them again; the rows of up to 8 points are
+formed one at a time on floats (basis.py), and only the exhaustive loop
+runs under numpy's errstate.  A 6-point quarter-period collocation at
+n = 2 then takes 24 us where the column loop and numpy checks took 38 (in
+process, Python 3.11.7, numpy 2.4.6, x86-64).
 """
 
 import functools
@@ -78,9 +78,9 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import _checked_matrix
+from .basis import _rows
 from .errors import MinorCapExceededError, _finite_input
-from .kernel import Interval
+from .kernel import Interval, _certified_plan
 from .rational import _coerce_weights, _rational_rows, _shape_guaranteed, point_segment_distance
 
 __all__ = [
@@ -156,7 +156,10 @@ def collocation(
     points,
     weights=None,
 ) -> CollocationMatrix:
-    """Collocation matrix of a basis family at strictly increasing points; its entries and points are read-only."""
+    """Collocation matrix of a basis family at strictly increasing points; its entries and points are read-only.
+
+    The points are checked here, so the rows are basis._rows after _certified_plan: only the certificate is met again.
+    """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     if family != "rational" and weights is not None:
@@ -175,7 +178,7 @@ def collocation(
     w = _coerce_weights(weights, n) if family == "rational" else None
     if family == "classical":
         q = 1.0
-    rows = _checked_matrix(n, pts, q, interval)
+    rows = _rows(_certified_plan(interval, q, n), pts)
     if w is not None:  # mixed-sign weights pass the denominator certificate before the rows are normalised
         rows = _rational_rows(n, q, interval, w, rows, pts)
     rows.flags.writeable = False  # the route below holds for these numbers only

@@ -134,6 +134,15 @@ def test_polygon_file_points(tmp_path, points, expect):
         assert read.tolist() == expect and weights is None
 
 
+def test_a_polygon_of_nested_rows_exits_1_with_the_reason(tmp_path, capsys):
+    # [[[0, 0]], [[1, 1]]] reads as a 3-d array: no row of coordinates
+    path = write_polygon(tmp_path, {"points": [[[0, 0]], [[1, 1]]]})
+    assert main(["curve", "--polygon", path, "--q", "1.5", "--interval", "0,pi/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"qtrig: error: {path}: points must be finite rows of equal length"
+
+
 def test_end_basis_columns_do_not_depend_on_q(tmp_path):
     outs = []
     for q in ("1.1", "1.3"):

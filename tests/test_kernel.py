@@ -296,6 +296,8 @@ _FAILURE_KINDS = {
         FloatRangeError, "q-binomial row 200 at q=3.0 overflows float64")),
     "denominator product": ((150, 0.9, Interval(0.0, math.pi / 2)), _product_only(
         FloatRangeError, "degree 150, q=0.9: prod d(a,b;q^i) = 0.0 is outside float64")),
+    "denominator product at a numpy q": ((150, np.float64(0.9), Interval(0.0, math.pi / 2)), _product_only(
+        FloatRangeError, "degree 150, q=0.9: prod d(a,b;q^i) = 0.0 is outside float64")),
 }
 
 

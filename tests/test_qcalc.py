@@ -165,6 +165,13 @@ def test_row_outside_float_range_raises():
     assert all(map(math.isfinite, q_binomial_row(40, 3.0)))
 
 
+def test_a_power_of_q_that_overflows_raises():
+    # 1e200 ** 2 raises OverflowError in Python float arithmetic, before any entry is formed
+    with pytest.raises(FloatRangeError) as raised:
+        q_binomial_row(3, 1e200)
+    assert str(raised.value) == "q-binomial row 3 at q=1e+200 overflows float64"
+
+
 def test_changing_a_returned_row_changes_no_later_row_or_basis():
     interval = Interval(0.0, math.pi / 2)
     row = q_binomial_row(4, 1.3)

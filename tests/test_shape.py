@@ -388,6 +388,16 @@ def test_quarter_period_route_falls_back_to_the_minors(quarter):
     assert not total_positivity_check(cases[-1]).is_tp
 
 
+def test_a_q_whose_shift_overflows_takes_the_minors():
+    # at q = 1e-300 the shift's expm1((n - 1) |log q|) overflows: no factorisation is claimed
+    iv = Interval.quarter(-1)
+    mat = collocation("quantum", 3, 1e-300, iv, [-1.2, -0.8, -0.4])
+    assert mat.route == "exhaustive"
+    rep = total_positivity_check(mat)
+    assert rep.is_tp and rep.minors_checked == 34
+    _assert_same_report(rep, total_positivity_reference(mat.entries))
+
+
 def test_only_collocation_sets_the_quarter_period_route(quarter):
     given = np.array([0.3, 0.6, 0.9, 1.2])
     mat = collocation("quantum", 3, 1.5, quarter, given)

@@ -17,6 +17,8 @@ from qtrig import (
     InvalidIntervalError,
     SingularDenominatorError,
     basis_all_direct,
+    basis_all_recurrence1,
+    basis_all_recurrence2,
     basis_matrix,
     collocation,
     evaluate_alg1,
@@ -265,3 +267,42 @@ def test_invalid_interval_raises_the_same_error():
             assert err.value.value == point_err.value.value
             assert str(err.value) == str(point_err.value)
             assert repr(err.value.q) == repr(q)
+
+
+def test_float32_endpoints_give_the_bits_of_their_float64_values_on_every_route():
+    # every route takes x - a and b - x in float64 from the plan, whatever type the endpoints have
+    iv32 = Interval(np.float32(0.3), np.float32(1.4))
+    iv64 = Interval(0.30000001192092896, 1.399999976158142)
+    assert (float(iv32.a), float(iv32.b)) == (iv64.a, iv64.b)
+    q, n, x = 1.5, 6, 1.3
+    rng = np.random.default_rng(3112)
+    poly = ControlPolygon(rng.uniform(-2.0, 2.0, size=(n + 1, 2)))
+    w = rng.uniform(0.5, 2.0, size=n + 1)
+
+    def _hex(values):
+        return [v.hex() for v in np.ravel(np.asarray(values, dtype=float)).tolist()]
+
+    routes = {
+        "basis_all_direct": lambda iv: basis_all_direct(n, x, q, iv).values,
+        "basis_all_recurrence1": lambda iv: basis_all_recurrence1(n, x, q, iv).values,
+        "basis_all_recurrence2": lambda iv: basis_all_recurrence2(n, x, q, iv).values,
+        "evaluate_direct": lambda iv: evaluate_direct(poly, x, q, iv),
+        "alg1 apex": lambda iv: evaluate_alg1(poly, x, q, iv).apex,
+        "alg2 apex": lambda iv: evaluate_alg2(poly, x, q, iv).apex,
+        "intermediate_explicit": lambda iv: intermediate_explicit("alg2", 3, 1, x, poly, q, iv),
+        "rational_basis_all": lambda iv: rational_basis_all(n, x, q, iv, w).values,
+        "kernel_tables": lambda iv: [v for table in kernel_tables(iv, x, q, n) for v in table],
+    }
+    for name, route in routes.items():
+        assert _hex(route(iv32)) == _hex(route(iv64)), name
+
+    for method, evaluate in PER_POINT.items():
+        sweep = sample_curve(poly, q, iv32, 21, method)
+        for s in sweep:
+            assert _hex(s.point) == _hex(evaluate(poly, float(s.x), q, iv32)), (method, s.x)
+
+    for m in (2, 12):  # one point at a time on floats, and by columns
+        xs = np.linspace(iv32.a, iv32.b, m)
+        rows = basis_matrix(n, xs, q, iv32)
+        for row, point in zip(rows, xs.tolist()):
+            assert _hex(row) == _hex(basis_all_direct(n, point, q, iv32).values), (m, point)
