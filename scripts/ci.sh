@@ -41,6 +41,15 @@ code=0
 timeout 20 qtrig basis --degree 6000 --q 0.5 --interval 0,pi/2 --samples 2 || code=$?
 test "$code" -eq 2
 
+# Console script: check tp's --tolerance default shows in its help, read from
+# its one home that loads no numpy; a missing flag is a usage error, exit 1
+# with one line, reported before numpy loads
+COLUMNS=80 qtrig check tp --help | grep -F '(default 1e-09)'
+code=0
+out=$(qtrig basis --q 2 --interval 0,pi/2 2>&1) || code=$?
+test "$code" -eq 1
+test "$out" = "qtrig: error: the following arguments are required: --degree"
+
 # Console script: a basis table whose running products overflow exits 1
 # with one error line, no numpy warning and no table
 code=0

@@ -71,7 +71,10 @@ class BasisVector:
 
 
 def _basis_vector(n, q, interval, x, values: np.ndarray) -> BasisVector:
-    """A BasisVector of the (n + 1,) float array a route has just built, not checked again."""
+    """A BasisVector of the (n + 1,) float array a route has just built, not checked again.
+
+    Every route passes its plan's key, n a plain int and q a plain float, whatever types it was given.
+    """
     bv = object.__new__(BasisVector)
     fields = bv.__dict__  # filled in field order, so it keeps the keys every BasisVector shares
     fields["degree"] = n
@@ -86,7 +89,7 @@ def basis_all_direct(n: int, x: float, q: float, interval: Interval) -> BasisVec
     """The full basis vector via the product formula."""
     plan, point, sin, cos = _checks(interval, x, q, n)
     values = _products(plan, point, sin, cos)
-    return _basis_vector(n, q, interval, x, np.fromiter(values, float, len(values)))
+    return _basis_vector(plan.n, plan.q, interval, x, np.fromiter(values, float, len(values)))
 
 
 def basis_matrix(n: int, xs, q: float, interval: Interval) -> np.ndarray:
@@ -135,7 +138,7 @@ def _recurrence(n, x, q, interval, variant):
             carry = 0.0 + q_upper[j] * (d_ax[j] / den * b)
         nxt.append(carry)
         row = nxt
-    return _basis_vector(n, q, interval, x, np.array(row))
+    return _basis_vector(plan.n, plan.q, interval, x, np.array(row))
 
 
 def basis_all_recurrence1(n: int, x: float, q: float, interval: Interval) -> BasisVector:

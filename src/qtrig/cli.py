@@ -8,33 +8,21 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or input error, 2 invalid interval,
 3 singular rational denominator, 4 property violation.
+
+Loading: this module imports no numpy and no array layer.  Each command
+imports numpy and the layers it runs when it runs, so a basis table loads
+kernel, qcalc, basis and export but never curve, rational or shape, the
+rational layer only with weights, and a usage error that argparse reports
+exits before numpy loads.  qtrig --help shows the text above this paragraph.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
-from typing import Optional
 
-import numpy as np
-
-from .basis import basis_matrix
-from .curve import ControlPolygon, sample_curve
 from .errors import FloatRangeError, InvalidIntervalError, QTrigError, SingularDenominatorError
-from .export import Polyline, render_csv, render_json_records, render_svg, read_polygon_json
-from .kernel import Interval
-from .rational import rational_basis_matrix, rational_sample
-from .shape import (
-    DEFAULT_TP_TOL,
-    MINOR_CAP,
-    _refuse_over_cap,
-    collocation,
-    convex_hull,
-    point_in_hull,
-    sign_changes_seq,
-    total_positivity_check,
-)
+from .qcalc import DEFAULT_TP_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,23 +74,33 @@ def parse_angle(text: str) -> float:
     return sign * float(t)
 
 
-def parse_interval(text: str) -> Interval:
+def parse_interval(text: str):
+    """The Interval of "a,b", each end an angle of parse_angle."""
+    from .kernel import Interval
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f'interval must be "a,b", got {text!r}')
     return Interval(parse_angle(parts[0]), parse_angle(parts[1]))
 
 
-def _parse_weights(text: str) -> np.ndarray:
+def _parse_weights(text: str):
+    import numpy as np
+
     return np.array([float(p) for p in text.split(",")], dtype=float)
 
 
-def _polygon(cfg: argparse.Namespace, dim: Optional[int] = None):
+def _polygon(cfg: argparse.Namespace, dim: int | None = None):
     """(ControlPolygon, weights) from --polygon.
 
     Weights are --weights, else the file's, else all ones.  A check passes
     the point dimension it needs as dim.
     """
+    import numpy as np
+
+    from .curve import ControlPolygon
+    from .export import read_polygon_json
+
     points, file_weights = read_polygon_json(cfg.polygon)
     polygon = ControlPolygon(points)
     if dim is not None and polygon.dim != dim:
@@ -124,6 +122,8 @@ def _emit(out: str, text: str) -> None:
 
 def _write_table(cfg: argparse.Namespace, xs, values, labels, key: str) -> int:
     """CSV rows (x, *labels) or JSON records {"x": x, key: row} of the one --q main() allows."""
+    from .export import render_csv, render_json_records
+
     pairs = zip(xs.tolist(), values.tolist())
     if cfg.fmt == "csv":
         rows = [[x, *row] for x, row in pairs]
@@ -133,12 +133,22 @@ def _write_table(cfg: argparse.Namespace, xs, values, labels, key: str) -> int:
     return EXIT_OK
 
 
-def _polyline(xs, ys, stroke: str, **style) -> Polyline:
+def _polyline(xs, ys, stroke: str, **style):
+    from .export import Polyline
+
     return Polyline(points=tuple(zip(xs.tolist(), ys.tolist())), stroke=stroke, **style)
 
 
 def cmd_basis(cfg: argparse.Namespace, weights=None) -> int:
     """One basis table per --q; the rational family if weights are given."""
+    import numpy as np
+
+    from .export import render_svg
+
+    if weights is None:
+        from .basis import basis_matrix
+    else:
+        from .rational import rational_basis_matrix
     n, interval = cfg.degree, cfg.interval
     if cfg.samples < 1:
         raise ValueError(f"need at least 1 sample, got {cfg.samples}")
@@ -160,8 +170,10 @@ def cmd_basis(cfg: argparse.Namespace, weights=None) -> int:
     return _write_table(cfg, xs, tables[0], [f"B{k}" for k in range(n + 1)], "values")
 
 
-def _write_curve_output(cfg: argparse.Namespace, sweeps, polygon: ControlPolygon) -> int:
+def _write_curve_output(cfg: argparse.Namespace, sweeps, polygon) -> int:
     """One sampled curve per --q; SVG adds the dashed control polygon."""
+    from .export import render_svg
+
     if cfg.fmt == "svg":
         if polygon.dim != 2:
             raise ValueError("svg output needs 2-d control points")
@@ -175,6 +187,8 @@ def _write_curve_output(cfg: argparse.Namespace, sweeps, polygon: ControlPolygon
 
 
 def cmd_curve(cfg: argparse.Namespace) -> int:
+    from .curve import sample_curve
+
     polygon, _ = _polygon(cfg)
     sweeps = [sample_curve(polygon, q, cfg.interval, cfg.samples, cfg.method) for q in cfg.qs]
     return _write_curve_output(cfg, sweeps, polygon)
@@ -182,6 +196,10 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
 
 def cmd_rational(cfg: argparse.Namespace) -> int:
     """The rational basis with --basis, else the curve of --polygon."""
+    import numpy as np
+
+    from .rational import rational_sample
+
     if cfg.basis_mode != (cfg.degree is not None):
         raise ValueError("rational takes --basis and --degree together")
     if cfg.basis_mode:
@@ -193,6 +211,8 @@ def cmd_rational(cfg: argparse.Namespace) -> int:
 
 
 def _check_tp(cfg: argparse.Namespace) -> dict:
+    from .shape import MINOR_CAP, _refuse_over_cap, collocation, total_positivity_check
+
     if cfg.grid < 1:  # before any point is collocated
         raise ValueError(f"check tp needs at least 1 point, got --grid {cfg.grid}")
     if (cfg.degree + 1) * cfg.grid > MINOR_CAP:  # its entries alone, order-1 minors, exceed the cap
@@ -221,6 +241,11 @@ def _check_tp(cfg: argparse.Namespace) -> dict:
 
 
 def _check_hull(cfg: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from .rational import rational_sample
+    from .shape import convex_hull, point_in_hull
+
     polygon, weights = _polygon(cfg, dim=2)
     q = cfg.qs[0]
     pts = rational_sample(polygon, weights, q, cfg.interval, cfg.samples).points
@@ -235,6 +260,11 @@ def _check_hull(cfg: argparse.Namespace) -> dict:
 
 
 def _check_vdp(cfg: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from .rational import rational_sample
+    from .shape import sign_changes_seq
+
     if cfg.grid < 1:  # before the polygon is read and sampled
         raise ValueError(f"check vdp needs at least 1 line, got --grid {cfg.grid}")
     polygon, weights = _polygon(cfg, dim=2)
@@ -265,6 +295,9 @@ def _check_vdp(cfg: argparse.Namespace) -> dict:
 
 
 def _check_signs(cfg: argparse.Namespace) -> dict:
+    from .curve import sample_curve
+    from .shape import sign_changes_seq
+
     polygon, _ = _polygon(cfg, dim=1)
     q = cfg.qs[0]
     sweep = sample_curve(polygon, q, cfg.interval, cfg.samples)
@@ -280,6 +313,8 @@ def _check_signs(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_check(cfg: argparse.Namespace) -> int:
+    import json
+
     if len(cfg.qs) != 1:
         raise ValueError("check takes exactly one --q")
     payload = cfg.check(cfg)
@@ -289,7 +324,7 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qtrig", description=__doc__)
+    parser = _Parser(prog="qtrig", description=__doc__.partition("\n\nLoading:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, samples=SAMPLES, writes=True):

@@ -27,8 +27,8 @@ from operator import mul
 import numpy as np
 
 from .basis import basis_all_direct, basis_matrix
-from .errors import FloatRangeError, _finite_input
-from .kernel import Interval, _checked_den, _tables
+from .errors import FloatRangeError
+from .kernel import Interval, _checked_den, _finite_input, _tables
 from .qcalc import q_binomial_row
 
 __all__ = [

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one finite-input check."""
+"""Exception types shared across the package.
 
-import numpy as np
+Nothing here imports numpy, so the CLI can report a usage error without loading it.
+"""
 
 __all__ = [
     "QTrigError",
@@ -56,18 +57,3 @@ class MinorCapExceededError(QTrigError):
         super().__init__(
             f"matrix has {shown} square submatrices, refusing to enumerate more than {cap}"
         )
-
-
-def _finite_input(values, message: str) -> np.ndarray:
-    """values as a float64 array; ValueError(message) if one is inf, NaN or an int beyond the float range.
-
-    numpy's own TypeError or ValueError for values that are not numeric, or
-    ragged, passes through.
-    """
-    try:
-        array = np.asarray(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(message) from None
-    if not np.isfinite(array).all():
-        raise ValueError(message)
-    return array

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import _finite_input
+from .kernel import _finite_input
 
 __all__ = [
     "sig_str",

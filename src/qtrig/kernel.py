@@ -60,7 +60,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import FloatRangeError, InvalidIntervalError, _finite_input
+from .errors import FloatRangeError, InvalidIntervalError
 from .qcalc import _checked_row, _q_binomial_row, _validate_degree, q_powers, validate_q
 
 __all__ = [
@@ -243,6 +243,21 @@ def _certified_plan(interval: Interval, q, n: int) -> _Plan:
     return plan
 
 
+def _finite_input(values, message: str) -> np.ndarray:
+    """values as a float64 array; ValueError(message) if one is inf, NaN or an int beyond the float range.
+
+    The one finite-input check of every array layer.  numpy's own TypeError
+    or ValueError for values that are not numeric, or ragged, passes through.
+    """
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(message) from None
+    if not np.isfinite(array).all():
+        raise ValueError(message)
+    return array
+
+
 def _checks(interval: Interval, x, q, n: int, columns: bool = False) -> tuple:
     """The plan of (interval, q, n) and x, checked, then the sin and cos to take of x.
 
@@ -352,7 +367,7 @@ def certify_interval(interval: Interval, q: float, n: int) -> ValidityCertificat
     return ValidityCertificate(
         interval=interval,
         q=plan.q,
-        n=n,
+        n=plan.n,
         valid=plan.failing is None,
         min_abs_denominator=plan.min_abs,
         failing_index=plan.failing,

@@ -7,6 +7,10 @@ coefficients are recovered.  The q-integer [k]_q is q_binomial_row(k, q)[1].
 Nothing here is memoised: every call builds the row it is asked for.  An
 evaluation needs the row of its degree once, and kernel's evaluation plan
 keeps it for as long as it keeps the plan.
+
+This is the one layer that imports no numpy, so it also keeps
+DEFAULT_TP_TOL, the default tolerance of shape.total_positivity_check,
+which the qtrig command's parser reads without loading an array layer.
 """
 
 import math
@@ -20,6 +24,9 @@ __all__ = [
     "q_binomial_row",
     "q_powers",
 ]
+
+# Scaled minor tolerance of shape.total_positivity_check and of check tp's --tolerance.
+DEFAULT_TP_TOL = 1e-9
 
 
 def validate_q(q: float) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .basis import BasisVector, _basis_vector, basis_all_direct, basis_matrix
 from .curve import ControlPolygon, CurveSamples, _finite
-from .errors import SingularDenominatorError, _finite_input
-from .kernel import Interval
+from .errors import SingularDenominatorError
+from .kernel import Interval, _finite_input
 
 __all__ = [
     "rational_basis_all",
@@ -78,13 +78,13 @@ def rational_basis_all(n: int, x: float, q: float, interval: Interval, weights) 
     finite terms, so their largest magnitude is taken in floats.
     """
     w = _coerce_weights(weights, n)
-    basis = basis_all_direct(n, x, q, interval).values
+    bv = basis_all_direct(n, x, q, interval)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
-        terms = w * basis
+        terms = w * bv.values
         den = float(terms.sum())
     if not (math.isfinite(den) and abs(den) > DENOMINATOR_REL_TOL * max(map(abs, terms.tolist()))):
         raise SingularDenominatorError(float(x), den)
-    return _basis_vector(n, q, interval, x, terms / den)
+    return _basis_vector(bv.degree, bv.q, interval, x, terms / den)
 
 
 def rational_evaluate(

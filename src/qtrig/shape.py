@@ -79,8 +79,9 @@ from typing import Optional
 import numpy as np
 
 from .basis import _rows
-from .errors import MinorCapExceededError, _finite_input
-from .kernel import Interval, _certified_plan
+from .errors import MinorCapExceededError
+from .kernel import Interval, _certified_plan, _finite_input
+from .qcalc import DEFAULT_TP_TOL
 from .rational import _coerce_weights, _rational_rows, _shape_guaranteed, point_segment_distance
 
 __all__ = [
@@ -101,7 +102,6 @@ MINOR_CAP = 1_000_000
 MINOR_BLOCK = 1 << 14
 # Shapes whose tiles the exhaustive check keeps, least recently used out first.
 _TILE_MEMO_SIZE = 32
-DEFAULT_TP_TOL = 1e-9
 # Largest first-order relative distance from a quarter-period collocation's
 # entries to the exact quarter period's at which the Vandermonde route decides.
 QUARTER_SHIFT_TOL = 1e-6

@@ -112,7 +112,7 @@ def test_refused_arguments_exit_1_with_the_reason(argv, message, capsys, monkeyp
     def no_table(*args, **kwargs):
         raise AssertionError("built a table for arguments that are refused")
 
-    monkeypatch.setattr("qtrig.cli.basis_matrix", no_table)
+    monkeypatch.setattr("qtrig.basis.basis_matrix", no_table)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -456,7 +456,7 @@ def test_check_tp_over_the_minor_cap_takes_its_route_first(capsys, monkeypatch):
         built.append(collocation(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr("qtrig.cli.collocation", spy)
+    monkeypatch.setattr("qtrig.shape.collocation", spy)
     code = main(["check", "tp", "--degree", "9", "--q", "1.5", "--interval", "0.3,1.4", "--grid", "30"])
     assert code == 1
     assert [mat.entries.shape for mat in built] == [(10, 30)]
@@ -470,7 +470,7 @@ def test_check_tp_refuses_before_collocating(capsys, monkeypatch):
     def no_collocation(*args, **kwargs):
         raise AssertionError("collocated a matrix the minor cap refuses")
 
-    monkeypatch.setattr("qtrig.cli.collocation", no_collocation)
+    monkeypatch.setattr("qtrig.shape.collocation", no_collocation)
     cases = (("1", "4000000", "matrix has 8000006000000 square submatrices"),
              # C(20000001, 10000000) - 1 minors: over the cap without counting them
              ("10000000", "10000000", "matrix has more than 1000000 square submatrices"))
@@ -621,7 +621,7 @@ def test_check_tp_needs_at_least_one_point(capsys, monkeypatch):
         raise AssertionError("collocated for a point count check tp refuses")
 
     # refused as check vdp refuses a line count, before any point is collocated
-    monkeypatch.setattr("qtrig.cli.collocation", no_collocation)
+    monkeypatch.setattr("qtrig.shape.collocation", no_collocation)
     for grid in ("0", "-3"):
         assert main(["check", "tp", "--degree", "3", "--q", "0.5", "--interval", "0.3,1.5", "--grid", grid]) == 1
         captured = capsys.readouterr()
@@ -638,7 +638,7 @@ def test_check_vdp_refuses_before_sampling(tmp_path, capsys, monkeypatch):
     argv = ["check", "vdp", "--polygon", poly, "--q", "2", "--interval", "0,pi/2", "--grid"]
     assert main(argv + ["1"]) == 3
     capsys.readouterr()
-    monkeypatch.setattr("qtrig.cli.rational_sample", no_sampling)
+    monkeypatch.setattr("qtrig.rational.rational_sample", no_sampling)
     for grid in ("0", "-3"):
         assert main(argv + [grid]) == 1
         captured = capsys.readouterr()
@@ -714,7 +714,7 @@ def test_check_defaults(tmp_path, capsys, monkeypatch):
         counts.append(count)
         return sample_curve(polygon, q, interval, count)
 
-    monkeypatch.setattr("qtrig.cli.sample_curve", counting)
+    monkeypatch.setattr("qtrig.curve.sample_curve", counting)
     assert main(["check", "signs", "--polygon", scalar, "--q", "2", "--interval", "0,pi/2"]) == 0
     assert counts == [512]
     capsys.readouterr()

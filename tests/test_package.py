@@ -11,6 +11,10 @@ LAYERS = (errors, qcalc, kernel, basis, curve, rational, shape)
 # the T_n fit and the q = 1 closed form are test oracles (tests/oracles.py)
 RETIRED = ("tn_design_matrix", "tn_membership_residual", "FIT_CONDITION_LIMIT",
            "IllConditionedFitError", "classical_trig_basis")
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+# runs the qtrig command in a fresh interpreter, then prints the modules it loaded
+FOOTPRINT = "import sys; from qtrig.cli import main; code = main(sys.argv[1:]); print(code, *sorted(sys.modules))"
 
 
 def test_package_exports_each_layer_all_once():
@@ -25,13 +29,23 @@ def test_package_exports_each_layer_all_once():
             assert not hasattr(module, name), (module.__name__, name)
 
 
+def _fresh(argv, code=FOOTPRINT):
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=ENV,
+                          cwd=ROOT, timeout=60)
+
+
+def _footprint(argv):
+    """Exit code, stderr and loaded qtrig and numpy modules of one qtrig command in a fresh interpreter."""
+    proc = _fresh(argv)
+    code, *modules = proc.stdout.split()
+    return int(code), proc.stderr, {m for m in modules if m.split(".")[0] in ("qtrig", "numpy")}
+
+
 def test_python_m_qtrig_runs_the_cli():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "qtrig", "check", "tp", "--degree", "3", "--q", "1.5",
          "--interval", "0,pi/2"],
-        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+        capture_output=True, text=True, env=ENV, cwd=ROOT, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("tp: PASS\n")
@@ -63,3 +77,38 @@ def test_results_that_hold_arrays_compare_and_hash_by_identity():
         assert (a == other) is False, type(a).__name__
         assert a == a
         assert len({a, a, other}) == 2
+
+
+def test_a_bare_import_loads_no_layer_and_a_public_name_loads_them_all():
+    # a dunder probe, such as inspect.unwrap's, answers without loading
+    code = ("import sys, qtrig; probe = hasattr(qtrig, '__wrapped__'); bare = sorted(sys.modules); "
+            "qtrig.collocation; print(probe, *bare); print(*sorted(sys.modules))")
+    (probe, *bare), loaded = (line.split() for line in _fresh([], code).stdout.splitlines())
+    assert probe == "False"
+    bare, loaded = set(bare), set(loaded)
+    assert {m for m in bare if m.startswith("qtrig")} == {"qtrig"} and "numpy" not in bare
+    assert {layer.__name__ for layer in LAYERS} <= loaded
+
+
+def test_a_basis_table_loads_only_the_layers_it_runs(tmp_path):
+    code, err, modules = _footprint(["basis", "--degree", "3", "--q", "1.5", "--interval", "0,pi/2",
+                                     "--out", str(tmp_path / "b.csv")])
+    assert (code, err) == (0, "")
+    qtrig_modules = {m for m in modules if m.startswith("qtrig")}
+    assert qtrig_modules == {"qtrig", "qtrig.cli", "qtrig.errors", "qtrig.qcalc", "qtrig.kernel", "qtrig.basis",
+                             "qtrig.export"}
+
+
+def test_a_curve_loads_neither_rational_nor_shape(tmp_path):
+    polygon = tmp_path / "arch.json"
+    polygon.write_text('{"points": [[0, 0], [1, 2], [2, 2], [3, 0]]}')
+    code, err, modules = _footprint(["curve", "--polygon", str(polygon), "--q", "1.5", "--interval", "0,pi/2",
+                                     "--out", str(tmp_path / "c.csv")])
+    assert (code, err) == (0, "")
+    assert "qtrig.curve" in modules and not {"qtrig.rational", "qtrig.shape"} & modules
+
+
+def test_a_usage_error_exits_before_numpy_loads():
+    code, err, modules = _footprint(["basis", "--q", "2", "--interval", "0,pi/2"])
+    assert (code, err) == (1, "qtrig: error: the following arguments are required: --degree\n")
+    assert "numpy" not in modules

@@ -25,7 +25,7 @@ from qtrig import (
     total_positivity_check,
 )
 from qtrig.export import render_svg
-from qtrig.errors import _finite_input
+from qtrig.kernel import _finite_input
 from qtrig.shape import (
     _TILE_MEMO_SIZE, MINOR_BLOCK, MINOR_CAP, QUARTER_PERIOD_VANDERMONDE, _refuse_over_cap, _shape_tiles,
 )

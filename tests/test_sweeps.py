@@ -20,6 +20,7 @@ from qtrig import (
     basis_all_recurrence1,
     basis_all_recurrence2,
     basis_matrix,
+    certify_interval,
     collocation,
     evaluate_alg1,
     evaluate_alg2,
@@ -306,3 +307,23 @@ def test_float32_endpoints_give_the_bits_of_their_float64_values_on_every_route(
         rows = basis_matrix(n, xs, q, iv32)
         for row, point in zip(rows, xs.tolist()):
             assert _hex(row) == _hex(basis_all_direct(n, point, q, iv32).values), (m, point)
+
+
+def test_every_result_records_the_key_as_the_plans_plain_float_q_and_int_n():
+    # a BasisVector, a DeCasteljauTableau and a ValidityCertificate record the key one way,
+    # as the plan holds it, whatever numpy scalar types the caller passed
+    iv, x = Interval(0.3, 1.4), 1.3
+    n, q = np.int64(6), np.float32(1.5)  # 1.5 exactly, so the values are those of (6, 1.5)
+    poly = ControlPolygon(np.random.default_rng(3113).uniform(-2.0, 2.0, size=(7, 2)))
+    vectors = [route(n, x, q, iv) for route in (basis_all_direct, basis_all_recurrence1, basis_all_recurrence2)]
+    vectors.append(rational_basis_all(n, x, q, iv, np.ones(7)))
+    for bv in vectors:
+        assert (type(bv.degree), type(bv.q)) == (int, float)
+        assert (bv.degree, bv.q) == (6, 1.5)
+    assert vectors[0].values.tobytes() == basis_all_direct(6, x, 1.5, iv).values.tobytes()
+    for evaluate in (evaluate_alg1, evaluate_alg2):
+        tableau = evaluate(poly, x, q, iv)
+        assert type(tableau.q) is float and tableau.q == 1.5
+    cert = certify_interval(iv, q, n)
+    assert (type(cert.n), type(cert.q)) == (int, float)
+    assert cert == certify_interval(iv, 1.5, 6)
